@@ -35,7 +35,6 @@ from .mechanisms import (
     MyersonRegular,
     PostedSequence,
     SecondPrice,
-    SecondPriceAnonymousReserve,
 )
 from .mixtures import build_market
 from .planner import plan_hr_dominant, select_anonymous_reserve
@@ -85,6 +84,18 @@ def _estimate_row(name, est, bound="", verdict=""):
 
 def _check(ok: bool) -> str:
     return "pass" if ok else "fail"
+
+
+def _factor_rows(tag, bench, name, est, factor):
+    """Benchmark row, then the recipe row tested at factor * mean + 4 SE."""
+    se = math.sqrt(bench.std_err**2 + (factor * est.std_err) ** 2)
+    ok = bench.mean <= factor * est.mean + 4.0 * se
+    return [
+        _estimate_row(f"{tag}:benchmark", bench),
+        _estimate_row(
+            f"{tag}:{name}", est, bound=f"benchmark <= {factor:g}*mean + 4se", verdict=_check(ok)
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +296,7 @@ def _experiment_thm1_sweep(seed, n_samples, n_streams, horizon, count: int = 20)
         bench = discriminating_benchmark(market, cfg)
         extras = tuple(ComponentExtra(t) for t in range(market.k))
         sp = estimate_mc(market, SecondPrice(), extras, cfg)
-        se = math.sqrt(bench.std_err**2 + (2.0 * sp.std_err) ** 2)
-        ok = bench.mean <= 2.0 * sp.mean + 4.0 * se
-        tag = f"m{idx:02d}"
-        rows.append(_estimate_row(f"{tag}:benchmark", bench))
-        rows.append(
-            _estimate_row(
-                f"{tag}:sp_plus_{market.k}_extras",
-                sp,
-                bound="benchmark <= 2*mean + 4se",
-                verdict=_check(ok),
-            )
-        )
+        rows += _factor_rows(f"m{idx:02d}", bench, f"sp_plus_{market.k}_extras", sp, 2.0)
     return rows
 
 
@@ -308,17 +308,8 @@ def _experiment_hr_lemma_sweep(seed, n_samples, n_streams, horizon, count: int =
         bench = discriminating_benchmark(market, cfg)
         extras = (ComponentExtra(dominant),)
         sp1 = estimate_mc(market, SecondPrice(), extras, cfg)
-        se = math.sqrt(bench.std_err**2 + (2.0 * sp1.std_err) ** 2)
         tag = f"m{idx:02d}"
-        rows.append(_estimate_row(f"{tag}:benchmark", bench))
-        rows.append(
-            _estimate_row(
-                f"{tag}:sp_plus_dominant_extra",
-                sp1,
-                bound="benchmark <= 2*mean + 4se",
-                verdict=_check(bench.mean <= 2.0 * sp1.mean + 4.0 * se),
-            )
-        )
+        rows += _factor_rows(tag, bench, "sp_plus_dominant_extra", sp1, 2.0)
         bidder_dists = tuple(
             market.components[int(np.flatnonzero(market.weights[i])[0])]
             for i in range(market.n)
@@ -357,20 +348,8 @@ def _experiment_reserve_4k_sweep(seed, n_samples, n_streams, horizon, count: int
         cfg = _market_cfg(seed, idx, n_samples, n_streams)
         bench = discriminating_benchmark(market, cfg)
         plan = select_anonymous_reserve(market, cfg)
-        rev = estimate_mc(market, SecondPriceAnonymousReserve(plan.reserve), (), cfg)
-        factor = 4.0 * market.k
-        se = math.sqrt(bench.std_err**2 + (factor * rev.std_err) ** 2)
-        ok = bench.mean <= factor * rev.mean + 4.0 * se
-        tag = f"m{idx:02d}"
-        rows.append(_estimate_row(f"{tag}:benchmark", bench))
-        rows.append(
-            _estimate_row(
-                f"{tag}:sp_reserve_{plan.reserve:.6g}",
-                rev,
-                bound=f"benchmark <= {factor:g}*mean + 4se",
-                verdict=_check(ok),
-            )
-        )
+        name = f"sp_reserve_{plan.reserve:.6g}"
+        rows += _factor_rows(f"m{idx:02d}", bench, name, plan.estimate, 4.0 * market.k)
     return rows
 
 

@@ -55,6 +55,26 @@ DEFAULT_IRONING_GRID = 4_097
 PROFILE_CAP = 10**6
 
 
+def _coin_rule(cum, u):
+    """Component per uniform: min(searchsorted(cum, u, "right"), k-1) by k-1 comparisons."""
+    coin = np.zeros(np.shape(u), dtype=np.int64)
+    for c in cum[:-1]:
+        coin += u >= c
+    return coin
+
+
+def _values_given_coins(components, coin, u):
+    """Each uniform through its coin's component; one component takes the whole array."""
+    if coin.size and np.all(coin == coin[0]):
+        return np.asarray(components[coin[0]]._inverse_transform(u), dtype=float)
+    values = np.empty(u.shape, dtype=float)
+    for t, comp in enumerate(components):
+        mask = coin == t
+        if np.any(mask):
+            values[mask] = comp._inverse_transform(u[mask])
+    return values
+
+
 class MixtureDistribution(Distribution):
     """Convex combination of component distributions for one bidder."""
 
@@ -80,31 +100,46 @@ class MixtureDistribution(Distribution):
             return self.components[self._active[0][0]]
         return None
 
-    def cdf(self, x):
+    def _blend(self, method, x):
+        """A pointwise law function: the lone active component's, else the weighted sum."""
         single = self._delegate()
         if single is not None:
-            return single.cdf(x)
-        return sum(w * self.components[t].cdf(x) for t, w in self._active)
+            return getattr(single, method)(x)
+        return sum(w * getattr(self.components[t], method)(x) for t, w in self._active)
+
+    def _bisect(self, method, levels, too_low):
+        """Invert a monotone law function between the extreme component answers.
+
+        `too_low(mid, levels)` marks the levels whose answer lies above mid.
+        """
+        scalar = np.ndim(levels) == 0
+        levels = np.atleast_1d(levels)
+        comp = np.stack(
+            [np.atleast_1d(getattr(self.components[t], method)(levels)) for t, _ in self._active]
+        )
+        lo = comp.min(axis=0)
+        hi = comp.max(axis=0)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            up = too_low(mid, levels)
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+        out = 0.5 * (lo + hi)
+        return float(out[0]) if scalar else out
+
+    def cdf(self, x):
+        return self._blend("cdf", x)
 
     def cdf_left(self, x):
-        single = self._delegate()
-        if single is not None:
-            return single.cdf_left(x)
-        return sum(w * self.components[t].cdf_left(x) for t, w in self._active)
+        return self._blend("cdf_left", x)
 
     def pdf(self, x):
         if not self.is_continuous:
             raise AtomicDistribution("mixture carries an atom; no density")
-        single = self._delegate()
-        if single is not None:
-            return single.pdf(x)
-        return sum(w * self.components[t].pdf(x) for t, w in self._active)
+        return self._blend("pdf", x)
 
     def survival(self, x):
-        single = self._delegate()
-        if single is not None:
-            return single.survival(x)
-        return sum(w * self.components[t].survival(x) for t, w in self._active)
+        return self._blend("survival", x)
 
     def survival_quantile(self, q):
         single = self._delegate()
@@ -115,44 +150,16 @@ class MixtureDistribution(Distribution):
             raise ValueError("survival level must lie in [0, 1]")
         if np.any(qv == 0.0) and not self.support.bounded:
             raise UnboundedQuantile(f"{self}: survival_quantile(0) is infinite")
-        scalar = qv.ndim == 0
-        qa = np.atleast_1d(qv)
-        comp_q = np.stack(
-            [
-                np.atleast_1d(self.components[t].survival_quantile(qa))
-                for t, _ in self._active
-            ]
+        return self._bisect(
+            "survival_quantile", qv, lambda mid, qa: np.asarray(self.survival(mid)) > qa
         )
-        lo = comp_q.min(axis=0)
-        hi = comp_q.max(axis=0)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            above = np.asarray(self.survival(mid)) > qa
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
 
     def quantile(self, q):
         single = self._delegate()
         if single is not None:
             return single.quantile(q)
         q = self._check_quantile_arg(q)
-        scalar = q.ndim == 0
-        qv = np.atleast_1d(q).astype(float)
-        # bracket each level by the extreme component quantiles
-        comp_q = np.stack(
-            [np.atleast_1d(self.components[t].quantile(qv)) for t, _ in self._active]
-        )
-        lo = comp_q.min(axis=0)
-        hi = comp_q.max(axis=0)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self.cdf(mid)) < qv
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
+        return self._bisect("quantile", q, lambda mid, qv: np.asarray(self.cdf(mid)) < qv)
 
     def sample(self, stream, size=None):
         """Two-stage draw; marginal law equals the mixture cdf."""
@@ -160,23 +167,17 @@ class MixtureDistribution(Distribution):
         return values
 
     def sample_with_coin(self, stream, size=None):
-        """Return (component-index, value); the coin stays observable."""
-        cum = np.cumsum(self.weights)
-        u_coin = stream.random(size)
-        coin = np.minimum(
-            np.searchsorted(cum, u_coin, side="right"), len(self.components) - 1
-        )
+        """Return (component-index, value); the coin stays observable.
+
+        Draws `size` coin uniforms, then `size` value uniforms.
+        """
+        coin = _coin_rule(np.cumsum(self.weights), stream.random(size))
         u_val = stream.random(size)
         if size is None:
             return int(coin), float(
                 self.components[int(coin)]._inverse_transform(u_val)
             )
-        values = np.empty(size, dtype=float)
-        for t in range(len(self.components)):
-            mask = coin == t
-            if np.any(mask):
-                values[mask] = self.components[t]._inverse_transform(u_val[mask])
-        return coin, values
+        return coin, _values_given_coins(self.components, coin, u_val)
 
     def __str__(self):
         parts = " + ".join(f"{w:g}*{self.components[t]}" for t, w in self._active)

@@ -36,8 +36,8 @@ from .mechanisms import (
     SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
 )
-from .mixtures import MarketModel
-from .revenue import ComponentExtra, EstimatorConfig, RevenueEstimate, estimate_mc
+from .mixtures import MarketModel, _coin_rule
+from .revenue import ComponentExtra, EstimatorConfig, RevenueEstimate, _estimate_each, estimate_mc
 from .streams import substream
 
 __all__ = [
@@ -91,6 +91,7 @@ class AugmentationPlan:
     subset: tuple | None = None
     assumptions: tuple = ()
     notes: str = ""
+    estimate: RevenueEstimate | None = None  # MC evidence the plan was chosen on
 
     def __post_init__(self):
         if self.guarantee_factor < 1.0:
@@ -232,8 +233,8 @@ def select_anonymous_reserve(market: MarketModel, cfg: EstimatorConfig) -> Augme
     """Best of the k component monopoly reserves, by MC comparison; factor 4k.
 
     Candidates whose monopoly price is an unattained supremum are skipped
-    with a warning.  All candidates are evaluated on common random numbers
-    (same seed), so the argmax is deterministic.
+    with a warning.  All candidates are evaluated on one set of draws, so the
+    argmax is deterministic; the winner's estimate rides on the plan.
     """
     candidates = []
     for t, comp in enumerate(market.components):
@@ -246,12 +247,10 @@ def select_anonymous_reserve(market: MarketModel, cfg: EstimatorConfig) -> Augme
             )
     if not candidates:
         raise SupremumNotAttained("no component has an attainable monopoly price")
-    best = None
-    for t, r in candidates:
-        est = estimate_mc(market, SecondPriceAnonymousReserve(r), (), cfg)
-        if best is None or est.mean > best[2].mean:
-            best = (t, r, est)
-    t, r, est = best
+    mechs = tuple(SecondPriceAnonymousReserve(r) for _, r in candidates)
+    ests = _estimate_each(market, mechs, (), cfg)
+    best = max(range(len(candidates)), key=lambda j: ests[j].mean)
+    t, r = candidates[best]
     return AugmentationPlan(
         strategy=ANON_RESERVE,
         guarantee_factor=4.0 * market.k,
@@ -266,6 +265,7 @@ def select_anonymous_reserve(market: MarketModel, cfg: EstimatorConfig) -> Augme
             ),
         ),
         notes=f"candidate means compared at seed {cfg.seed}",
+        estimate=ests[best],
     )
 
 
@@ -368,9 +368,7 @@ def coverage_probability(probs, n_draws: int, n_trials: int, seed: int):
     """
     probs = np.asarray(probs, dtype=float)
     rng = substream(seed, 0)
-    cum = np.cumsum(probs)
-    u = rng.random((n_trials, n_draws))
-    coins = np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1)
+    coins = _coin_rule(np.cumsum(probs), rng.random((n_trials, n_draws)))
     covered = np.ones(n_trials, dtype=bool)
     for t in range(len(probs)):
         covered &= (coins == t).any(axis=1)

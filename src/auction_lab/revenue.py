@@ -3,10 +3,12 @@
 Three estimation routes:
 
 * Monte Carlo (`estimate_mc`) over seeded streams.  Sampling is partitioned
-  across n_streams independent streams; per-stream totals use compensated
-  (exact) summation and streams combine in index order, so a result is
-  bit-identical for a fixed (seed, n_samples, n_streams) no matter how the
-  work would be scheduled.
+  across n_streams independent streams by one routine (`_run_streams`) that
+  draws each stream once and evaluates every requested output on it.  A
+  stream reduces to (n, mean, M2) by a shifted two-pass, and streams merge
+  in index order with the Chan-Golub-LeVeque pairwise update, so a result
+  is bit-identical for a fixed (seed, n_samples, n_streams) no matter how
+  the work would be scheduled.
 * Exact order-statistic formulas (`vickrey_revenue_cdf`,
   `posted_sequence_revenue_exact`, the two-point evaluators).
 * Quantile/tail quadrature (`expected_revenue_quadrature`): adaptive Simpson
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +48,7 @@ from .mechanisms import (
     SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
 )
-from .mixtures import IronedCurve, MarketModel, enumerate_profiles
+from .mixtures import IronedCurve, MarketModel, _coin_rule, _values_given_coins, enumerate_profiles
 from .streams import substream
 
 __all__ = [
@@ -127,48 +130,41 @@ class DeterministicExtra:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_sizes(n_samples: int, n_streams: int):
-    base, rem = divmod(n_samples, n_streams)
-    return [base + (1 if s < rem else 0) for s in range(n_streams)]
+def _draw_market(market: MarketModel, rng, size: int, extras=()):
+    """Coins (size, n) and values (size, n + len(extras)) for one stream.
 
-
-def _draw_market(market: MarketModel, rng, size: int):
-    """Coins and values for all bidders: two (size, n) arrays."""
-    coins = np.empty((size, market.n), dtype=np.int64)
-    values = np.empty((size, market.n), dtype=float)
-    for i in range(market.n):
-        c, v = market.bidder_mixture(i).sample_with_coin(rng, size)
-        coins[:, i] = c
-        values[:, i] = v
+    The stream is consumed bidder by bidder, `size` coin uniforms then
+    `size` value uniforms (the order of MixtureDistribution.sample_with_coin),
+    and the extra bidders' uniforms come after the originals.
+    """
+    n = market.n
+    coins = np.empty((size, n), dtype=np.int64)
+    values = np.empty((size, n + len(extras)))
+    u = np.empty(size)
+    for i in range(n):
+        rng.random(out=u)
+        coins[:, i] = _coin_rule(np.cumsum(market.weights[i]), u)
+        rng.random(out=u)
+        values[:, i] = _values_given_coins(market.components, coins[:, i], u)
+    for j, spec in enumerate(extras, start=n):
+        if isinstance(spec, ComponentExtra):
+            rng.random(out=u)
+            values[:, j] = market.components[spec.index]._inverse_transform(u)
+        elif isinstance(spec, DeterministicExtra):
+            values[:, j] = float(spec.value)
+        else:
+            raise TypeError(f"unknown extra spec {spec!r}")
     return coins, values
 
 
-def _draw_extras(market: MarketModel, extras, rng, size: int):
-    """Value columns for extra bidders, drawn after the originals."""
-    if not extras:
-        return np.empty((size, 0))
-    cols = []
-    for spec in extras:
-        if isinstance(spec, ComponentExtra):
-            u = rng.random(size)
-            cols.append(market.components[spec.index]._inverse_transform(u))
-        elif isinstance(spec, DeterministicExtra):
-            cols.append(np.full(size, float(spec.value)))
-        else:
-            raise TypeError(f"unknown extra spec {spec!r}")
-    return np.column_stack(cols)
+def _sp_batch(values, reserves=0.0):
+    """Second-price winners and prices; winner == -1 means no sale.
 
-
-def _sp_batch(values, anonymous_reserve=None, bidder_reserves=None):
-    """Second-price winners and prices; winner == -1 means no sale."""
+    `reserves` broadcasts against values: a scalar, one per bidder, or a
+    (size, 1) column of per-row reserves.
+    """
     size, m = values.shape
-    if bidder_reserves is not None:
-        reserves = np.broadcast_to(np.asarray(bidder_reserves, dtype=float), (size, m))
-    elif anonymous_reserve is not None:
-        r = np.asarray(anonymous_reserve, dtype=float)
-        reserves = np.broadcast_to(r[:, None] if r.ndim == 1 else r, (size, m))
-    else:
-        reserves = np.zeros((size, m))
+    reserves = np.broadcast_to(np.asarray(reserves, dtype=float), (size, m))
     qual = values >= reserves
     masked = np.where(qual, values, -np.inf)
     winner = np.argmax(masked, axis=1)
@@ -204,30 +200,43 @@ def _ironed_inverse(curve: IronedCurve, y, strict):
     return curve.values[idx]
 
 
-def _myerson_batch(values, rules):
-    """Myerson winners and critical prices for fixed per-column rules."""
+def _myerson_batch(values, rules, coins=None):
+    """Myerson winners and critical prices.
+
+    rules[j] prices column j (a Distribution or IronedCurve); with `coins`,
+    rules[t] is component t and each cell is priced by its coin's component.
+    """
     size, m = values.shape
-    phi = _virtual_matrix(values, rules)
-    winner = np.argmax(phi, axis=1)
     rows = np.arange(size)
-    phi_w = phi[rows, winner]
-    sale = phi_w >= 0.0
+    if coins is None:
+        phi = _virtual_matrix(values, rules)
+    else:
+        phi = np.empty_like(values)
+        for t, comp in enumerate(rules):
+            mask = coins == t
+            if np.any(mask):
+                phi[mask] = comp._virtual_unchecked(values[mask])
+    winner = np.argmax(phi, axis=1)
+    sale = phi[rows, winner] >= 0.0
+    strict = np.zeros(size, dtype=bool)
     if m >= 2:
         max_others = np.partition(phi, m - 2, axis=1)[:, m - 2]
-        phi_masked = phi.copy()
-        phi_masked[rows, winner] = -np.inf
-        rival = np.argmax(phi_masked, axis=1)
-        # a tie at the threshold goes to the rival only when the rival has
-        # the lower index and actually sits at the threshold (not when the
-        # phi >= 0 gate is what binds)
-        strict = (rival < winner) & (max_others >= 0.0)
+        if any(isinstance(rule, IronedCurve) for rule in rules):
+            phi_masked = phi.copy()
+            phi_masked[rows, winner] = -np.inf
+            rival = np.argmax(phi_masked, axis=1)
+            # a tie at the threshold goes to the rival only when the rival has
+            # the lower index and actually sits at the threshold (not when the
+            # phi >= 0 gate is what binds)
+            strict = (rival < winner) & (max_others >= 0.0)
     else:
         max_others = np.full(size, -np.inf)
-        strict = np.zeros(size, dtype=bool)
     thr = np.maximum(max_others, 0.0)
+    w_rule = winner if coins is None else coins[rows, winner]
+    w_value = values[rows, winner]
     price = np.zeros(size)
     for j, rule in enumerate(rules):
-        mask = sale & (winner == j)
+        mask = sale & (w_rule == j)
         if not np.any(mask):
             continue
         if isinstance(rule, IronedCurve):
@@ -235,35 +244,7 @@ def _myerson_batch(values, rules):
         else:
             # exact float ties are measure-zero for continuous families
             crit = rule.virtual_inverse(thr[mask])
-        price[mask] = np.minimum(np.asarray(crit, dtype=float), values[mask, j])
-    return np.where(sale, winner, -1), price
-
-
-def _myerson_coins_batch(values, coins, components):
-    """Myerson prices when each cell's distribution comes from its coin."""
-    size, m = values.shape
-    phi = np.empty_like(values)
-    for t, comp in enumerate(components):
-        mask = coins == t
-        if np.any(mask):
-            phi[mask] = comp._virtual_unchecked(values[mask])
-    winner = np.argmax(phi, axis=1)
-    rows = np.arange(size)
-    phi_w = phi[rows, winner]
-    sale = phi_w >= 0.0
-    if m >= 2:
-        max_others = np.partition(phi, m - 2, axis=1)[:, m - 2]
-    else:
-        max_others = np.full(size, -np.inf)
-    thr = np.maximum(max_others, 0.0)
-    price = np.zeros(size)
-    wcomp = coins[rows, winner]
-    for t, comp in enumerate(components):
-        mask = sale & (wcomp == t)
-        if not np.any(mask):
-            continue
-        crit = comp.virtual_inverse(thr[mask])
-        price[mask] = np.minimum(np.asarray(crit, dtype=float), values[rows, winner][mask])
+        price[mask] = np.minimum(np.asarray(crit, dtype=float), w_value[mask])
     return np.where(sale, winner, -1), price
 
 
@@ -284,17 +265,17 @@ def _mech_batch(mech, values, rng, market=None):
     if isinstance(mech, SecondPrice):
         return _sp_batch(values)
     if isinstance(mech, SecondPriceAnonymousReserve):
-        return _sp_batch(values, anonymous_reserve=np.full(values.shape[0], mech.reserve))
+        return _sp_batch(values, mech.reserve)
     if isinstance(mech, SecondPriceBidderReserves):
-        return _sp_batch(values, bidder_reserves=mech.reserves)
+        return _sp_batch(values, mech.reserves)
     if isinstance(mech, SecondPriceSubsetReserve):
         subset = list(mech.subset)
         rest = [j for j in range(values.shape[1]) if j not in set(subset)]
         if not rest:
             size = values.shape[0]
             return np.full(size, -1, dtype=np.int64), np.zeros(size)
-        reserve = values[:, subset].max(axis=1) if subset else np.zeros(values.shape[0])
-        w_rest, price = _sp_batch(values[:, rest], anonymous_reserve=reserve)
+        reserve = values[:, subset].max(axis=1, keepdims=True) if subset else 0.0
+        w_rest, price = _sp_batch(values[:, rest], reserve)
         winner = np.where(w_rest >= 0, np.asarray(rest, dtype=np.int64)[np.maximum(w_rest, 0)], -1)
         return winner, price
     if isinstance(mech, SecondPriceSampleReserve):
@@ -306,7 +287,7 @@ def _mech_batch(mech, values, rng, market=None):
                 for t in mech.component_indices
             ]
         )
-        return _sp_batch(values, anonymous_reserve=draws.max(axis=1))
+        return _sp_batch(values, draws.max(axis=1, keepdims=True))
     if isinstance(mech, MyersonRegular):
         return _myerson_batch(values, mech.dists)
     if isinstance(mech, MyersonIroned):
@@ -316,19 +297,102 @@ def _mech_batch(mech, values, rng, market=None):
     raise TypeError(f"unknown mechanism spec {mech!r}")
 
 
-def _combine_streams(stream_stats):
-    """Merge (sum, sum_sq, count) triples in index order into an estimate."""
-    s1 = math.fsum(t[0] for t in stream_stats)
-    s2 = math.fsum(t[1] for t in stream_stats)
-    n = sum(t[2] for t in stream_stats)
-    mean = s1 / n
-    var = max(s2 - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
-    return RevenueEstimate(mean=mean, std_err=math.sqrt(var / n), n_samples=n, method="mc")
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimation
 # ---------------------------------------------------------------------------
+
+
+def _stream_stats(x):
+    """(n, mean, M2) of one stream's samples by a shifted two-pass.
+
+    Shifting by the first sample keeps a large common offset out of both
+    sums, so constant samples give M2 == 0 exactly.
+    """
+    n = x.shape[0]
+    if n == 0:
+        return 0, 0.0, 0.0
+    d = x - x[0]
+    d_mean = np.add.reduce(d) / n
+    d -= d_mean
+    return n, float(x[0] + d_mean), float(np.add.reduce(d * d))
+
+
+def _merge_stats(a, b):
+    """Chan-Golub-LeVeque pairwise update of two (n, mean, M2) triples."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    if nb == 0:
+        return a
+    if na == 0:
+        return b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
+
+
+def _as_estimate(stats) -> RevenueEstimate:
+    n, mean, m2 = stats
+    var = m2 / (n - 1) if n > 1 else 0.0
+    return RevenueEstimate(mean=mean, std_err=math.sqrt(var / n), n_samples=n, method="mc")
+
+
+def _run_streams(cfg, n_samples, path, draw, kernel):
+    """Merged (n, mean, M2) per output of `kernel` over n_samples draws.
+
+    Stream s draws its share of the samples from substream(cfg.seed, *path,
+    s) with `draw(rng, size) -> (coins, values)`; `kernel(rng, coins,
+    values)` returns one sample array per output.  Kernel errors are
+    annotated with the sample range and stream being evaluated.
+    """
+    merged = None
+    offset = 0
+    base, rem = divmod(n_samples, cfg.n_streams)
+    for s in range(cfg.n_streams):
+        size = base + (1 if s < rem else 0)
+        if size == 0:
+            continue
+        rng = substream(cfg.seed, *path, s)
+        coins, values = draw(rng, size)
+        try:
+            outputs = kernel(rng, coins, values)
+        except Exception as exc:
+            exc.sample_range = (offset, offset + size)
+            exc.stream_index = s
+            if hasattr(exc, "add_note"):  # 3.11+
+                exc.add_note(
+                    f"while evaluating samples [{offset}, {offset + size}) "
+                    f"on stream {s}"
+                )
+            raise
+        stats = [_stream_stats(x) for x in outputs]
+        merged = stats if merged is None else list(map(_merge_stats, merged, stats))
+        offset += size
+    return merged
+
+
+def _market_streams(market, extras, cfg, kernel):
+    """_run_streams over cfg.n_samples draws of the bidders, then the extras."""
+    draw = partial(_draw_market, market, extras=extras)
+    return _run_streams(cfg, cfg.n_samples, (), draw, kernel)
+
+
+def _estimate_each(market: MarketModel, mechs, extras, cfg: EstimatorConfig):
+    """estimate_mc of every mechanism in `mechs`, all on one set of draws.
+
+    Each mechanism starts from the generator state right after the draws,
+    so each result is bit-identical to its own estimate_mc call.
+    """
+
+    def kernel(rng, coins, values):
+        after_draws = rng.bit_generator.state
+        prices = []
+        for mech in mechs:
+            rng.bit_generator.state = after_draws
+            prices.append(_mech_batch(mech, values, rng, market=market)[1])
+        return prices
+
+    stats = _market_streams(market, extras, cfg, kernel)
+    return [_as_estimate(st) for st in stats]
 
 
 def estimate_mc(
@@ -344,29 +408,22 @@ def estimate_mc(
     """
     if cfg is None:
         raise ValueError("an EstimatorConfig with an explicit seed is required")
-    stats = []
-    offset = 0
-    for s, chunk in enumerate(_chunk_sizes(cfg.n_samples, cfg.n_streams)):
-        if chunk == 0:
-            continue
-        rng = substream(cfg.seed, s)
-        _, values = _draw_market(market, rng, chunk)
-        extra_vals = _draw_extras(market, extras, rng, chunk)
-        full = np.hstack([values, extra_vals]) if extra_vals.size else values
-        try:
-            _, price = _mech_batch(mech, full, rng, market=market)
-        except Exception as exc:
-            exc.sample_range = (offset, offset + chunk)
-            exc.stream_index = s
-            if hasattr(exc, "add_note"):  # 3.11+
-                exc.add_note(
-                    f"while evaluating samples [{offset}, {offset + chunk}) "
-                    f"on stream {s}"
-                )
-            raise
-        stats.append((math.fsum(price), math.fsum(price * price), chunk))
-        offset += chunk
-    return _combine_streams(stats)
+    return _estimate_each(market, (mech,), extras, cfg)[0]
+
+
+def _column_dists(market, extras):
+    """The distribution behind each value column; extras must be components."""
+    if not all(isinstance(spec, ComponentExtra) for spec in extras):
+        raise ValueError("virtual values need a distribution per column")
+    return [market.bidder_mixture(i) for i in range(market.n)] + [
+        market.components[spec.index] for spec in extras
+    ]
+
+
+def _winner_virtual(phi, winner):
+    """phi of each row's winner; 0 where nothing sells."""
+    rows = np.arange(phi.shape[0])
+    return np.where(winner >= 0, phi[rows, np.maximum(winner, 0)], 0.0)
 
 
 def virtual_surplus_gap(
@@ -382,26 +439,14 @@ def virtual_surplus_gap(
     noise of zero.  Every column needs a continuous distribution (extras
     must be component draws, not deterministic values).
     """
-    col_dists = [market.bidder_mixture(i) for i in range(market.n)]
-    for spec in extras:
-        if not isinstance(spec, ComponentExtra):
-            raise ValueError("virtual surplus needs a distribution per column")
-        col_dists.append(market.components[spec.index])
-    stats = []
-    for s, chunk in enumerate(_chunk_sizes(cfg.n_samples, cfg.n_streams)):
-        if chunk == 0:
-            continue
-        rng = substream(cfg.seed, s)
-        _, values = _draw_market(market, rng, chunk)
-        extra_vals = _draw_extras(market, extras, rng, chunk)
-        full = np.hstack([values, extra_vals]) if extra_vals.size else values
-        winner, price = _mech_batch(mech, full, rng, market=market)
-        phi = _virtual_matrix(full, col_dists)
-        rows = np.arange(chunk)
-        virt = np.where(winner >= 0, phi[rows, np.maximum(winner, 0)], 0.0)
-        diff = price - virt
-        stats.append((math.fsum(diff), math.fsum(diff * diff), chunk))
-    return _combine_streams(stats)
+    col_dists = _column_dists(market, extras)
+
+    def kernel(rng, coins, values):
+        winner, price = _mech_batch(mech, values, rng, market=market)
+        return (price - _winner_virtual(_virtual_matrix(values, col_dists), winner),)
+
+    (stats,) = _market_streams(market, extras, cfg, kernel)
+    return _as_estimate(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +658,18 @@ def expected_revenue_quadrature(dists, reserve: float | None = None, tol: float 
 _MIN_PROFILE_SAMPLES = 64
 
 
+def _profile_draw(dists):
+    """Draws for a fixed index profile: one uniform column per bidder."""
+
+    def draw(rng, size):
+        values = np.empty((size, len(dists)))
+        for j, d in enumerate(dists):
+            values[:, j] = d._inverse_transform(rng.random(size))
+        return None, values
+
+    return draw
+
+
 def discriminating_benchmark(
     market: MarketModel, cfg: EstimatorConfig, policies=None
 ) -> RevenueEstimate:
@@ -662,17 +719,12 @@ def discriminating_benchmark(
                 continue
             dists = [market.components[t] for t in prof.q]
             n_q = max(int(round(cfg.n_samples * prof.weight)), _MIN_PROFILE_SAMPLES)
-            stats = []
-            for s, chunk in enumerate(_chunk_sizes(n_q, cfg.n_streams)):
-                if chunk == 0:
-                    continue
-                rng = substream(cfg.seed, idx, s)
-                values = np.column_stack(
-                    [d._inverse_transform(rng.random(chunk)) for d in dists]
-                )
-                _, price = _myerson_batch(values, dists)
-                stats.append((math.fsum(price), math.fsum(price * price), chunk))
-            est = _combine_streams(stats)
+
+            def kernel(rng, coins, values):
+                return (_myerson_batch(values, dists)[1],)
+
+            (stats,) = _run_streams(cfg, n_q, (idx,), _profile_draw(dists), kernel)
+            est = _as_estimate(stats)
             mean += prof.weight * est.mean
             var += (prof.weight * est.std_err) ** 2
             n_total += est.n_samples
@@ -686,15 +738,11 @@ def discriminating_benchmark(
         )
     # unbiased coin sampling: draw (q, v) jointly, run the realized-profile
     # optimal auction per draw
-    stats = []
-    for s, chunk in enumerate(_chunk_sizes(cfg.n_samples, cfg.n_streams)):
-        if chunk == 0:
-            continue
-        rng = substream(cfg.seed, s)
-        coins, values = _draw_market(market, rng, chunk)
-        _, price = _myerson_coins_batch(values, coins, market.components)
-        stats.append((math.fsum(price), math.fsum(price * price), chunk))
-    return _combine_streams(stats)
+    def kernel(rng, coins, values):
+        return (_myerson_batch(values, market.components, coins)[1],)
+
+    (stats,) = _market_streams(market, (), cfg, kernel)
+    return _as_estimate(stats)
 
 
 def approximation_ratio(opt: RevenueEstimate, simple: RevenueEstimate) -> RatioEstimate:
@@ -769,70 +817,38 @@ def commensurateness_check(
     diverge contribute, and fewer than 100 such samples (but more than
     zero) raises InsufficientDivergenceSamples.
     """
-    col_dists = [market.bidder_mixture(i) for i in range(market.n)]
-    for spec in extras_for_m_prime:
-        if not isinstance(spec, ComponentExtra):
-            raise ValueError("commensurateness needs distribution-backed extras")
-        col_dists.append(market.components[spec.index])
+    col_dists = _column_dists(market, extras_for_m_prime)
     for d in col_dists:
         if not d.is_continuous:
             raise ValueError("commensurateness needs continuous distributions")
 
     n = market.n
-    div_count = 0
-    eq5_sum = 0.0
-    eq5_sq = 0.0
     eq6_pass = 0
-    n_total = 0
-    for s, chunk in enumerate(_chunk_sizes(cfg.n_samples, cfg.n_streams)):
-        if chunk == 0:
-            continue
-        rng = substream(cfg.seed, s)
-        _, values = _draw_market(market, rng, chunk)
-        extra_vals = _draw_extras(market, extras_for_m_prime, rng, chunk)
-        full = np.hstack([values, extra_vals]) if extra_vals.size else values
 
-        w_m, _ = _mech_batch(mech_m, values, rng, market=market)
+    def kernel(rng, coins, full):
+        nonlocal eq6_pass
+        w_m, _ = _mech_batch(mech_m, full[:, :n], rng, market=market)
         w_p, price_p = _mech_batch(mech_m_prime, full, rng, market=market)
-
         phi = _virtual_matrix(full, col_dists)
-        rows = np.arange(chunk)
-        phi_wp = np.where(w_p >= 0, phi[rows, np.maximum(w_p, 0)], 0.0)
-        phi_wm = np.where(w_m >= 0, phi[rows, np.maximum(w_m, 0)], 0.0)
-
         diverged = w_p != w_m
-        div_count += int(np.count_nonzero(diverged))
-        if np.any(diverged):
-            sel = phi_wp[diverged]
-            eq5_sum += math.fsum(sel)
-            eq5_sq += math.fsum(sel * sel)
-            eq6_pass += int(
-                np.count_nonzero(price_p[diverged] >= phi_wm[diverged] - _EQ6_TOL)
-            )
-        n_total += chunk
+        phi_wm = _winner_virtual(phi, w_m)[diverged]
+        eq6_pass += int(np.count_nonzero(price_p[diverged] >= phi_wm - _EQ6_TOL))
+        return (_winner_virtual(phi, w_p)[diverged],)
 
-    if div_count == 0:
-        return CommensuratenessReport(
-            n_samples=n_total,
-            divergence_count=0,
-            eq5_mean=None,
-            eq5_std_err=None,
-            eq6_pass_count=0,
-            no_divergence=True,
-        )
-    if div_count < _MIN_DIVERGENCE:
+    (stats,) = _market_streams(market, extras_for_m_prime, cfg, kernel)
+    div_count, mean, m2 = stats
+    if 0 < div_count < _MIN_DIVERGENCE:
         raise InsufficientDivergenceSamples(
             f"only {div_count} divergence samples; need {_MIN_DIVERGENCE}"
         )
-    mean = eq5_sum / div_count
-    var = max(eq5_sq - div_count * mean * mean, 0.0) / max(div_count - 1, 1)
+    diverged = div_count > 0
     return CommensuratenessReport(
-        n_samples=n_total,
+        n_samples=cfg.n_samples,
         divergence_count=div_count,
-        eq5_mean=mean,
-        eq5_std_err=math.sqrt(var / div_count),
+        eq5_mean=mean if diverged else None,
+        eq5_std_err=math.sqrt(m2 / max(div_count - 1, 1) / div_count) if diverged else None,
         eq6_pass_count=eq6_pass,
-        no_divergence=False,
+        no_divergence=not diverged,
     )
 
 

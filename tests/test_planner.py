@@ -136,6 +136,12 @@ class TestAnonymousReserve:
         assert plan.guarantee_factor == 4.0
         assert plan.reserve == pytest.approx(0.5, rel=1e-6)
 
+    def test_plan_carries_the_evidence_estimate(self):
+        m = build_market((Uniform(0, 1), Exponential(1.0)), [[0.3, 0.7]] * 3)
+        cfg = EstimatorConfig(seed=7, n_samples=30_000)
+        plan = select_anonymous_reserve(m, cfg)
+        assert plan.estimate == evaluate_plan(m, plan, cfg)
+
     def test_equal_revenue_candidate_skipped_with_warning(self):
         m = build_market((Uniform(0, 1), EqualRevenue()), [[0.5, 0.5]] * 2)
         cfg = EstimatorConfig(seed=3, n_samples=20_000)

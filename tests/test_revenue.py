@@ -1,9 +1,12 @@
 """Revenue estimation: MC, exact formulas, quadrature, benchmark, commensurateness."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from auction_lab import (
@@ -35,8 +38,10 @@ from auction_lab import (
     estimate_mc,
     estimate_records_csv,
     expected_revenue_quadrature,
+    hr_ordered_markets,
     iron,
     posted_sequence_revenue_exact,
+    random_mixture_markets,
     run,
     second_price_two_point_exact,
     vickrey_revenue_cdf,
@@ -48,7 +53,15 @@ from auction_lab.errors import (
     InsufficientDivergenceSamples,
     ZeroDenominator,
 )
-from auction_lab.revenue import _mech_batch
+from auction_lab.mixtures import _coin_rule
+from auction_lab.revenue import (
+    _as_estimate,
+    _draw_market,
+    _estimate_each,
+    _mech_batch,
+    _merge_stats,
+    _stream_stats,
+)
 
 PM, ER = PointMass(1.0), EqualRevenue()
 
@@ -97,6 +110,154 @@ class TestEstimateMC:
             estimate_mc(market, "not a mechanism", (), cfg)
         assert err.value.sample_range == (0, 13)  # first non-empty chunk
         assert err.value.stream_index == 0
+
+
+class TestEstimateEach:
+    """Several mechanisms on one set of draws equal their separate estimates."""
+
+    def test_matches_separate_estimate_mc_calls(self):
+        market = build_market((Uniform(0, 1), Exponential(1.0)), [[0.4, 0.6]] * 3)
+        cfg = EstimatorConfig(seed=17, n_samples=40_000)
+        extras = (ComponentExtra(0),)
+        # the sample-reserve mechanisms consume the stream after the draws
+        mechs = (
+            SecondPriceSampleReserve((0, 1)),
+            SecondPrice(),
+            SecondPriceAnonymousReserve(0.6),
+            SecondPriceSampleReserve((1,)),
+        )
+        shared = _estimate_each(market, mechs, extras, cfg)
+        assert shared == [estimate_mc(market, m, extras, cfg) for m in mechs]
+
+    def test_failing_mechanism_carries_sample_range(self):
+        cfg = EstimatorConfig(seed=3, n_samples=100)
+        with pytest.raises(TypeError) as err:
+            _estimate_each(two_uniform_market(), (SecondPrice(), "not a mechanism"), (), cfg)
+        assert err.value.sample_range == (0, 13)
+        assert err.value.stream_index == 0
+
+
+def _reference_draw_market(market, rng, size):
+    """Independent oracle: per bidder, searchsorted coins then masked transforms."""
+    coins = np.empty((size, market.n), dtype=np.int64)
+    values = np.empty((size, market.n))
+    for i in range(market.n):
+        cum = np.cumsum(market.weights[i])
+        coin = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), market.k - 1)
+        u_val = rng.random(size)
+        for t, comp in enumerate(market.components):
+            mask = coin == t
+            if np.any(mask):
+                values[mask, i] = comp._inverse_transform(u_val[mask])
+        coins[:, i] = coin
+    return coins, values
+
+
+DRAW_MARKETS = {
+    "mixtures": random_mixture_markets(seed=20130, count=6),
+    "pinned": hr_ordered_markets(seed=20130, count=4),
+    "k1": [build_market((Exponential(1.3),), [[1.0]] * 3)],
+    "zero_weight_column": [
+        build_market(
+            (Uniform(0, 1), Exponential(1.0), PowerLaw(2.5)),
+            [[0.5, 0.0, 0.5], [0.25, 0.0, 0.75], [0.0, 0.0, 1.0]],
+        )
+    ],
+    # 0.7 + 0.2 + 0.1 accumulates to 0.9999999999999999
+    "cum_below_one": [
+        build_market((Uniform(0, 2), Exponential(0.8), PowerLaw(3.0)), [[0.7, 0.2, 0.1]] * 2)
+    ],
+}
+
+
+class TestDrawMarket:
+    @pytest.mark.parametrize("case", sorted(DRAW_MARKETS))
+    def test_bit_identical_to_per_bidder_oracle(self, case):
+        for j, market in enumerate(DRAW_MARKETS[case]):
+            rng, ref_rng = stream(101, j), stream(101, j)
+            coins, values = _draw_market(market, rng, 4_000)
+            ref_coins, ref_values = _reference_draw_market(market, ref_rng, 4_000)
+            assert np.array_equal(coins, ref_coins), f"market {j}"
+            assert values.tobytes() == ref_values.tobytes(), f"market {j}"
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_sample_with_coin_matches_oracle(self):
+        market = DRAW_MARKETS["mixtures"][0]
+        rng, ref_rng = stream(5, 0), stream(5, 0)
+        coin, value = market.bidder_mixture(0).sample_with_coin(rng, 1_000)
+        ref_coins, ref_values = _reference_draw_market(
+            build_market(market.components, market.weights[:1]), ref_rng, 1_000
+        )
+        assert np.array_equal(coin, ref_coins[:, 0])
+        assert value.tobytes() == ref_values[:, 0].tobytes()
+
+    def test_coin_rule_at_cumulative_edges(self):
+        for row in ([0.7, 0.2, 0.1], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [1.0]):
+            cum = np.cumsum(row)
+            u = np.concatenate(
+                [[0.0, 1.0 - 2.0**-53], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)]
+            )
+            u = u[(u >= 0.0) & (u < 1.0)]
+            expect = np.minimum(np.searchsorted(cum, u, side="right"), len(row) - 1)
+            assert np.array_equal(_coin_rule(cum, u), expect), row
+
+    def test_extras_drawn_after_the_originals(self):
+        market = DRAW_MARKETS["mixtures"][1]
+        extras = (ComponentExtra(0), DeterministicExtra(2.5))
+        rng, ref_rng = stream(9, 0), stream(9, 0)
+        _, values = _draw_market(market, rng, 500, extras)
+        _, ref_values = _reference_draw_market(market, ref_rng, 500)
+        extra = market.components[0]._inverse_transform(ref_rng.random(500))
+        assert values[:, : market.n].tobytes() == ref_values.tobytes()
+        assert values[:, market.n].tobytes() == extra.tobytes()
+        assert np.all(values[:, market.n + 1] == 2.5)
+
+
+# prices on a revenue-like scale; shifts up to 1e8 round each price by at most
+# half an ulp of 1e8 + 10, which moves the standard error by no more than that
+_PRICES = st.lists(st.floats(0.0, 10.0), min_size=2, max_size=300).map(np.array)
+_SHIFT_TOL = 4.0 * np.finfo(float).eps * (1e8 + 10.0)
+
+
+class TestStreamReduction:
+    @given(value=st.floats(0.0, 1e8), n=st.integers(1, 500), cuts=st.lists(st.integers(0, 500)))
+    @settings(max_examples=200, deadline=None)
+    def test_constant_prices_give_zero_std_err(self, value, n, cuts):
+        parts = np.split(np.full(n, value), sorted(min(c, n) for c in cuts))
+        est = _as_estimate(functools.reduce(_merge_stats, map(_stream_stats, parts)))
+        assert est.std_err == 0.0 and est.mean == value and est.n_samples == n
+
+    def test_constant_prices_end_to_end(self):
+        market = build_market((PointMass(0.1),), [[1.0], [1.0]])
+        est = estimate_mc(market, SecondPrice(), (), EstimatorConfig(seed=1, n_samples=10**6))
+        assert est.std_err == 0.0 and est.mean == 0.1
+
+    @given(x=_PRICES, shift=st.floats(-1e8, 1e8))
+    @settings(max_examples=200, deadline=None)
+    def test_std_err_invariant_under_shift(self, x, shift):
+        base = _as_estimate(_stream_stats(x)).std_err
+        moved = _as_estimate(_stream_stats(x + shift)).std_err
+        assert abs(moved - base) <= _SHIFT_TOL
+
+    @given(x=_PRICES, cuts=st.lists(st.integers(0, 300), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_index_order_merge_matches_one_pass(self, x, cuts):
+        parts = np.split(x, sorted(min(c, len(x)) for c in cuts))
+        n, mean, m2 = functools.reduce(_merge_stats, map(_stream_stats, parts))
+        n_all, mean_all, m2_all = _stream_stats(x)
+        assert n == n_all
+        assert mean == pytest.approx(mean_all, rel=1e-12, abs=1e-12)
+        assert m2 == pytest.approx(m2_all, rel=1e-10, abs=1e-10)
+
+    @given(x=_PRICES)
+    @settings(max_examples=100, deadline=None)
+    def test_empty_stream_leaves_merge_unchanged(self, x):
+        stats = _stream_stats(x)
+        empty = _stream_stats(np.empty(0))
+        assert empty == (0, 0.0, 0.0)
+        assert _merge_stats(stats, empty) == stats
+        assert _merge_stats(empty, stats) == stats
+        assert _merge_stats(empty, empty) == empty
 
 
 class TestBatchScalarEquivalence:
