@@ -43,12 +43,8 @@ from .mechanisms import (
     SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
     ValuationProfile,
-    critical_payment,
+    allocate,
     run,
-    run_myerson,
-    run_posted_sequence,
-    run_second_price,
-    run_subset_reserve,
 )
 from .mixtures import (
     IndexProfile,
@@ -80,7 +76,6 @@ from .revenue import (
     CommensuratenessReport,
     ComponentExtra,
     DeterministicExtra,
-    EstimateRecord,
     EstimatorConfig,
     RatioEstimate,
     RevenueEstimate,
@@ -89,7 +84,6 @@ from .revenue import (
     commensurateness_check,
     discriminating_benchmark,
     estimate_mc,
-    estimate_records_csv,
     expected_revenue_quadrature,
     posted_sequence_revenue_exact,
     second_price_two_point_exact,

@@ -161,7 +161,10 @@ def _cmd_plan(args) -> int:
             {"strategy": "sample_based", "skipped": f"{type(exc).__name__}: {exc}"}
         )
     for plan in plans:
-        evidence = evaluate_plan(market, plan, cfg)
+        # plans chosen on MC evidence carry it, computed with this same cfg
+        evidence = plan.estimate
+        if evidence is None:
+            evidence = evaluate_plan(market, plan, cfg)
         records.append(
             {
                 "strategy": plan.strategy,

@@ -1,13 +1,15 @@
 """Executable single-item mechanisms.
 
-All mechanisms are deterministic pure functions of (spec, profile) and are
-safe for unlimited parallel invocation.  Ties are broken by lowest bidder
-index everywhere; this is measure-zero for continuous value draws and is
-the documented convention for atomic inputs.
+Every mechanism has one implementation: `allocate` evaluates a spec on each
+row of a (size, m) value matrix at once, and `run` is a one-row call of it.
+Ties are broken by lowest bidder index everywhere; this is measure-zero for
+continuous value draws and is the documented convention for atomic inputs.
 
 Payments are critical values: the infimum bid at which the winner still
-wins, located by bisection on the (monotone) allocation rule.  Reserve
-semantics at equality: a value equal to the reserve qualifies, matching the
+wins.  Under Myerson that is the winner's `virtual_inverse` of the
+threshold max(0, highest rival virtual value), or its inverse on the
+ironing grid (`_ironed_inverse`) for ironed rules.  Reserve semantics at
+equality: a value equal to the reserve qualifies, matching the
 right-continuous-cdf atom convention.
 """
 
@@ -22,7 +24,6 @@ from .errors import (
     IndexOutOfRange,
     IrregularComponent,
     NegativeReserve,
-    NonMonotoneAllocation,
     ValueOutsideSupport,
 )
 from .mixtures import IronedCurve
@@ -38,48 +39,22 @@ __all__ = [
     "MyersonRegular",
     "MyersonIroned",
     "PostedSequence",
+    "allocate",
     "run",
-    "run_second_price",
-    "run_myerson",
-    "run_posted_sequence",
-    "run_subset_reserve",
-    "critical_payment",
-    "BISECTION_TOL",
 ]
-
-BISECTION_TOL = 1e-9
-_BISECTION_MAX_ITER = 200
-
-ORIGINAL = "original"
-EXTRA = "extra"  # ("extra", component_index)
-DETERMINISTIC = "det"  # ("det", value)
 
 
 @dataclass(frozen=True)
 class ValuationProfile:
-    """Non-negative values plus where each column came from.
-
-    Origin tags are (kind, detail) pairs: ("original", bidder_index),
-    ("extra", component_index) or ("det", value).  Augmented profiles keep
-    the original bidders first.
-    """
+    """Non-negative values, one per bidder."""
 
     values: tuple
-    origins: tuple = None
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         if any(v < 0.0 for v in vals):
             raise ValueError("valuations must be non-negative")
         object.__setattr__(self, "values", vals)
-        if self.origins is None:
-            object.__setattr__(
-                self, "origins", tuple((ORIGINAL, i) for i in range(len(vals)))
-            )
-        else:
-            if len(self.origins) != len(vals):
-                raise ValueError("one origin tag per value required")
-            object.__setattr__(self, "origins", tuple(self.origins))
 
     def __len__(self):
         return len(self.values)
@@ -92,16 +67,6 @@ class AuctionOutcome:
     winner: int | None
     payments: tuple
     revenue: float
-
-    @classmethod
-    def no_sale(cls, n: int) -> "AuctionOutcome":
-        return cls(winner=None, payments=(0.0,) * n, revenue=0.0)
-
-    @classmethod
-    def sale(cls, n: int, winner: int, price: float) -> "AuctionOutcome":
-        payments = [0.0] * n
-        payments[winner] = price
-        return cls(winner=winner, payments=tuple(payments), revenue=price)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +114,8 @@ class SecondPriceSampleReserve:
     """Vickrey with a random anonymous reserve drawn per run.
 
     The reserve is the maximum of one fresh draw from each listed component.
-    The draw needs a stream, so this spec is evaluated by the revenue
-    estimator rather than by the scalar `run` dispatcher.
+    The draw needs a stream and the market's components, so this spec is
+    evaluated by the revenue estimator rather than by `run`.
     """
 
     component_indices: tuple
@@ -182,6 +147,10 @@ class PostedSequence:
     prices: tuple
     order: tuple
 
+    def __post_init__(self):
+        if len(self.prices) != len(self.order):
+            raise ValueError("prices and order must have equal length")
+
 
 MechanismSpec = (
     SecondPrice
@@ -196,221 +165,194 @@ MechanismSpec = (
 
 
 # ---------------------------------------------------------------------------
-# Second price
+# Kernels over a (size, m) value matrix; winner == -1 means no sale
 # ---------------------------------------------------------------------------
 
 
-def run_second_price(
-    profile: ValuationProfile,
-    anonymous_reserve: float | None = None,
-    bidder_reserves=None,
-) -> AuctionOutcome:
-    """Vickrey auction with optional anonymous or per-bidder reserves.
+def _sp_batch(values, reserves=0.0):
+    """Second-price winners and prices.
 
-    The winner is the highest-value bidder meeting their reserve (ties to
-    the lowest index); they pay max(second-highest qualifying value, own
-    reserve).  With no qualifying bidder there is no sale.
+    The winner is the highest value meeting its reserve (ties to the lowest
+    index) and pays max(second-highest qualifying value, own reserve).
+    `reserves` broadcasts against values: a scalar, one per bidder, a
+    (size, 1) column of per-row reserves, or one per cell.
     """
-    if anonymous_reserve is not None and bidder_reserves is not None:
-        raise ValueError("set at most one reserve mode")
-    n = len(profile)
-    if n == 0:
-        raise ValueError("profile must be non-empty")
-    if anonymous_reserve is not None:
-        if anonymous_reserve < 0.0:
-            raise NegativeReserve(f"reserve {anonymous_reserve} < 0")
-        reserves = np.full(n, float(anonymous_reserve))
-    elif bidder_reserves is not None:
-        reserves = np.asarray(bidder_reserves, dtype=float)
-        if reserves.shape != (n,):
-            raise ValueError("one reserve per bidder required")
-        if np.any(reserves < 0.0):
-            raise NegativeReserve("bidder reserves must be non-negative")
+    size, m = values.shape
+    reserves = np.broadcast_to(np.asarray(reserves, dtype=float), (size, m))
+    qual = values >= reserves
+    masked = np.where(qual, values, -np.inf)
+    winner = np.argmax(masked, axis=1)
+    sale = qual.any(axis=1)
+    rows = np.arange(size)
+    if m >= 2:
+        second = np.partition(masked, m - 2, axis=1)[:, m - 2]
     else:
-        reserves = np.zeros(n)
-
-    values = np.asarray(profile.values)
-    qualifies = values >= reserves
-    if not np.any(qualifies):
-        return AuctionOutcome.no_sale(n)
-    masked = np.where(qualifies, values, -np.inf)
-    winner = int(np.argmax(masked))
-    others = np.delete(masked, winner)
-    runner_up = float(others.max()) if others.size else -np.inf
-    price = max(runner_up, float(reserves[winner]))
-    return AuctionOutcome.sale(n, winner, price)
+        second = np.full(size, -np.inf)
+    price = np.maximum(second, reserves[rows, winner])
+    price = np.where(sale, price, 0.0)
+    return np.where(sale, winner, -1), price
 
 
-def run_subset_reserve(profile: ValuationProfile, subset) -> AuctionOutcome:
-    """Vickrey among bidders outside `subset` with reserve = max subset value."""
-    n = len(profile)
-    subset = tuple(subset)
-    for j in subset:
-        if not 0 <= j < n:
-            raise IndexOutOfRange(f"subset index {j} out of range for n={n}")
-    values = np.asarray(profile.values)
-    rest = [i for i in range(n) if i not in set(subset)]
-    if not rest:
-        return AuctionOutcome.no_sale(n)
-    reserve = float(values[list(subset)].max()) if subset else 0.0
-    sub_outcome = run_second_price(
-        ValuationProfile(tuple(values[rest])), anonymous_reserve=reserve
-    )
-    if sub_outcome.winner is None:
-        return AuctionOutcome.no_sale(n)
-    return AuctionOutcome.sale(n, rest[sub_outcome.winner], sub_outcome.revenue)
-
-
-# ---------------------------------------------------------------------------
-# Myerson (regular and ironed)
-# ---------------------------------------------------------------------------
-
-
-def _virtual_value(rule, v: float) -> float:
-    """phi under a Distribution or an IronedCurve, tolerant of support edges."""
-    if isinstance(rule, IronedCurve):
-        sup = rule.source.support
-        if not sup.lo <= v <= sup.hi:
-            raise ValueOutsideSupport(f"value {v} outside support of {rule.source}")
-        return float(rule.ironed_virtual(v))
-    sup = rule.support
-    if not sup.lo <= v <= sup.hi:
-        raise ValueOutsideSupport(f"value {v} outside support of {rule}")
-    # closed-interval evaluation: (1-F)/f is well behaved at the endpoints
-    # of every family used here
-    return float(rule._virtual_unchecked(v))
-
-
-def _support_lo(rule) -> float:
-    return rule.source.support.lo if isinstance(rule, IronedCurve) else rule.support.lo
-
-
-def run_myerson(profile: ValuationProfile, per_bidder) -> AuctionOutcome:
-    """Award to the highest (ironed) virtual value if non-negative.
-
-    `per_bidder` holds one Distribution or IronedCurve per column of the
-    profile.  The payment is the critical value of the induced monotone
-    allocation rule, found by bisection to BISECTION_TOL.
-    """
-    n = len(profile)
-    if len(per_bidder) != n:
-        raise ValueError("one distribution or ironed curve per bidder required")
-    values = profile.values
-    phi = np.array([_virtual_value(per_bidder[i], values[i]) for i in range(n)])
-    winner = int(np.argmax(phi))
-    if phi[winner] < 0.0:
-        return AuctionOutcome.no_sale(n)
-
-    others = np.delete(phi, winner)
-    max_others = float(others.max()) if others.size else -np.inf
-    thr = max(0.0, max_others)
-    if others.size and max_others >= 0.0:
-        rivals = [j for j in range(n) if j != winner and phi[j] == max_others]
-        wins_ties = winner < min(rivals)
-    else:
-        wins_ties = True
-
-    rule = per_bidder[winner]
-
-    def allocation(bid: float) -> bool:
-        phi_b = _virtual_value(rule, bid)
-        if phi_b < thr or phi_b < 0.0:
-            return False
-        if phi_b > thr:
-            return True
-        # phi_b == thr: wins outright when only the phi >= 0 gate binds,
-        # otherwise the tie goes to the lower index
-        if max_others < thr:
-            return True
-        return wins_ties
-
-    lo = _support_lo(rule)
-    price = _bisect_allocation(allocation, lo, values[winner])
-    return AuctionOutcome.sale(n, winner, price)
-
-
-def _bisect_allocation(allocation, lo: float, hi: float) -> float:
-    """Infimum winning bid in [lo, hi]; allocation(hi) must hold."""
-    if allocation(lo):
-        return lo
-    a, b = lo, hi
-    for _ in range(_BISECTION_MAX_ITER):
-        if b - a <= BISECTION_TOL:
-            break
-        mid = 0.5 * (a + b)
-        if allocation(mid):
-            b = mid
+def _virtual_matrix(values, rules):
+    """phi per column under a Distribution or IronedCurve per column."""
+    phi = np.empty_like(values)
+    for j, rule in enumerate(rules):
+        if isinstance(rule, IronedCurve):
+            phi[:, j] = rule.ironed_virtual(values[:, j])
         else:
-            a = mid
-    return b
+            phi[:, j] = rule._virtual_unchecked(values[:, j])
+    return phi
 
 
-def critical_payment(profile: ValuationProfile, winner: int, allocation, lo: float = 0.0) -> float:
-    """Infimum bid keeping `winner` winning, to BISECTION_TOL.
+def _ironed_inverse(curve: IronedCurve, y, strict):
+    """Lowest value whose ironed phi meets y (> y where strict)."""
+    s_rev = curve.ironed_phi[::-1]  # ascending slopes
+    p_incl = np.searchsorted(s_rev, y, side="left")
+    p_strict = np.searchsorted(s_rev, y, side="right")
+    p = np.where(strict, p_strict, p_incl)
+    idx = np.clip(len(curve.values) - 1 - p, 0, len(curve.values) - 1)
+    return curve.values[idx]
 
-    `allocation(bid)` reports whether the winner wins when bidding `bid`
-    with all other values fixed.  Monotonicity is asserted by probing; a
-    win that disappears at a higher bid raises NonMonotoneAllocation.
+
+def _myerson_batch(values, rules, coins=None):
+    """Myerson winners and critical prices.
+
+    The winner has the highest (ironed) virtual value if it is non-negative
+    and pays the lowest value whose virtual value still meets
+    max(0, highest rival virtual value).  rules[j] prices column j (a
+    Distribution or IronedCurve); with `coins`, rules[t] is component t and
+    each cell is priced by its coin's component.
     """
-    if not 0 <= winner < len(profile):
-        raise IndexOutOfRange(f"winner index {winner} out of range")
-    hi = profile.values[winner]
-    probes = [allocation(b) for b in np.linspace(lo, hi, 9)]
-    for earlier, later in zip(probes, probes[1:]):
-        if earlier and not later:
-            raise NonMonotoneAllocation("allocation rule lost a win at a higher bid")
-    if not probes[-1]:
-        raise NonMonotoneAllocation("winner does not win at their own value")
-    return _bisect_allocation(allocation, lo, hi)
+    size, m = values.shape
+    rows = np.arange(size)
+    if coins is None:
+        phi = _virtual_matrix(values, rules)
+    else:
+        phi = np.empty_like(values)
+        for t, comp in enumerate(rules):
+            mask = coins == t
+            if np.any(mask):
+                phi[mask] = comp._virtual_unchecked(values[mask])
+    winner = np.argmax(phi, axis=1)
+    sale = phi[rows, winner] >= 0.0
+    strict = np.zeros(size, dtype=bool)
+    if m >= 2:
+        max_others = np.partition(phi, m - 2, axis=1)[:, m - 2]
+        if any(isinstance(rule, IronedCurve) for rule in rules):
+            phi_masked = phi.copy()
+            phi_masked[rows, winner] = -np.inf
+            rival = np.argmax(phi_masked, axis=1)
+            # a tie at the threshold goes to the rival only when the rival has
+            # the lower index and actually sits at the threshold (not when the
+            # phi >= 0 gate is what binds)
+            strict = (rival < winner) & (max_others >= 0.0)
+    else:
+        max_others = np.full(size, -np.inf)
+    thr = np.maximum(max_others, 0.0)
+    w_rule = winner if coins is None else coins[rows, winner]
+    w_value = values[rows, winner]
+    price = np.zeros(size)
+    for j, rule in enumerate(rules):
+        mask = sale & (w_rule == j)
+        if not np.any(mask):
+            continue
+        if isinstance(rule, IronedCurve):
+            crit = _ironed_inverse(rule, thr[mask], strict[mask])
+        else:
+            # exact float ties are measure-zero for continuous families
+            crit = rule.virtual_inverse(thr[mask])
+        price[mask] = np.minimum(np.asarray(crit, dtype=float), w_value[mask])
+    return np.where(sale, winner, -1), price
 
 
-# ---------------------------------------------------------------------------
-# Posted prices
-# ---------------------------------------------------------------------------
+def _posted_batch(values, prices, order):
+    size = values.shape[0]
+    if len(order) == 0:
+        return np.full(size, -1), np.zeros(size)
+    prices = np.asarray(prices, dtype=float)
+    order = np.asarray(order, dtype=np.int64)
+    accept = values[:, order] >= prices[None, :]
+    any_accept = accept.any(axis=1)
+    first = np.argmax(accept, axis=1)
+    winner = np.where(any_accept, order[first], -1)
+    price = np.where(any_accept, prices[first], 0.0)
+    return winner, price
 
 
-def run_posted_sequence(profile: ValuationProfile, prices, order) -> AuctionOutcome:
-    """Offer prices[j] to bidder order[j] in turn; first acceptance ends it."""
-    n = len(profile)
-    prices = tuple(float(p) for p in prices)
-    order = tuple(int(i) for i in order)
-    if len(prices) != len(order):
-        raise ValueError("prices and order must have equal length")
-    if len(order) > n:
-        raise ValueError("cannot make more offers than there are bidders")
-    for i in order:
-        if not 0 <= i < n:
-            raise IndexOutOfRange(f"bidder {i} out of range for n={n}")
-    for price, i in zip(prices, order):
-        if profile.values[i] >= price:
-            return AuctionOutcome.sale(n, i, price)
-    return AuctionOutcome.no_sale(n)
+def _check_indices(indices, m, what):
+    for i in indices:
+        if not 0 <= i < m:
+            raise IndexOutOfRange(f"{what} {i} out of range for m={m}")
 
 
-# ---------------------------------------------------------------------------
-# Dispatcher
-# ---------------------------------------------------------------------------
+def _one_per_column(rules, m, what):
+    if len(rules) != m:
+        raise ValueError(f"one {what} per bidder required ({len(rules)} for m={m})")
+    return rules
+
+
+def allocate(mech: MechanismSpec, values, rng=None, market=None):
+    """Winners and prices of `mech` on every row of a (size, m) value matrix.
+
+    Returns (winner, price) arrays of length size; winner == -1 means no
+    sale at price 0.  SecondPriceSampleReserve draws its reserves from `rng`
+    through `market`'s components.
+    """
+    size, m = values.shape
+    if isinstance(mech, SecondPrice):
+        return _sp_batch(values)
+    if isinstance(mech, SecondPriceAnonymousReserve):
+        return _sp_batch(values, mech.reserve)
+    if isinstance(mech, SecondPriceBidderReserves):
+        return _sp_batch(values, _one_per_column(mech.reserves, m, "reserve"))
+    if isinstance(mech, SecondPriceSubsetReserve):
+        subset = list(mech.subset)
+        _check_indices(subset, m, "subset index")
+        if not subset:
+            return _sp_batch(values)
+        # the subset sets everyone's reserve and never qualifies itself
+        reserves = np.repeat(values[:, subset].max(axis=1, keepdims=True), m, axis=1)
+        reserves[:, subset] = np.inf
+        return _sp_batch(values, reserves)
+    if isinstance(mech, SecondPriceSampleReserve):
+        if market is None:
+            raise ValueError("SecondPriceSampleReserve needs the market for its draws")
+        _check_indices(mech.component_indices, market.k, "component index")
+        draws = np.column_stack(
+            [
+                market.components[t]._inverse_transform(rng.random(size))
+                for t in mech.component_indices
+            ]
+        )
+        return _sp_batch(values, draws.max(axis=1, keepdims=True))
+    if isinstance(mech, MyersonRegular):
+        return _myerson_batch(values, _one_per_column(mech.dists, m, "distribution"))
+    if isinstance(mech, MyersonIroned):
+        return _myerson_batch(values, _one_per_column(mech.curves, m, "ironed curve"))
+    if isinstance(mech, PostedSequence):
+        _check_indices(mech.order, m, "bidder")
+        if len(mech.order) > m:
+            raise ValueError("cannot make more offers than there are bidders")
+        return _posted_batch(values, mech.prices, mech.order)
+    raise TypeError(f"unknown mechanism spec {mech!r}")
 
 
 def run(mech: MechanismSpec, profile: ValuationProfile) -> AuctionOutcome:
-    """Run a mechanism spec on a valuation profile."""
-    if isinstance(mech, SecondPrice):
-        return run_second_price(profile)
-    if isinstance(mech, SecondPriceAnonymousReserve):
-        return run_second_price(profile, anonymous_reserve=mech.reserve)
-    if isinstance(mech, SecondPriceBidderReserves):
-        return run_second_price(profile, bidder_reserves=mech.reserves)
-    if isinstance(mech, SecondPriceSubsetReserve):
-        return run_subset_reserve(profile, mech.subset)
-    if isinstance(mech, MyersonRegular):
-        return run_myerson(profile, mech.dists)
-    if isinstance(mech, MyersonIroned):
-        return run_myerson(profile, mech.curves)
-    if isinstance(mech, PostedSequence):
-        return run_posted_sequence(profile, mech.prices, mech.order)
-    if isinstance(mech, SecondPriceSampleReserve):
-        raise ValueError(
-            "SecondPriceSampleReserve draws its reserve per sample; "
-            "evaluate it through revenue.estimate_mc"
-        )
-    raise TypeError(f"unknown mechanism spec {mech!r}")
+    """Run a mechanism spec on one valuation profile (a one-row `allocate`).
+
+    Under Myerson every value must lie in its rule's support, else
+    ValueOutsideSupport; SecondPriceSampleReserve needs a market and a
+    stream, so it raises ValueError here.
+    """
+    n = len(profile)
+    if n == 0:
+        raise ValueError("profile must be non-empty")
+    if isinstance(mech, (MyersonRegular, MyersonIroned)):
+        rules = mech.dists if isinstance(mech, MyersonRegular) else mech.curves
+        for rule, v in zip(rules, profile.values):
+            dist = rule.source if isinstance(rule, IronedCurve) else rule
+            if not dist.support.lo <= v <= dist.support.hi:
+                raise ValueOutsideSupport(f"value {v} outside support of {dist}")
+    (winner,), (price,) = allocate(mech, np.array([profile.values]))
+    payments = tuple(float(price) if i == winner else 0.0 for i in range(n))
+    return AuctionOutcome(int(winner) if winner >= 0 else None, payments, float(price))

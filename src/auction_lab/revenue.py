@@ -38,17 +38,8 @@ from .errors import (
     ProfileSpaceTooLarge,
     ZeroDenominator,
 )
-from .mechanisms import (
-    MyersonIroned,
-    MyersonRegular,
-    PostedSequence,
-    SecondPrice,
-    SecondPriceAnonymousReserve,
-    SecondPriceBidderReserves,
-    SecondPriceSampleReserve,
-    SecondPriceSubsetReserve,
-)
-from .mixtures import IronedCurve, MarketModel, _coin_rule, _values_given_coins, enumerate_profiles
+from .mechanisms import _myerson_batch, _virtual_matrix, allocate
+from .mixtures import MarketModel, _coin_rule, _values_given_coins, enumerate_profiles
 from .streams import substream
 
 __all__ = [
@@ -68,8 +59,6 @@ __all__ = [
     "commensurateness_check",
     "CommensuratenessReport",
     "virtual_surplus_gap",
-    "EstimateRecord",
-    "estimate_records_csv",
 ]
 
 
@@ -101,7 +90,6 @@ class EstimatorConfig:
     n_samples: int = 100_000
     n_streams: int = 8
     profile_cap: int = 10**6
-    quadrature_tol: float = 1e-6
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -125,8 +113,7 @@ class DeterministicExtra:
 
 
 # ---------------------------------------------------------------------------
-# Batch kernels (vectorized counterparts of mechanisms.run; equivalence is
-# covered by tests against the scalar implementations)
+# Monte Carlo estimation
 # ---------------------------------------------------------------------------
 
 
@@ -155,151 +142,6 @@ def _draw_market(market: MarketModel, rng, size: int, extras=()):
         else:
             raise TypeError(f"unknown extra spec {spec!r}")
     return coins, values
-
-
-def _sp_batch(values, reserves=0.0):
-    """Second-price winners and prices; winner == -1 means no sale.
-
-    `reserves` broadcasts against values: a scalar, one per bidder, or a
-    (size, 1) column of per-row reserves.
-    """
-    size, m = values.shape
-    reserves = np.broadcast_to(np.asarray(reserves, dtype=float), (size, m))
-    qual = values >= reserves
-    masked = np.where(qual, values, -np.inf)
-    winner = np.argmax(masked, axis=1)
-    sale = qual.any(axis=1)
-    rows = np.arange(size)
-    if m >= 2:
-        second = np.partition(masked, m - 2, axis=1)[:, m - 2]
-    else:
-        second = np.full(size, -np.inf)
-    price = np.maximum(second, reserves[rows, winner])
-    price = np.where(sale, price, 0.0)
-    return np.where(sale, winner, -1), price
-
-
-def _virtual_matrix(values, rules):
-    """phi per column under a Distribution or IronedCurve per column."""
-    phi = np.empty_like(values)
-    for j, rule in enumerate(rules):
-        if isinstance(rule, IronedCurve):
-            phi[:, j] = rule.ironed_virtual(values[:, j])
-        else:
-            phi[:, j] = rule._virtual_unchecked(values[:, j])
-    return phi
-
-
-def _ironed_inverse(curve: IronedCurve, y, strict):
-    """Lowest value whose ironed phi meets y (> y where strict)."""
-    s_rev = curve.ironed_phi[::-1]  # ascending slopes
-    p_incl = np.searchsorted(s_rev, y, side="left")
-    p_strict = np.searchsorted(s_rev, y, side="right")
-    p = np.where(strict, p_strict, p_incl)
-    idx = np.clip(len(curve.values) - 1 - p, 0, len(curve.values) - 1)
-    return curve.values[idx]
-
-
-def _myerson_batch(values, rules, coins=None):
-    """Myerson winners and critical prices.
-
-    rules[j] prices column j (a Distribution or IronedCurve); with `coins`,
-    rules[t] is component t and each cell is priced by its coin's component.
-    """
-    size, m = values.shape
-    rows = np.arange(size)
-    if coins is None:
-        phi = _virtual_matrix(values, rules)
-    else:
-        phi = np.empty_like(values)
-        for t, comp in enumerate(rules):
-            mask = coins == t
-            if np.any(mask):
-                phi[mask] = comp._virtual_unchecked(values[mask])
-    winner = np.argmax(phi, axis=1)
-    sale = phi[rows, winner] >= 0.0
-    strict = np.zeros(size, dtype=bool)
-    if m >= 2:
-        max_others = np.partition(phi, m - 2, axis=1)[:, m - 2]
-        if any(isinstance(rule, IronedCurve) for rule in rules):
-            phi_masked = phi.copy()
-            phi_masked[rows, winner] = -np.inf
-            rival = np.argmax(phi_masked, axis=1)
-            # a tie at the threshold goes to the rival only when the rival has
-            # the lower index and actually sits at the threshold (not when the
-            # phi >= 0 gate is what binds)
-            strict = (rival < winner) & (max_others >= 0.0)
-    else:
-        max_others = np.full(size, -np.inf)
-    thr = np.maximum(max_others, 0.0)
-    w_rule = winner if coins is None else coins[rows, winner]
-    w_value = values[rows, winner]
-    price = np.zeros(size)
-    for j, rule in enumerate(rules):
-        mask = sale & (w_rule == j)
-        if not np.any(mask):
-            continue
-        if isinstance(rule, IronedCurve):
-            crit = _ironed_inverse(rule, thr[mask], strict[mask])
-        else:
-            # exact float ties are measure-zero for continuous families
-            crit = rule.virtual_inverse(thr[mask])
-        price[mask] = np.minimum(np.asarray(crit, dtype=float), w_value[mask])
-    return np.where(sale, winner, -1), price
-
-
-def _posted_batch(values, prices, order):
-    size = values.shape[0]
-    prices = np.asarray(prices, dtype=float)
-    order = np.asarray(order, dtype=np.int64)
-    accept = values[:, order] >= prices[None, :]
-    any_accept = accept.any(axis=1)
-    first = np.argmax(accept, axis=1)
-    winner = np.where(any_accept, order[first], -1)
-    price = np.where(any_accept, prices[first], 0.0)
-    return winner, price
-
-
-def _mech_batch(mech, values, rng, market=None):
-    """Dispatch a mechanism spec over a (size, m) value matrix."""
-    if isinstance(mech, SecondPrice):
-        return _sp_batch(values)
-    if isinstance(mech, SecondPriceAnonymousReserve):
-        return _sp_batch(values, mech.reserve)
-    if isinstance(mech, SecondPriceBidderReserves):
-        return _sp_batch(values, mech.reserves)
-    if isinstance(mech, SecondPriceSubsetReserve):
-        subset = list(mech.subset)
-        rest = [j for j in range(values.shape[1]) if j not in set(subset)]
-        if not rest:
-            size = values.shape[0]
-            return np.full(size, -1, dtype=np.int64), np.zeros(size)
-        reserve = values[:, subset].max(axis=1, keepdims=True) if subset else 0.0
-        w_rest, price = _sp_batch(values[:, rest], reserve)
-        winner = np.where(w_rest >= 0, np.asarray(rest, dtype=np.int64)[np.maximum(w_rest, 0)], -1)
-        return winner, price
-    if isinstance(mech, SecondPriceSampleReserve):
-        if market is None:
-            raise ValueError("SecondPriceSampleReserve needs the market for its draws")
-        draws = np.column_stack(
-            [
-                market.components[t]._inverse_transform(rng.random(values.shape[0]))
-                for t in mech.component_indices
-            ]
-        )
-        return _sp_batch(values, draws.max(axis=1, keepdims=True))
-    if isinstance(mech, MyersonRegular):
-        return _myerson_batch(values, mech.dists)
-    if isinstance(mech, MyersonIroned):
-        return _myerson_batch(values, mech.curves)
-    if isinstance(mech, PostedSequence):
-        return _posted_batch(values, mech.prices, mech.order)
-    raise TypeError(f"unknown mechanism spec {mech!r}")
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo estimation
-# ---------------------------------------------------------------------------
 
 
 def _stream_stats(x):
@@ -388,7 +230,7 @@ def _estimate_each(market: MarketModel, mechs, extras, cfg: EstimatorConfig):
         prices = []
         for mech in mechs:
             rng.bit_generator.state = after_draws
-            prices.append(_mech_batch(mech, values, rng, market=market)[1])
+            prices.append(allocate(mech, values, rng, market=market)[1])
         return prices
 
     stats = _market_streams(market, extras, cfg, kernel)
@@ -442,7 +284,7 @@ def virtual_surplus_gap(
     col_dists = _column_dists(market, extras)
 
     def kernel(rng, coins, values):
-        winner, price = _mech_batch(mech, values, rng, market=market)
+        winner, price = allocate(mech, values, rng, market=market)
         return (price - _winner_virtual(_virtual_matrix(values, col_dists), winner),)
 
     (stats,) = _market_streams(market, extras, cfg, kernel)
@@ -827,8 +669,8 @@ def commensurateness_check(
 
     def kernel(rng, coins, full):
         nonlocal eq6_pass
-        w_m, _ = _mech_batch(mech_m, full[:, :n], rng, market=market)
-        w_p, price_p = _mech_batch(mech_m_prime, full, rng, market=market)
+        w_m, _ = allocate(mech_m, full[:, :n], rng, market=market)
+        w_p, price_p = allocate(mech_m_prime, full, rng, market=market)
         phi = _virtual_matrix(full, col_dists)
         diverged = w_p != w_m
         phi_wm = _winner_virtual(phi, w_m)[diverged]
@@ -850,28 +692,3 @@ def commensurateness_check(
         eq6_pass_count=eq6_pass,
         no_divergence=not diverged,
     )
-
-
-# ---------------------------------------------------------------------------
-# Estimate records (CSV surface)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EstimateRecord:
-    scenario_id: str
-    mechanism: str
-    estimate: RevenueEstimate
-    seed: int
-
-
-def estimate_records_csv(records) -> str:
-    """CSV rows: scenario_id, mechanism, mean, std_err, n_samples, method, seed."""
-    lines = ["scenario_id,mechanism,mean,std_err,n_samples,method,seed"]
-    for r in records:
-        e = r.estimate
-        lines.append(
-            f"{r.scenario_id},{r.mechanism},{e.mean!r},{e.std_err!r},"
-            f"{e.n_samples},{e.method},{r.seed}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
 """Scenario file schema (version 1) and its validating parser.
 
 A scenario is a JSON document naming a market (components + weights), a
-mechanism, optional extra bidders, estimator settings and output options:
+mechanism, optional extra bidders and estimator settings:
 
     {
       "version": 1,
@@ -14,8 +14,7 @@ mechanism, optional extra bidders, estimator settings and output options:
       "mechanism": {"kind": "second_price", "reserve": 0.5},
       "extras": [{"component": 0}, {"value": 1.0}],
       "estimator": {"seed": 7, "n_samples": 100000, "n_streams": 8,
-                    "profile_cap": 1000000, "quadrature_tol": 1e-6},
-      "outputs": {"csv": "out.csv", "format_version": 1}
+                    "profile_cap": 1000000}
     }
 
 An i.i.d. market may give a single weights row: {"components": [...],
@@ -181,7 +180,6 @@ class ScenarioConfig:
     mechanism_raw: dict
     extras: tuple
     estimator: EstimatorConfig
-    outputs: dict
 
     def mechanism(self):
         """Build the mechanism spec against this scenario's market."""
@@ -279,14 +277,9 @@ def parse_scenario(text: str, default_seed: int | None = None) -> ScenarioConfig
             n_samples=int(est_raw.get("n_samples", 100_000)),
             n_streams=int(est_raw.get("n_streams", 8)),
             profile_cap=int(est_raw.get("profile_cap", 10**6)),
-            quadrature_tol=float(est_raw.get("quadrature_tol", 1e-6)),
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError("estimator", str(exc)) from exc
-
-    outputs = doc.get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise SchemaError("outputs", "expected an object")
 
     config = ScenarioConfig(
         scenario_id=str(doc.get("id", "scenario")),
@@ -294,7 +287,6 @@ def parse_scenario(text: str, default_seed: int | None = None) -> ScenarioConfig
         mechanism_raw=mech_raw,
         extras=extras,
         estimator=estimator,
-        outputs=outputs,
     )
     config.mechanism()  # surface mechanism-level schema problems at parse time
     return config

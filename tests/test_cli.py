@@ -8,10 +8,13 @@ from auction_lab import (
     ExperimentReport,
     ReportRow,
     emit_report,
+    evaluate_plan,
     parse_report_jsonl,
     parse_scenario,
     run_experiment,
+    select_anonymous_reserve,
 )
+from auction_lab import cli
 from auction_lab.cli import main
 from auction_lab.errors import SchemaError, UnknownExperiment
 from auction_lab.reports import CSV_COLUMNS
@@ -36,9 +39,15 @@ def scenario_text(**overrides):
 
 class TestParseScenario:
     def test_minimal_valid(self):
-        config = parse_scenario(scenario_text())
-        assert config.market.n == 2 and config.market.k == 1
-        assert config.estimator.seed == 7
+        # keys the schema no longer reads ("outputs", "quadrature_tol") are ignored
+        legacy = scenario_text(
+            estimator={"seed": 7, "n_samples": 5000, "quadrature_tol": 1e-6},
+            outputs={"csv": "out.csv", "format_version": 1},
+        )
+        for text in (scenario_text(), legacy):
+            config = parse_scenario(text)
+            assert config.market.n == 2 and config.market.k == 1
+            assert config.estimator.seed == 7
 
     def test_row_sum_diagnostic_names_the_row(self):
         bad = scenario_text(
@@ -219,6 +228,45 @@ class TestCliCommands:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         strategies = {r.get("strategy") for r in lines}
         assert "targeted_per_component" in strategies
+
+    def test_plan_reuses_anonymous_reserve_evidence(self, tmp_path, capsys, monkeypatch):
+        path = self.write_scenario(tmp_path)
+        evaluated = []
+
+        def spy(market, plan, cfg):
+            evaluated.append(plan.strategy)
+            return evaluate_plan(market, plan, cfg)
+
+        monkeypatch.setattr(cli, "evaluate_plan", spy)
+        assert main(["plan", path, "--samples", "4000"]) == 0
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert evaluated and "anonymous_reserve" not in evaluated
+        (record,) = [r for r in records if r.get("strategy") == "anonymous_reserve"]
+        # the evidence equals a separate evaluate_plan run with the same cfg
+        config = parse_scenario(scenario_text(estimator={"seed": 7, "n_samples": 4000}))
+        plan = select_anonymous_reserve(config.market, config.estimator)
+        evidence = evaluate_plan(config.market, plan, config.estimator)
+        assert record["evidence_mean"] == evidence.mean
+        assert record["evidence_std_err"] == evidence.std_err
+        assert record["evidence_n_samples"] == evidence.n_samples
+
+    @pytest.mark.parametrize(
+        "mechanism, message",
+        [
+            ({"kind": "second_price_subset_reserve", "subset": [-1]}, "subset index -1"),
+            ({"kind": "second_price_subset_reserve", "subset": [5]}, "subset index 5"),
+            ({"kind": "second_price_sample_reserve", "components": [-1]}, "component index -1"),
+        ],
+    )
+    def test_mechanism_index_out_of_range_exit_one(self, tmp_path, capsys, mechanism, message):
+        doc = json.loads(scenario_text(mechanism=mechanism))
+        doc["market"]["weights"] = [[1.0]] * 3
+        path = tmp_path / "indices.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: IndexOutOfRange: {message}" in captured.err
 
     def test_ratio_subcommand(self, tmp_path, capsys):
         assert main(["ratio", self.write_scenario(tmp_path)]) == 0

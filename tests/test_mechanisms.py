@@ -1,4 +1,8 @@
-"""Mechanism semantics: winners, critical payments, invariants."""
+"""Mechanism semantics: winners, critical payments, invariants.
+
+`critical_payment` here is the bisection oracle the vectorized Myerson
+prices are checked against; the package itself prices in closed form.
+"""
 
 import numpy as np
 import pytest
@@ -6,19 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auction_lab import (
+    AuctionOutcome,
+    IronedCurve,
+    MyersonIroned,
     MyersonRegular,
     PostedSequence,
     SecondPrice,
     SecondPriceAnonymousReserve,
+    SecondPriceBidderReserves,
+    SecondPriceSampleReserve,
+    SecondPriceSubsetReserve,
     Uniform,
     ValuationProfile,
-    critical_payment,
+    allocate,
     iron_distribution,
     run,
-    run_myerson,
-    run_posted_sequence,
-    run_second_price,
-    run_subset_reserve,
 )
 from auction_lab.errors import (
     IndexOutOfRange,
@@ -27,6 +33,74 @@ from auction_lab.errors import (
     NonMonotoneAllocation,
     ValueOutsideSupport,
 )
+
+
+BISECTION_TOL = 1e-9
+_BISECTION_MAX_ITER = 200
+
+
+def _bisect_allocation(allocation, lo: float, hi: float) -> float:
+    """Infimum winning bid in [lo, hi]; allocation(hi) must hold."""
+    if allocation(lo):
+        return lo
+    a, b = lo, hi
+    for _ in range(_BISECTION_MAX_ITER):
+        if b - a <= BISECTION_TOL:
+            break
+        mid = 0.5 * (a + b)
+        if allocation(mid):
+            b = mid
+        else:
+            a = mid
+    return b
+
+
+def critical_payment(profile: ValuationProfile, winner: int, allocation, lo: float = 0.0) -> float:
+    """Infimum bid keeping `winner` winning, to BISECTION_TOL.
+
+    `allocation(bid)` reports whether the winner wins when bidding `bid`
+    with all other values fixed.  Monotonicity is asserted by probing; a
+    win that disappears at a higher bid raises NonMonotoneAllocation.
+    """
+    if not 0 <= winner < len(profile):
+        raise IndexOutOfRange(f"winner index {winner} out of range")
+    hi = profile.values[winner]
+    probes = [allocation(b) for b in np.linspace(lo, hi, 9)]
+    for earlier, later in zip(probes, probes[1:]):
+        if earlier and not later:
+            raise NonMonotoneAllocation("allocation rule lost a win at a higher bid")
+    if not probes[-1]:
+        raise NonMonotoneAllocation("winner does not win at their own value")
+    return _bisect_allocation(allocation, lo, hi)
+
+
+def public_virtual(rule, v: float) -> float:
+    """phi through the public API; support edges are nudged inward."""
+    if isinstance(rule, IronedCurve):
+        return float(rule.ironed_virtual(v))
+    lo, hi = rule.support.lo, rule.support.hi
+    return float(rule.virtual(np.clip(v, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf))))
+
+
+def myerson_reference(values, rules):
+    """(winner, price) of Myerson on one row: winner by the public virtual
+    values, price by bisecting the induced allocation rule."""
+    phi = [public_virtual(rule, v) for rule, v in zip(rules, values)]
+    winner = max(range(len(phi)), key=lambda i: (phi[i], -i))
+    if phi[winner] < 0.0:
+        return -1, 0.0
+    rivals = [j for j in range(len(phi)) if j != winner]
+    thr = max([0.0] + [phi[j] for j in rivals])
+    # at the threshold the tie goes to a lower-indexed rival sitting there
+    loses_ties = any(j < winner and phi[j] == thr for j in rivals)
+    rule = rules[winner]
+
+    def allocation(bid: float) -> bool:
+        phi_b = public_virtual(rule, bid)
+        return phi_b > thr or (phi_b == thr and not loses_ties)
+
+    lo = (rule.source if isinstance(rule, IronedCurve) else rule).support.lo
+    return winner, critical_payment(ValuationProfile(tuple(values)), winner, allocation, lo)
 
 
 def brute_force_critical_bid(wins, lo, hi, grid=2_000_001):
@@ -40,44 +114,40 @@ def brute_force_critical_bid(wins, lo, hi, grid=2_000_001):
 
 class TestSecondPrice:
     def test_plain(self):
-        o = run_second_price(ValuationProfile((0.8, 0.3)))
+        o = run(SecondPrice(), ValuationProfile((0.8, 0.3)))
         assert o.winner == 0 and o.revenue == pytest.approx(0.3)
         assert o.payments == (0.3, 0.0)
 
     def test_anonymous_reserve_binds(self):
-        o = run_second_price(ValuationProfile((0.8, 0.3)), anonymous_reserve=0.5)
+        o = run(SecondPriceAnonymousReserve(0.5), ValuationProfile((0.8, 0.3)))
         assert o.winner == 0 and o.revenue == pytest.approx(0.5)
 
     def test_no_sale(self):
-        o = run_second_price(ValuationProfile((0.4, 0.3)), anonymous_reserve=0.5)
+        o = run(SecondPriceAnonymousReserve(0.5), ValuationProfile((0.4, 0.3)))
         assert o.winner is None and o.revenue == 0.0
 
     def test_tie_goes_to_lowest_index(self):
-        o = run_second_price(ValuationProfile((0.7, 0.7, 0.1)))
+        o = run(SecondPrice(), ValuationProfile((0.7, 0.7, 0.1)))
         assert o.winner == 0 and o.revenue == pytest.approx(0.7)
 
     def test_reserve_equality_qualifies(self):
-        o = run_second_price(ValuationProfile((0.5,)), anonymous_reserve=0.5)
+        o = run(SecondPriceAnonymousReserve(0.5), ValuationProfile((0.5,)))
         assert o.winner == 0 and o.revenue == pytest.approx(0.5)
 
     def test_bidder_reserves(self):
-        o = run_second_price(
-            ValuationProfile((0.8, 0.9)), bidder_reserves=(0.1, 0.95)
-        )
+        o = run(SecondPriceBidderReserves((0.1, 0.95)), ValuationProfile((0.8, 0.9)))
         # bidder 1 fails their own reserve; bidder 0 wins at own reserve
         assert o.winner == 0 and o.revenue == pytest.approx(0.1)
 
     def test_negative_reserve(self):
         with pytest.raises(NegativeReserve):
-            run_second_price(ValuationProfile((1.0,)), anonymous_reserve=-0.1)
-        with pytest.raises(NegativeReserve):
             SecondPriceAnonymousReserve(-1.0)
+        with pytest.raises(NegativeReserve):
+            SecondPriceBidderReserves((0.1, -0.1))
 
-    def test_two_reserve_modes_rejected(self):
+    def test_one_reserve_per_bidder(self):
         with pytest.raises(ValueError):
-            run_second_price(
-                ValuationProfile((1.0,)), anonymous_reserve=0.1, bidder_reserves=(0.1,)
-            )
+            run(SecondPriceBidderReserves((0.1,)), ValuationProfile((1.0, 2.0)))
 
 
 class TestMyerson:
@@ -86,23 +156,26 @@ class TestMyerson:
         wins = lambda b: 2 * b - 1 >= 0
         oracle = brute_force_critical_bid(wins, 0.0, 0.8)
         assert oracle == pytest.approx(0.5, abs=1e-6)
-        o = run_myerson(ValuationProfile((0.8, 0.3)), (Uniform(0, 1), Uniform(0, 1)))
+        o = run(MyersonRegular((Uniform(0, 1), Uniform(0, 1))), ValuationProfile((0.8, 0.3)))
         assert o.winner == 0
         assert o.revenue == pytest.approx(0.5, abs=1e-8)
 
     def test_non_iid_virtual_comparison(self):
         # phi_0(0.6) = 0.2 beats phi_1(0.9) = -0.2 despite the lower value
-        o = run_myerson(ValuationProfile((0.6, 0.9)), (Uniform(0, 1), Uniform(0, 2)))
+        o = run(MyersonRegular((Uniform(0, 1), Uniform(0, 2))), ValuationProfile((0.6, 0.9)))
         assert o.winner == 0
         assert o.revenue == pytest.approx(0.5, abs=1e-8)
 
     def test_all_negative_virtuals_no_sale(self):
-        o = run_myerson(ValuationProfile((0.2, 0.3)), (Uniform(0, 1), Uniform(0, 1)))
+        o = run(MyersonRegular((Uniform(0, 1), Uniform(0, 1))), ValuationProfile((0.2, 0.3)))
         assert o.winner is None and o.revenue == 0.0
 
     def test_value_outside_support(self):
         with pytest.raises(ValueOutsideSupport):
-            run_myerson(ValuationProfile((1.5, 0.3)), (Uniform(0, 1), Uniform(0, 1)))
+            run(MyersonRegular((Uniform(0, 1), Uniform(0, 1))), ValuationProfile((1.5, 0.3)))
+        curves = (iron_distribution(Uniform(0, 1)), iron_distribution(Uniform(0, 1)))
+        with pytest.raises(ValueOutsideSupport):
+            run(MyersonIroned(curves), ValuationProfile((0.3, 1.5)))
 
     def test_regularity_enforced_by_spec(self):
         with pytest.raises(IrregularComponent):
@@ -110,7 +183,7 @@ class TestMyerson:
 
     def test_ironed_curves_accepted(self):
         curves = (iron_distribution(Uniform(0, 1)), iron_distribution(Uniform(0, 1)))
-        o = run_myerson(ValuationProfile((0.8, 0.3)), curves)
+        o = run(MyersonIroned(curves), ValuationProfile((0.8, 0.3)))
         assert o.winner == 0
         assert o.revenue == pytest.approx(0.5, abs=1e-3)
 
@@ -123,23 +196,23 @@ def PowerLawIrregular():
 
 class TestPostedSequence:
     def test_second_offer_accepted(self):
-        o = run_posted_sequence(ValuationProfile((5.0, 1.0)), (10, 1), (0, 1))
+        o = run(PostedSequence((10, 1), (0, 1)), ValuationProfile((5.0, 1.0)))
         assert o.winner == 1 and o.revenue == pytest.approx(1.0)
 
     def test_first_offer_accepted(self):
-        o = run_posted_sequence(ValuationProfile((20.0, 1.0)), (10, 1), (0, 1))
+        o = run(PostedSequence((10, 1), (0, 1)), ValuationProfile((20.0, 1.0)))
         assert o.winner == 0 and o.revenue == pytest.approx(10.0)
 
     def test_empty_order(self):
-        o = run_posted_sequence(ValuationProfile((20.0, 1.0)), (), ())
+        o = run(PostedSequence((), ()), ValuationProfile((20.0, 1.0)))
         assert o.winner is None and o.revenue == 0.0
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            run_posted_sequence(ValuationProfile((1.0,)), (1.0,), (3,))
+            run(PostedSequence((1.0,), (3,)), ValuationProfile((1.0,)))
 
     def test_acceptance_at_equality(self):
-        o = run_posted_sequence(ValuationProfile((1.0,)), (1.0,), (0,))
+        o = run(PostedSequence((1.0,), (0,)), ValuationProfile((1.0,)))
         assert o.winner == 0
 
 
@@ -157,7 +230,7 @@ class TestCriticalPayment:
     def test_matches_run_myerson(self):
         profile = ValuationProfile((0.6, 0.9))
         dists = (Uniform(0, 1), Uniform(0, 2))
-        outcome = run_myerson(profile, dists)
+        outcome = run(MyersonRegular(dists), profile)
         wins = lambda b: 2 * b - 1 >= max(0.0, 2 * 0.9 - 2)
         assert critical_payment(profile, 0, wins) == pytest.approx(
             outcome.revenue, abs=1e-7
@@ -177,7 +250,8 @@ class TestInvariants:
     )
     @settings(max_examples=300, deadline=None)
     def test_individual_rationality_second_price(self, values, reserve):
-        o = run_second_price(ValuationProfile(tuple(values)), anonymous_reserve=reserve)
+        mech = SecondPrice() if reserve is None else SecondPriceAnonymousReserve(reserve)
+        o = run(mech, ValuationProfile(tuple(values)))
         if o.winner is not None:
             assert o.revenue <= values[o.winner] + 1e-9
             assert all(p == 0.0 for i, p in enumerate(o.payments) if i != o.winner)
@@ -186,7 +260,7 @@ class TestInvariants:
     @settings(max_examples=200, deadline=None)
     def test_individual_rationality_myerson(self, values):
         dists = tuple(Uniform(0, 1) for _ in values)
-        o = run_myerson(ValuationProfile(tuple(values)), dists)
+        o = run(MyersonRegular(dists), ValuationProfile(tuple(values)))
         if o.winner is not None:
             assert o.revenue <= values[o.winner] + 1e-9
 
@@ -196,59 +270,86 @@ class TestInvariants:
     )
     @settings(max_examples=300, deadline=None)
     def test_appending_bidder_never_lowers_sp_revenue(self, values, extra):
-        base = run_second_price(ValuationProfile(tuple(values)))
-        grown = run_second_price(ValuationProfile(tuple(values) + (extra,)))
+        base = run(SecondPrice(), ValuationProfile(tuple(values)))
+        grown = run(SecondPrice(), ValuationProfile(tuple(values) + (extra,)))
         assert grown.revenue >= base.revenue - 1e-12
 
     @given(values=st.lists(st.floats(0.0, 0.999), min_size=2, max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_raising_winner_value_keeps_winner_and_payment(self, values):
-        o = run_second_price(ValuationProfile(tuple(values)))
+        o = run(SecondPrice(), ValuationProfile(tuple(values)))
         bumped = list(values)
         bumped[o.winner] = min(bumped[o.winner] + 0.5, 1.5)
-        o2 = run_second_price(ValuationProfile(tuple(bumped)))
+        o2 = run(SecondPrice(), ValuationProfile(tuple(bumped)))
         assert o2.winner == o.winner
         assert o2.revenue == pytest.approx(o.revenue, abs=1e-12)
 
     def test_raising_loser_above_critical_makes_them_win(self):
-        o = run_second_price(ValuationProfile((0.8, 0.3)))
+        o = run(SecondPrice(), ValuationProfile((0.8, 0.3)))
         assert o.winner == 0
-        o2 = run_second_price(ValuationProfile((0.8, 0.9)))
+        o2 = run(SecondPrice(), ValuationProfile((0.8, 0.9)))
         assert o2.winner == 1
 
 
 class TestSubsetReserve:
     def test_subset_sets_price_but_cannot_win(self):
-        o = run_subset_reserve(ValuationProfile((0.9, 0.4, 0.6)), subset=(0,))
+        o = run(SecondPriceSubsetReserve((0,)), ValuationProfile((0.9, 0.4, 0.6)))
         # remaining bidders {1, 2} face reserve 0.9: no sale
         assert o.winner is None and o.revenue == 0.0
-        o = run_subset_reserve(ValuationProfile((0.5, 0.4, 0.6)), subset=(0,))
+        o = run(SecondPriceSubsetReserve((0,)), ValuationProfile((0.5, 0.4, 0.6)))
         assert o.winner == 2 and o.revenue == pytest.approx(0.5)
 
     def test_index_validation(self):
         with pytest.raises(IndexOutOfRange):
-            run_subset_reserve(ValuationProfile((1.0,)), subset=(4,))
+            run(SecondPriceSubsetReserve((4,)), ValuationProfile((1.0,)))
+
+
+class TestAllocateChecks:
+    """Index checks guard the vectorized path that every estimate uses."""
+
+    VALUES = np.array([[0.2, 0.5, 0.9], [0.7, 0.1, 0.3]])
+
+    @pytest.mark.parametrize(
+        "mech",
+        [
+            SecondPriceSubsetReserve((-1,)),
+            SecondPriceSubsetReserve((3,)),
+            PostedSequence((0.5,), (-1,)),
+            PostedSequence((0.5, 0.5), (0, 3)),
+        ],
+        ids=repr,
+    )
+    def test_bad_indices_rejected(self, mech):
+        with pytest.raises(IndexOutOfRange):
+            allocate(mech, self.VALUES)
+
+    def test_more_offers_than_bidders(self):
+        with pytest.raises(ValueError):
+            allocate(PostedSequence((0.1,) * 4, (0, 1, 2, 0)), self.VALUES)
+        with pytest.raises(ValueError):
+            PostedSequence((0.1, 0.2), (0,))
+
+    def test_empty_order_sells_nothing(self):
+        winner, price = allocate(PostedSequence((), ()), self.VALUES)
+        assert winner.tolist() == [-1, -1] and price.tolist() == [0.0, 0.0]
+
+    def test_one_rule_per_column(self):
+        with pytest.raises(ValueError):
+            allocate(MyersonRegular((Uniform(0, 1),) * 2), self.VALUES)
 
 
 class TestDispatcherAndProfiles:
     def test_dispatcher_matches_direct_calls(self):
         p = ValuationProfile((0.8, 0.3))
-        assert run(SecondPrice(), p) == run_second_price(p)
-        assert run(SecondPriceAnonymousReserve(0.5), p) == run_second_price(
-            p, anonymous_reserve=0.5
-        )
-        assert run(PostedSequence((0.7,), (1,)), p) == run_posted_sequence(
-            p, (0.7,), (1,)
-        )
-
-    def test_profile_origin_tags(self):
-        p = ValuationProfile(
-            (1.0, 2.0, 3.0),
-            origins=(("original", 0), ("extra", 1), ("det", 3.0)),
-        )
-        assert p.origins[1] == ("extra", 1)
+        assert run(SecondPrice(), p) == AuctionOutcome(0, (0.3, 0.0), 0.3)
+        assert run(SecondPriceAnonymousReserve(0.5), p) == AuctionOutcome(0, (0.5, 0.0), 0.5)
+        assert run(PostedSequence((0.7,), (1,)), p) == AuctionOutcome(None, (0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
-            ValuationProfile((1.0,), origins=(("original", 0), ("original", 1)))
+            run(SecondPrice(), ValuationProfile(()))
+        with pytest.raises(ValueError):
+            run(SecondPriceSampleReserve((0,)), p)
+        with pytest.raises(TypeError):
+            run("not a mechanism", p)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
@@ -259,7 +360,7 @@ class TestDispatcherAndProfiles:
         dists = (Uniform(0, 1), Uniform(0, 1), Uniform(0, 1))
         for _ in range(200):
             values = tuple(rng.random(3))
-            my = run_myerson(ValuationProfile(values), dists)
-            sp = run_second_price(ValuationProfile(values), anonymous_reserve=0.5)
+            my = run(MyersonRegular(dists), ValuationProfile(values))
+            sp = run(SecondPriceAnonymousReserve(0.5), ValuationProfile(values))
             assert my.winner == sp.winner
             assert my.revenue == pytest.approx(sp.revenue, abs=1e-8)

@@ -13,7 +13,6 @@ from auction_lab import (
     ComponentExtra,
     DeterministicExtra,
     EqualRevenue,
-    EstimateRecord,
     EstimatorConfig,
     Exponential,
     MyersonIroned,
@@ -27,22 +26,21 @@ from auction_lab import (
     SecondPriceBidderReserves,
     SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
+    TruncatedNormal,
     TwoPoint,
     Uniform,
-    ValuationProfile,
+    allocate,
     approximation_ratio,
     best_posted_ladder_two_point,
     build_market,
     commensurateness_check,
     discriminating_benchmark,
     estimate_mc,
-    estimate_records_csv,
     expected_revenue_quadrature,
     hr_ordered_markets,
     iron,
     posted_sequence_revenue_exact,
     random_mixture_markets,
-    run,
     second_price_two_point_exact,
     vickrey_revenue_cdf,
     virtual_surplus_gap,
@@ -58,10 +56,10 @@ from auction_lab.revenue import (
     _as_estimate,
     _draw_market,
     _estimate_each,
-    _mech_batch,
     _merge_stats,
     _stream_stats,
 )
+from test_mechanisms import myerson_reference
 
 PM, ER = PointMass(1.0), EqualRevenue()
 
@@ -260,33 +258,78 @@ class TestStreamReduction:
         assert _merge_stats(empty, empty) == empty
 
 
+def second_price_reference(values, reserves):
+    """(winner, price) of Vickrey with per-bidder reserves on one row."""
+    qualifying = sorted((v, -i) for i, v in enumerate(values) if v >= reserves[i])
+    if not qualifying:
+        return -1, 0.0
+    winner = -qualifying[-1][1]  # highest value, then lowest index
+    runner_up = qualifying[-2][0] if len(qualifying) >= 2 else -math.inf
+    return winner, max(runner_up, reserves[winner])
+
+
+def row_reference(mech, values):
+    """Independent per-row (winner, price) for the mechanisms under test."""
+    m = len(values)
+    if isinstance(mech, SecondPrice):
+        return second_price_reference(values, [0.0] * m)
+    if isinstance(mech, SecondPriceAnonymousReserve):
+        return second_price_reference(values, [mech.reserve] * m)
+    if isinstance(mech, SecondPriceBidderReserves):
+        return second_price_reference(values, list(mech.reserves))
+    if isinstance(mech, SecondPriceSubsetReserve):
+        rest = [i for i in range(m) if i not in mech.subset]
+        reserve = max(values[i] for i in mech.subset)
+        w, price = second_price_reference([values[i] for i in rest], [reserve] * len(rest))
+        return (rest[w], price) if w >= 0 else (-1, 0.0)
+    if isinstance(mech, PostedSequence):
+        for price, i in zip(mech.prices, mech.order):
+            if values[i] >= price:
+                return i, price
+        return -1, 0.0
+    if isinstance(mech, MyersonRegular):
+        return myerson_reference(values, mech.dists)
+    return myerson_reference(values, mech.curves)
+
+
+COLUMNS = (Uniform(0, 1), Uniform(0, 2), Exponential(1.0))
+WIDE = COLUMNS + (PowerLaw(2.5), TruncatedNormal(1.0, 0.5))
+
+
+def _case(mech, columns=COLUMNS):
+    label = type(mech).__name__ + ("" if columns is COLUMNS else "-wide")
+    return pytest.param(mech, columns, id=label)
+
+
 class TestBatchScalarEquivalence:
-    """The vectorized kernels must agree with the scalar mechanisms."""
+    """Every row of `allocate` matches an independent per-row reference:
+    sorted values for second price, subset and posted prices; public
+    virtual values and the bisection oracle for Myerson."""
 
     @pytest.mark.parametrize(
-        "mech",
+        "mech, columns",
         [
-            SecondPrice(),
-            SecondPriceAnonymousReserve(0.4),
-            SecondPriceBidderReserves((0.1, 0.6, 0.3)),
-            SecondPriceSubsetReserve((0,)),
-            MyersonRegular((Uniform(0, 1), Uniform(0, 2), Exponential(1.0))),
-            PostedSequence((0.8, 0.2), (1, 0)),
+            _case(SecondPrice()),
+            _case(SecondPriceAnonymousReserve(0.4)),
+            _case(SecondPriceBidderReserves((0.1, 0.6, 0.3))),
+            _case(SecondPriceSubsetReserve((0,))),
+            _case(MyersonRegular(COLUMNS)),
+            _case(PostedSequence((0.8, 0.2), (1, 0))),
+            _case(SecondPriceBidderReserves((0.1, 0.6, 0.3, 1.5, 0.8)), WIDE),
+            _case(SecondPriceSubsetReserve((3, 1)), WIDE),
+            _case(MyersonRegular(WIDE), WIDE),
+            _case(PostedSequence((2.0, 1.2, 0.5), (3, 4, 0)), WIDE),
         ],
-        ids=lambda m: type(m).__name__,
     )
-    def test_winner_and_price_match(self, mech):
+    def test_winner_and_price_match(self, mech, columns):
         rng = stream(123, 0)
         n = 500
-        values = np.column_stack(
-            [rng.random(n), 2 * rng.random(n), -np.log(rng.random(n))]
-        )
-        winner, price = _mech_batch(mech, values, rng)
+        values = np.column_stack([d.sample(rng, n) for d in columns])
+        winner, price = allocate(mech, values, rng)
         for i in range(n):
-            out = run(mech, ValuationProfile(tuple(values[i])))
-            expect = -1 if out.winner is None else out.winner
-            assert winner[i] == expect, f"row {i}"
-            assert price[i] == pytest.approx(out.revenue, abs=1e-7), f"row {i}"
+            expect_w, expect_p = row_reference(mech, values[i].tolist())
+            assert winner[i] == expect_w, f"row {i}"
+            assert price[i] == pytest.approx(expect_p, abs=1e-7), f"row {i}"
 
     def test_ironed_batch_matches_scalar(self):
         mix = build_market(
@@ -297,12 +340,11 @@ class TestBatchScalarEquivalence:
         rng = stream(77, 0)
         n = 300
         values = np.column_stack([3 * rng.random(n), 3 * rng.random(n)])
-        winner, price = _mech_batch(mech, values, rng)
+        winner, price = allocate(mech, values, rng)
         for i in range(n):
-            out = run(mech, ValuationProfile(tuple(values[i])))
-            expect = -1 if out.winner is None else out.winner
-            assert winner[i] == expect, f"row {i}"
-            assert price[i] == pytest.approx(out.revenue, abs=1e-6), f"row {i}"
+            expect_w, expect_p = row_reference(mech, values[i].tolist())
+            assert winner[i] == expect_w, f"row {i}"
+            assert price[i] == pytest.approx(expect_p, abs=1e-6), f"row {i}"
 
 
 class TestVickreyRevenueCdf:
@@ -560,13 +602,3 @@ class TestVirtualSurplusGap:
         # reserve ~ a third uniform: revenue strictly above plain SP
         plain = estimate_mc(market, SecondPrice(), (), cfg)
         assert est.mean > plain.mean
-
-
-def test_estimate_records_csv():
-    rec = EstimateRecord(
-        "s1", "second_price", RevenueEstimate(0.5, 0.001, 1000, "mc"), seed=9
-    )
-    text = estimate_records_csv([rec])
-    lines = text.strip().split("\n")
-    assert lines[0] == "scenario_id,mechanism,mean,std_err,n_samples,method,seed"
-    assert lines[1].startswith("s1,second_price,0.5,0.001,1000,mc,9")
