@@ -127,6 +127,14 @@ class Distribution:
             raise UnboundedQuantile(f"{self}: quantile(1) is an infinite endpoint")
         return q
 
+    def _check_survival_arg(self, q):
+        q = np.asarray(q, dtype=float)
+        if np.any(q < 0.0) or np.any(q > 1.0):
+            raise ValueError("survival level must lie in [0, 1]")
+        if np.any(q == 0.0) and not self.support.bounded:
+            raise UnboundedQuantile(f"{self}: survival_quantile(0) is infinite")
+        return q
+
     def sample(self, stream, size=None):
         """Inverse-transform sample; deterministic given the stream state."""
         u = stream.random(size)
@@ -147,12 +155,7 @@ class Distribution:
         q in {0, 1} follows the quantile endpoint rules (q = 0 needs a
         finite top).
         """
-        qv = np.asarray(q, dtype=float)
-        if np.any(qv < 0.0) or np.any(qv > 1.0):
-            raise ValueError("survival level must lie in [0, 1]")
-        if np.any(qv == 0.0) and not self.support.bounded:
-            raise UnboundedQuantile(f"{self}: survival_quantile(0) is infinite")
-        return self.quantile(1.0 - qv)
+        return self.quantile(1.0 - self._check_survival_arg(q))
 
     def survival_at_or_above(self, r):
         """P(value >= r) = 1 - F(r-)."""
@@ -250,6 +253,18 @@ def _golden_max(f, lo, hi, rel_tol=1e-9):
     return 0.5 * (a + b)
 
 
+def _bisect(too_low, lo, hi, iterations):
+    """Elementwise bisection of the brackets [lo, hi]: halve `iterations`
+    times toward the points where `too_low(mid)` turns false, return the
+    midpoints."""
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        low = too_low(mid)
+        lo = np.where(low, mid, lo)
+        hi = np.where(low, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 # ---------------------------------------------------------------------------
 # Continuous families
 # ---------------------------------------------------------------------------
@@ -291,7 +306,7 @@ class Uniform(Distribution):
         return _match(x, np.clip((self.b - xv) / (self.b - self.a), 0.0, 1.0))
 
     def survival_quantile(self, q):
-        qv = np.asarray(q, dtype=float)
+        qv = self._check_survival_arg(q)
         return _match(q, self.b - qv * (self.b - self.a))
 
     def virtual_inverse(self, y):
@@ -327,19 +342,15 @@ class Exponential(Distribution):
 
     def quantile(self, q):
         q = self._check_quantile_arg(q)
-        with np.errstate(divide="ignore"):
-            return _match(q, -np.log1p(-q) / self.lam)
+        return _match(q, -np.log1p(-q) / self.lam)
 
     def survival(self, x):
         xv = np.asarray(x, dtype=float)
         return _match(x, np.exp(-self.lam * np.maximum(xv, 0.0)))
 
     def survival_quantile(self, q):
-        qv = np.asarray(q, dtype=float)
-        if np.any(qv == 0.0):
-            raise UnboundedQuantile(f"{self}: survival_quantile(0) is infinite")
-        with np.errstate(divide="ignore"):
-            return _match(q, -np.log(qv) / self.lam)
+        qv = self._check_survival_arg(q)
+        return _match(q, -np.log(qv) / self.lam)
 
     def virtual_inverse(self, y):
         yv = np.asarray(y, dtype=float)
@@ -378,19 +389,15 @@ class PowerLaw(Distribution):
 
     def quantile(self, q):
         q = self._check_quantile_arg(q)
-        with np.errstate(divide="ignore"):
-            return _match(q, (1.0 - q) ** (-1.0 / self.alpha))
+        return _match(q, (1.0 - q) ** (-1.0 / self.alpha))
 
     def survival(self, x):
         xv = np.asarray(x, dtype=float)
         return _match(x, np.maximum(xv, 1.0) ** (-self.alpha))
 
     def survival_quantile(self, q):
-        qv = np.asarray(q, dtype=float)
-        if np.any(qv == 0.0):
-            raise UnboundedQuantile(f"{self}: survival_quantile(0) is infinite")
-        with np.errstate(divide="ignore"):
-            return _match(q, qv ** (-1.0 / self.alpha))
+        qv = self._check_survival_arg(q)
+        return _match(q, qv ** (-1.0 / self.alpha))
 
     def virtual_inverse(self, y):
         yv = np.asarray(y, dtype=float)
@@ -430,19 +437,15 @@ class EqualRevenue(Distribution):
 
     def quantile(self, q):
         q = self._check_quantile_arg(q)
-        with np.errstate(divide="ignore"):
-            return _match(q, q / (1.0 - q))
+        return _match(q, q / (1.0 - q))
 
     def survival(self, x):
         xv = np.asarray(x, dtype=float)
         return _match(x, 1.0 / (np.maximum(xv, 0.0) + 1.0))
 
     def survival_quantile(self, q):
-        qv = np.asarray(q, dtype=float)
-        if np.any(qv == 0.0):
-            raise UnboundedQuantile(f"{self}: survival_quantile(0) is infinite")
-        with np.errstate(divide="ignore"):
-            return _match(q, (1.0 - qv) / qv)
+        qv = self._check_survival_arg(q)
+        return _match(q, (1.0 - qv) / qv)
 
     def virtual_inverse(self, y):
         yv = np.asarray(y, dtype=float)
@@ -497,22 +500,14 @@ class TruncatedNormal(Distribution):
         return _match(x, np.where(xv <= 0.0, 1.0, np.clip(out, 0.0, 1.0)))
 
     def survival_quantile(self, q):
-        qv = np.asarray(q, dtype=float)
-        if np.any(qv == 0.0):
-            raise UnboundedQuantile(f"{self}: survival_quantile(0) is infinite")
+        qv = self._check_survival_arg(q)
         scalar = qv.ndim == 0
         qa = np.atleast_1d(qv)
-        lo = np.zeros_like(qa)
         hi_val = self.mu + 10.0 * self.sigma
         while np.asarray(self.survival(hi_val)) > np.min(qa[qa > 0.0], initial=1.0):
             hi_val += 10.0 * self.sigma
-        hi = np.full_like(qa, hi_val)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            above = np.asarray(self.survival(mid)) > qa
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        out = 0.5 * (lo + hi)
+        lo, hi = np.zeros_like(qa), np.full_like(qa, hi_val)
+        out = _bisect(lambda mid: np.asarray(self.survival(mid)) > qa, lo, hi, 80)
         return float(out[0]) if scalar else out
 
     def quantile(self, q):
@@ -520,30 +515,18 @@ class TruncatedNormal(Distribution):
         scalar = q.ndim == 0
         qv = np.atleast_1d(q)
         # bracket: cdf is 0 at 0; expand hi until it covers max(q) < 1
-        lo = np.zeros_like(qv)
         hi_val = self.mu + 10.0 * self.sigma
         while self.cdf(hi_val) < np.max(qv[qv < 1.0], initial=0.0):
             hi_val += 10.0 * self.sigma
-        hi = np.full_like(qv, hi_val)
-        for _ in range(80):  # 80 halvings push the bracket below 1e-10
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self.cdf(mid)) < qv
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
+        lo, hi = np.zeros_like(qv), np.full_like(qv, hi_val)
+        # 80 halvings push the bracket below 1e-10
+        out = _bisect(lambda mid: np.asarray(self.cdf(mid)) < qv, lo, hi, 80)
         return float(out[0]) if scalar else out
 
     def virtual_inverse(self, y):
         yv = np.atleast_1d(np.asarray(y, dtype=float))
-        lo = np.zeros_like(yv)
-        hi_val = self.mu + 12.0 * self.sigma
-        hi = np.full_like(yv, hi_val)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(self._virtual_unchecked(mid)) < yv
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
+        lo, hi = np.zeros_like(yv), np.full_like(yv, self.mu + 12.0 * self.sigma)
+        out = _bisect(lambda mid: np.asarray(self._virtual_unchecked(mid)) < yv, lo, hi, 80)
         return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
 
     def __str__(self):

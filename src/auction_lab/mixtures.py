@@ -25,14 +25,15 @@ from .distributions import (
     EPS_Q,
     Distribution,
     SupportInterval,
+    _bisect,
     regularity_check,
 )
 from .errors import (
     AtomicDistribution,
+    IrregularComponent,
     IrregularComponentWarning,
     NegativeWeight,
     ProfileSpaceTooLarge,
-    UnboundedQuantile,
     WeightRowSum,
 )
 
@@ -107,24 +108,17 @@ class MixtureDistribution(Distribution):
             return getattr(single, method)(x)
         return sum(w * getattr(self.components[t], method)(x) for t, w in self._active)
 
-    def _bisect(self, method, levels, too_low):
+    def _invert(self, method, levels, too_low):
         """Invert a monotone law function between the extreme component answers.
 
-        `too_low(mid, levels)` marks the levels whose answer lies above mid.
+        `too_low(mid)` marks the levels whose answer lies above mid.
         """
         scalar = np.ndim(levels) == 0
         levels = np.atleast_1d(levels)
         comp = np.stack(
             [np.atleast_1d(getattr(self.components[t], method)(levels)) for t, _ in self._active]
         )
-        lo = comp.min(axis=0)
-        hi = comp.max(axis=0)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            up = too_low(mid, levels)
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-        out = 0.5 * (lo + hi)
+        out = _bisect(too_low, comp.min(axis=0), comp.max(axis=0), 100)
         return float(out[0]) if scalar else out
 
     def cdf(self, x):
@@ -145,21 +139,15 @@ class MixtureDistribution(Distribution):
         single = self._delegate()
         if single is not None:
             return single.survival_quantile(q)
-        qv = np.asarray(q, dtype=float)
-        if np.any(qv < 0.0) or np.any(qv > 1.0):
-            raise ValueError("survival level must lie in [0, 1]")
-        if np.any(qv == 0.0) and not self.support.bounded:
-            raise UnboundedQuantile(f"{self}: survival_quantile(0) is infinite")
-        return self._bisect(
-            "survival_quantile", qv, lambda mid, qa: np.asarray(self.survival(mid)) > qa
-        )
+        qv = self._check_survival_arg(q)
+        return self._invert("survival_quantile", qv, lambda mid: np.asarray(self.survival(mid)) > qv)
 
     def quantile(self, q):
         single = self._delegate()
         if single is not None:
             return single.quantile(q)
         q = self._check_quantile_arg(q)
-        return self._bisect("quantile", q, lambda mid, qv: np.asarray(self.cdf(mid)) < qv)
+        return self._invert("quantile", q, lambda mid: np.asarray(self.cdf(mid)) < q)
 
     def sample(self, stream, size=None):
         """Two-stage draw; marginal law equals the mixture cdf."""
@@ -263,6 +251,13 @@ def build_market(components, weights) -> MarketModel:
                 stacklevel=2,
             )
     return MarketModel(components, w)
+
+
+def _require_regular_components(market: MarketModel):
+    """Raise IrregularComponent unless every component is continuous and grid-regular."""
+    for t, comp in enumerate(market.components):
+        if not comp.is_continuous or not regularity_check(comp):
+            raise IrregularComponent(f"component {t} ({comp}) is not regular")
 
 
 def sample_two_stage(market: MarketModel, i: int, stream, size=None):

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import hr_crossing, regularity_check
+from .distributions import hr_crossing
 from .errors import (
     AssumptionUnverified,
     GroupTooSmall,
     InvalidDelta,
-    IrregularComponent,
     NoDominantComponent,
     SupremumNotAttained,
 )
@@ -36,7 +35,7 @@ from .mechanisms import (
     SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
 )
-from .mixtures import MarketModel, _coin_rule
+from .mixtures import MarketModel, _coin_rule, _require_regular_components
 from .revenue import ComponentExtra, EstimatorConfig, RevenueEstimate, _estimate_each, estimate_mc
 from .streams import substream
 
@@ -96,12 +95,6 @@ class AugmentationPlan:
     def __post_init__(self):
         if self.guarantee_factor < 1.0:
             raise ValueError("a guarantee factor below 1 is meaningless")
-
-
-def _require_regular_components(market: MarketModel):
-    for t, comp in enumerate(market.components):
-        if not comp.is_continuous or not regularity_check(comp):
-            raise IrregularComponent(f"component {t} ({comp}) is not regular")
 
 
 def plan_targeted(market: MarketModel) -> AugmentationPlan:
@@ -184,6 +177,11 @@ def _iid_assumption(market: MarketModel) -> Assumption:
     )
 
 
+def _require_iid(market: MarketModel):
+    if not market.iid:
+        raise InvalidDelta("the marginal-mixture recipes need identical mixture rows")
+
+
 def plan_nontargeted(market: MarketModel) -> AugmentationPlan:
     """n* extra bidders from the marginal mixture itself (i.i.d. recipe).
 
@@ -191,6 +189,7 @@ def plan_nontargeted(market: MarketModel) -> AugmentationPlan:
     setting is then regular; the count is stated verbatim.
     """
     _require_regular_components(market)
+    _require_iid(market)
     n_star, factor, _, _ = nontargeted_counts(market.k, market.delta)
     return AugmentationPlan(
         strategy=NONTARGETED,
@@ -209,8 +208,7 @@ def plan_nontargeted_hr(market: MarketModel) -> AugmentationPlan:
     """ceil(1/p1) mixture extras when a hazard-rate dominant component exists."""
     dominant_plan = plan_hr_dominant(market)  # raises NoDominantComponent
     dom = dominant_plan.reserve_component
-    if not market.iid:
-        raise InvalidDelta("the 1/p1 recipe needs identical mixture rows")
+    _require_iid(market)
     p1 = float(market.weights[0, dom])
     if p1 <= 0.0:
         raise InvalidDelta(f"dominant component {dom} has zero mixture probability")

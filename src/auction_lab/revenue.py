@@ -10,9 +10,12 @@ Three estimation routes:
   is bit-identical for a fixed (seed, n_samples, n_streams) no matter how
   the work would be scheduled.
 * Exact order-statistic formulas (`vickrey_revenue_cdf`,
-  `posted_sequence_revenue_exact`, the two-point evaluators).
+  `posted_sequence_revenue_exact`, the two-point evaluators).  The law of
+  the second-highest value comes from one O(m) pass over the bidders
+  (`_second_highest_law`) with no cap on their number.
 * Quantile/tail quadrature (`expected_revenue_quadrature`): adaptive Simpson
-  with the substitution u = z/(1+z) on the unbounded tail.
+  on P(second-highest > z) with the substitution u = z/(1+z) on the
+  unbounded tail.
 
 `discriminating_benchmark` prices the seller who observes the mixture coins
 before choosing the auction: sum over index profiles q of p(q) * OPT(G(q)),
@@ -31,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .distributions import TwoPoint, regularity_check
+from .distributions import TwoPoint
 from .errors import (
     DivergentTail,
     InsufficientDivergenceSamples,
@@ -39,7 +42,13 @@ from .errors import (
     ZeroDenominator,
 )
 from .mechanisms import _myerson_batch, _virtual_matrix, allocate
-from .mixtures import MarketModel, _coin_rule, _values_given_coins, enumerate_profiles
+from .mixtures import (
+    MarketModel,
+    _coin_rule,
+    _require_regular_components,
+    _values_given_coins,
+    enumerate_profiles,
+)
 from .streams import substream
 
 __all__ = [
@@ -296,43 +305,29 @@ def virtual_surplus_gap(
 # ---------------------------------------------------------------------------
 
 
-def vickrey_revenue_cdf(dists, z):
-    """P(second-highest of independent draws <= z).
+def _second_highest_law(dists, z):
+    """(P(second-highest <= z), P(second-highest > z)), vectorized over z.
 
-    Equals prod_i F_i(z) + sum_i (1 - F_i(z)) * prod_{j != i} F_j(z):
-    either everyone is below z or exactly one bidder exceeds it.
+    One pass over the bidders carries P(none / exactly one / at least two
+    above z) from F = cdf(z) and S = survival(z).  No term is subtracted, so
+    the upper tail keeps its precision where 1 - prod(F) would round away.
     """
+    zv = np.asarray(z, dtype=float)
+    none, one, two = 1.0, 0.0, 0.0
+    for d in dists:
+        F = np.asarray(d.cdf(zv), dtype=float)
+        S = np.asarray(d.survival(zv), dtype=float)
+        none, one, two = none * F, one * F + none * S, two * (F + S) + one * S
+    return none + one, two
+
+
+def vickrey_revenue_cdf(dists, z):
+    """P(second-highest of independent draws <= z): nobody or exactly one
+    bidder exceeds z."""
     if len(dists) < 2:
         raise ValueError("second-highest needs at least two bidders")
-    zv = np.atleast_1d(np.asarray(z, dtype=float))
-    F = np.stack([np.atleast_1d(np.asarray(d.cdf(zv), dtype=float)) for d in dists])
-    all_below = np.prod(F, axis=0)
-    total = all_below.copy()
-    for i in range(len(dists)):
-        others = np.prod(np.delete(F, i, axis=0), axis=0)
-        total = total + (1.0 - F[i]) * others
-    return float(total[0]) if np.isscalar(z) or np.ndim(z) == 0 else total
-
-
-def _second_order_survival(dists, z: float) -> float:
-    """P(second-highest > z) as a positive subset sum (no cancellation).
-
-    Sums P(exactly the bidders in T exceed z) over |T| >= 2; exact for the
-    handfuls of bidders these instances use, and it keeps the heavy tails
-    accurate where 1 - cdf-product formulas round to zero.
-    """
-    m = len(dists)
-    S = [float(d.survival(z)) for d in dists]
-    F = [float(d.cdf(z)) for d in dists]
-    total = 0.0
-    for mask in range(1, 1 << m):
-        if mask.bit_count() < 2:
-            continue
-        term = 1.0
-        for i in range(m):
-            term *= S[i] if (mask >> i) & 1 else F[i]
-        total += term
-    return total
+    below, _ = _second_highest_law(dists, z)
+    return float(below) if np.isscalar(z) or np.ndim(z) == 0 else below
 
 
 def posted_sequence_revenue_exact(dists, prices, order) -> RevenueEstimate:
@@ -442,18 +437,18 @@ def _atom_breakpoints(dists):
 
 
 def expected_revenue_quadrature(dists, reserve: float | None = None, tol: float = 1e-6) -> RevenueEstimate:
-    """E[second-price revenue] = integral of the revenue survival function.
+    """E[second-price revenue] = integral of P(second-highest > z).
 
-    Splits at atoms and support endpoints so each Simpson segment is smooth,
-    then substitutes z = u/(1-u) on the unbounded tail.  Raises DivergentTail
-    when the transformed tail integrand keeps growing toward u = 1.
+    The integrand comes from `_second_highest_law`, so any number of bidders
+    is allowed.  Splits at atoms and support endpoints so each Simpson
+    segment is smooth, then substitutes z = u/(1-u) on the unbounded tail.
+    Raises DivergentTail when the transformed tail integrand keeps growing
+    toward u = 1.
     """
     lo = float(reserve) if reserve is not None else 0.0
-    if len(dists) > 16:
-        raise ValueError("quadrature's exact subset sum handles at most 16 bidders")
 
     def survival(z):
-        return _second_order_survival(dists, z)
+        return float(_second_highest_law(dists, z)[1])
 
     head = 0.0
     if reserve is not None:
@@ -525,18 +520,9 @@ def discriminating_benchmark(
     """
     total = market.k**market.n
     if policies is None:
-        # each profile's optimum is Myerson per component; make sure that is
-        # meaningful before spending samples (equal-revenue-type components
-        # need explicit policies instead)
-        for t, comp in enumerate(market.components):
-            if not comp.is_continuous:
-                raise ValueError(
-                    f"component {t} ({comp}) is atomic; supply per-profile policies"
-                )
-            if not regularity_check(comp):
-                raise ValueError(
-                    f"component {t} ({comp}) is irregular; supply per-profile policies"
-                )
+        # each profile's optimum is Myerson per component, so equal-revenue
+        # or atomic components need explicit policies instead
+        _require_regular_components(market)
     if total <= cfg.profile_cap:
         profiles = enumerate_profiles(market, cfg.profile_cap)
         if policies is not None:

@@ -273,6 +273,35 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "benchmark_over_mechanism" in out
 
+    def test_ratio_atomic_component_exit_one(self, tmp_path, capsys):
+        doc = json.loads(scenario_text())
+        doc["market"]["components"] = [
+            {"family": "point_mass", "value": 1.0},
+            {"family": "uniform", "a": 0, "b": 1},
+        ]
+        doc["market"]["weights"] = [[0.5, 0.5], [0.5, 0.5]]
+        path = tmp_path / "atomic.json"
+        path.write_text(json.dumps(doc))
+        assert main(["ratio", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: IrregularComponent: component 0")
+
+    def test_plan_non_iid_skips_nontargeted(self, tmp_path, capsys):
+        doc = json.loads(scenario_text())
+        doc["market"]["components"] = [
+            {"family": "uniform", "a": 0, "b": 2},
+            {"family": "exponential", "rate": 1.0},
+        ]
+        doc["market"]["weights"] = [[0.5, 0.5], [0.3, 0.7], [0.8, 0.2]]
+        path = tmp_path / "noniid.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", str(path), "--samples", "4000"]) == 0
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        (skipped,) = [r for r in records if r["strategy"] == "nontargeted"]
+        assert skipped["skipped"].startswith("InvalidDelta: ")
+        assert "targeted_per_component" in {r["strategy"] for r in records}
+
 
 class TestReproducibility:
     def test_reproduce_byte_identical(self):

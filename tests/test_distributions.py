@@ -103,6 +103,33 @@ class TestQuantile:
         for q in (0.1, 0.5, 0.9, 0.999):
             assert d.cdf(d.quantile(q)) == pytest.approx(q, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "d",
+        [
+            Uniform(0.5, 2.0),
+            Exponential(1.0),
+            PowerLaw(2.5),
+            EqualRevenue(),
+            TruncatedNormal(1.0, 1.0),
+            PointMass(1.0),
+            TwoPoint(1.0, 3.0, 0.4),
+            MixtureDistribution((Uniform(0, 1), Uniform(0, 2)), (0.5, 0.5)),
+            MixtureDistribution((Uniform(0, 1), Exponential(1.0)), (0.5, 0.5)),
+        ],
+        ids=str,
+    )
+    def test_survival_levels_checked(self, d):
+        for bad in (-0.5, 2.0):
+            with pytest.raises(ValueError):
+                d.survival_quantile(bad)
+            with pytest.raises(ValueError):
+                d.survival_quantile(np.array([0.5, bad]))
+        if d.support.bounded:
+            assert d.survival_quantile(0.0) == pytest.approx(d.support.hi)
+        else:
+            with pytest.raises(UnboundedQuantile):
+                d.survival_quantile(0.0)
+
 
 class TestHazardVirtual:
     def test_uniform(self):

@@ -120,6 +120,13 @@ class TestIidPlans:
         assert plan.count == 4  # ceil(1/0.25)
         assert plan.reserve_component == 0
 
+    def test_marginal_recipes_refuse_non_iid(self):
+        m = build_market((Uniform(0, 2), Uniform(0, 1)), [[0.5, 0.5], [0.3, 0.7], [0.8, 0.2]])
+        with pytest.raises(InvalidDelta):
+            plan_nontargeted(m)
+        with pytest.raises(InvalidDelta):
+            plan_nontargeted_hr(m)
+
 
 class TestAnonymousReserve:
     def test_candidates_and_factor(self):

@@ -49,6 +49,7 @@ from auction_lab import (
 from auction_lab.errors import (
     DivergentTail,
     InsufficientDivergenceSamples,
+    IrregularComponent,
     ZeroDenominator,
 )
 from auction_lab.mixtures import _coin_rule
@@ -57,6 +58,7 @@ from auction_lab.revenue import (
     _draw_market,
     _estimate_each,
     _merge_stats,
+    _second_highest_law,
     _stream_stats,
 )
 from test_mechanisms import myerson_reference
@@ -376,7 +378,67 @@ class TestVickreyRevenueCdf:
             vickrey_revenue_cdf([ER], 1.0)
 
 
+def subset_sum_survival(dists, z):
+    """Oracle for P(second-highest > z), vectorized over z: a positive subset sum.
+
+    Sums P(exactly the bidders in T exceed z) over |T| >= 2; O(2^m * m), so
+    only small bidder counts are practical, but no term can cancel.
+    """
+    m = len(dists)
+    S = [np.asarray(d.survival(z), dtype=float) for d in dists]
+    F = [np.asarray(d.cdf(z), dtype=float) for d in dists]
+    total = 0.0
+    for mask in range(1, 1 << m):
+        if mask.bit_count() < 2:
+            continue
+        term = 1.0
+        for i in range(m):
+            term = term * (S[i] if (mask >> i) & 1 else F[i])
+        total = total + term
+    return total
+
+
+def sweep_family_bidders(m, seed=5):
+    """m regular bidders cycling through the sweep families."""
+    rng = np.random.default_rng(seed)
+    dists = []
+    for i in range(m):
+        if i % 3 == 0:
+            a = float(rng.uniform(0.0, 1.0))
+            dists.append(Uniform(a, a + float(rng.uniform(0.5, 2.5))))
+        elif i % 3 == 1:
+            dists.append(Exponential(float(rng.uniform(0.5, 2.0))))
+        else:
+            dists.append(PowerLaw(float(rng.uniform(2.2, 3.5))))
+    return dists
+
+
+class TestSecondHighestLaw:
+    def test_agrees_with_subset_sum_oracle(self):
+        z = np.concatenate([np.linspace(0.0, 5.0, 21), [1e3, 1e6]])
+        for m in range(2, 17):
+            dists = sweep_family_bidders(m)
+            below, above = _second_highest_law(dists, z)
+            oracle = subset_sum_survival(dists, z)
+            assert np.max(np.abs(above - oracle)) <= 1e-12, f"m={m}"
+            assert np.max(np.abs(below - (1.0 - oracle))) <= 1e-12, f"m={m}"
+            # the tail keeps its precision where 1 - cdf would not
+            assert above == pytest.approx(oracle, rel=1e-12, abs=0.0), f"m={m}"
+
+
 class TestQuadrature:
+    def test_sixty_four_bidders_agree_with_mc(self):
+        m = 64
+        components = (Uniform(0.2, 1.7), Exponential(1.3), PowerLaw(2.8))
+        weights = np.zeros((m, len(components)))
+        weights[np.arange(m), np.arange(m) % len(components)] = 1.0
+        market = build_market(components, weights)
+        dists = [components[i % len(components)] for i in range(m)]
+        quad = expected_revenue_quadrature(dists)
+        assert quad.method == "quadrature" and quad.std_err == 0.0
+        mc = estimate_mc(market, SecondPrice(), (), EstimatorConfig(seed=61, n_samples=200_000))
+        assert abs(mc.mean - quad.mean) <= 4 * mc.std_err
+
     def test_appendix_conditional_value(self):
         est = expected_revenue_quadrature([ER, ER, PM, ER], tol=1e-4)
         assert est.mean == pytest.approx(0.125 + math.log(8.0), abs=1e-3)
@@ -494,7 +556,7 @@ class TestDiscriminatingBenchmark:
 
     def test_irregular_component_needs_policy(self):
         market = build_market((PM, ER), [[0.5, 0.5]] * 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(IrregularComponent):
             discriminating_benchmark(market, EstimatorConfig(seed=1, n_samples=100))
 
     def test_benchmark_dominates_ironed_myerson(self):
