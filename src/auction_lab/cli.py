@@ -29,6 +29,9 @@ from .distributions import hr_crossing
 from .errors import AuctionLabError, NoDominantComponent
 from .experiments import DEFAULT_HORIZON, run_experiment
 from .planner import (
+    NO_RESERVE,
+    RANDOM_SUBSET,
+    SAMPLE_RESERVE,
     evaluate_plan,
     plan_hr_dominant,
     plan_nontargeted,
@@ -147,6 +150,11 @@ def _cmd_plan(args) -> int:
         ("hr_dominant", plan_hr_dominant, (market,)),
         ("nontargeted", plan_nontargeted, (market,)),
         ("anonymous_reserve", select_anonymous_reserve, (market, cfg)),
+        # each sample-based plan is skipped on its own precondition only
+        *(
+            (s, lambda s: sample_based_plans(market, include=(s,))[0], (s,))
+            for s in (SAMPLE_RESERVE, RANDOM_SUBSET, NO_RESERVE)
+        ),
     )
     plans = []
     for label, fn, fn_args in builders:
@@ -154,12 +162,6 @@ def _cmd_plan(args) -> int:
             plans.append(fn(*fn_args))
         except AuctionLabError as exc:
             records.append({"strategy": label, "skipped": f"{type(exc).__name__}: {exc}"})
-    try:
-        plans.extend(sample_based_plans(market))
-    except AuctionLabError as exc:
-        records.append(
-            {"strategy": "sample_based", "skipped": f"{type(exc).__name__}: {exc}"}
-        )
     for plan in plans:
         # plans chosen on MC evidence carry it, computed with this same cfg
         evidence = plan.estimate

@@ -15,6 +15,10 @@ Conventions
   truncation point has to be chosen in value space.
 * All distribution objects are immutable and safe to share across workers.
   Sampling requires an explicit stream (see streams.stream).
+* Families implement array-in/array-out primitives (`_cdf`, `_quantile`,
+  ...).  Only the public methods of the Distribution base convert the
+  argument, check quantile and survival levels, and return float for a
+  scalar argument.
 
 regularity_check and hr_dominates are grid certificates: numerical, not
 symbolic, verdicts on a quantile-spaced grid (default 10 001 points).
@@ -31,6 +35,7 @@ from scipy.special import ndtr
 from .errors import (
     AtomicDistribution,
     DisjointSupports,
+    IrregularComponent,
     OutsideSupport,
     SupremumNotAttained,
     UnboundedQuantile,
@@ -91,23 +96,35 @@ def _match(x, out):
 
 
 class Distribution:
-    """Common derived quantities; families implement the primitive surface."""
+    """Public law methods over array primitives that families implement.
+
+    The public methods are the only place an argument is converted, a level
+    is checked, or a scalar result becomes float.  Families implement the
+    array primitives `_cdf`, `_pdf`, `_quantile` (plus `_cdf_left` with
+    atoms, `_survival`/`_survival_quantile` to stay exact in the tail, and
+    `_virtual_inverse` when regular) on float arrays whose levels are
+    already checked.
+    """
 
     #: set by subclasses
     support: SupportInterval
     is_continuous: bool
 
-    # -- primitive surface (subclasses override) ----------------------------
+    # -- public law surface ---------------------------------------------------
 
     def cdf(self, x):
-        raise NotImplementedError
+        return _match(x, self._cdf(np.asarray(x, dtype=float)))
 
     def cdf_left(self, x):
         """P(value < x); differs from cdf only at atoms."""
-        return self.cdf(x)
+        return _match(x, self._cdf_left(np.asarray(x, dtype=float)))
 
     def pdf(self, x):
-        raise NotImplementedError
+        return _match(x, self._pdf(np.asarray(x, dtype=float)))
+
+    def survival(self, x):
+        """P(value > x)."""
+        return _match(x, self._survival(np.asarray(x, dtype=float)))
 
     def quantile(self, q):
         """Generalized inverse inf{x : F(x) >= q}.
@@ -115,7 +132,43 @@ class Distribution:
         q in (0, 1) always allowed; q in {0, 1} only when the corresponding
         support endpoint is finite, otherwise UnboundedQuantile.
         """
+        return _match(q, self._quantile(self._check_quantile_arg(q)))
+
+    def survival_quantile(self, q):
+        """inf{x : survival(x) <= q}, i.e. quantile(1 - q) computed stably.
+
+        q in {0, 1} follows the quantile endpoint rules (q = 0 needs a
+        finite top).
+        """
+        return _match(q, self._survival_quantile(self._check_survival_arg(q)))
+
+    def virtual_inverse(self, y):
+        """inf{x in support : phi(x) >= y} for regular families."""
+        return _match(y, self._virtual_inverse(np.asarray(y, dtype=float)))
+
+    # -- array primitives (families override) -------------------------------
+
+    def _cdf(self, x):
         raise NotImplementedError
+
+    def _cdf_left(self, x):
+        return self._cdf(x)
+
+    def _pdf(self, x):
+        raise NotImplementedError
+
+    def _survival(self, x):
+        # families override this where 1 - cdf would lose the tail
+        return 1.0 - self._cdf(x)
+
+    def _quantile(self, q):
+        raise NotImplementedError
+
+    def _survival_quantile(self, q):
+        return self._quantile(1.0 - q)
+
+    def _virtual_inverse(self, y):
+        raise NotImplementedError(f"{self} has no virtual inverse")
 
     # -- shared machinery ----------------------------------------------------
 
@@ -137,39 +190,18 @@ class Distribution:
 
     def sample(self, stream, size=None):
         """Inverse-transform sample; deterministic given the stream state."""
-        u = stream.random(size)
-        return self._inverse_transform(u)
-
-    def _inverse_transform(self, u):
-        return self.quantile(u)
-
-    def survival(self, x):
-        """P(value > x).  Families override this to stay exact in the tail,
-        where 1 - cdf(x) would lose all precision."""
-        xv = np.asarray(x, dtype=float)
-        return _match(x, 1.0 - np.asarray(self.cdf(xv), dtype=float))
-
-    def survival_quantile(self, q):
-        """inf{x : survival(x) <= q}, i.e. quantile(1 - q) computed stably.
-
-        q in {0, 1} follows the quantile endpoint rules (q = 0 needs a
-        finite top).
-        """
-        return self.quantile(1.0 - self._check_survival_arg(q))
+        return self.quantile(stream.random(size))
 
     def survival_at_or_above(self, r):
         """P(value >= r) = 1 - F(r-)."""
-        if self.is_continuous:
-            return self.survival(r)
         x = np.asarray(r, dtype=float)
-        return _match(r, 1.0 - np.asarray(self.cdf_left(x), dtype=float))
+        return _match(r, self._survival(x) if self.is_continuous else 1.0 - self._cdf_left(x))
 
     def hazard(self, x):
         """Hazard rate f(x)/(1-F(x)) strictly inside the support."""
         self._require_density(x)
         xv = np.asarray(x, dtype=float)
-        return _match(x, np.asarray(self.pdf(xv), dtype=float)
-                      / np.asarray(self.survival(xv), dtype=float))
+        return _match(x, self._pdf(xv) / self._survival(xv))
 
     def virtual(self, x):
         """Virtual value x - 1/h(x) strictly inside the support."""
@@ -178,8 +210,7 @@ class Distribution:
 
     def _virtual_unchecked(self, x):
         xv = np.asarray(x, dtype=float)
-        sf = np.asarray(self.survival(xv), dtype=float)
-        return _match(x, xv - sf / np.asarray(self.pdf(xv), dtype=float))
+        return _match(x, xv - self._survival(xv) / self._pdf(xv))
 
     def hazard_and_virtual(self, x):
         """Return (h(x), phi(x)) at a point strictly inside the support."""
@@ -194,16 +225,12 @@ class Distribution:
         if np.any(xv <= lo) or np.any(xv >= hi):
             raise OutsideSupport(f"{self}: need {lo} < x < {hi}")
 
-    def virtual_inverse(self, y):
-        """inf{x in support : phi(x) >= y} for regular families."""
-        raise NotImplementedError(f"{self} has no virtual inverse")
-
     def revenue_curve_point(self, q):
         """R(q) = q * Q(1 - q) for 0 < q < 1."""
         qv = np.asarray(q, dtype=float)
         if np.any(qv <= 0.0) or np.any(qv >= 1.0):
             raise ValueError("revenue curve is defined for 0 < q < 1")
-        return _match(q, qv * np.asarray(self.survival_quantile(qv), dtype=float))
+        return _match(q, qv * self._survival_quantile(qv))
 
     def monopoly_reserve(self) -> float:
         """argmax_r r * P(value >= r), to 1e-9 relative precision.
@@ -288,30 +315,24 @@ class Uniform(Distribution):
     def support(self):
         return SupportInterval(self.a, self.b)
 
-    def cdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, np.clip((xv - self.a) / (self.b - self.a), 0.0, 1.0))
+    def _cdf(self, x):
+        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def pdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        inside = (xv >= self.a) & (xv <= self.b)
-        return _match(x, np.where(inside, 1.0 / (self.b - self.a), 0.0))
+    def _pdf(self, x):
+        inside = (x >= self.a) & (x <= self.b)
+        return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
-    def quantile(self, q):
-        q = self._check_quantile_arg(q)
-        return _match(q, self.a + q * (self.b - self.a))
+    def _quantile(self, q):
+        return self.a + q * (self.b - self.a)
 
-    def survival(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, np.clip((self.b - xv) / (self.b - self.a), 0.0, 1.0))
+    def _survival(self, x):
+        return np.clip((self.b - x) / (self.b - self.a), 0.0, 1.0)
 
-    def survival_quantile(self, q):
-        qv = self._check_survival_arg(q)
-        return _match(q, self.b - qv * (self.b - self.a))
+    def _survival_quantile(self, q):
+        return self.b - q * (self.b - self.a)
 
-    def virtual_inverse(self, y):
-        yv = np.asarray(y, dtype=float)
-        return _match(y, np.clip((yv + self.b) / 2.0, self.a, self.b))
+    def _virtual_inverse(self, y):
+        return np.clip((y + self.b) / 2.0, self.a, self.b)
 
     def __str__(self):
         return f"Uniform({self.a}, {self.b})"
@@ -332,29 +353,23 @@ class Exponential(Distribution):
     def support(self):
         return SupportInterval(0.0, math.inf)
 
-    def cdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, np.where(xv <= 0.0, 0.0, -np.expm1(-self.lam * np.maximum(xv, 0.0))))
+    def _cdf(self, x):
+        return np.where(x <= 0.0, 0.0, -np.expm1(-self.lam * np.maximum(x, 0.0)))
 
-    def pdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, np.where(xv < 0.0, 0.0, self.lam * np.exp(-self.lam * np.maximum(xv, 0.0))))
+    def _pdf(self, x):
+        return np.where(x < 0.0, 0.0, self.lam * np.exp(-self.lam * np.maximum(x, 0.0)))
 
-    def quantile(self, q):
-        q = self._check_quantile_arg(q)
-        return _match(q, -np.log1p(-q) / self.lam)
+    def _quantile(self, q):
+        return -np.log1p(-q) / self.lam
 
-    def survival(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, np.exp(-self.lam * np.maximum(xv, 0.0)))
+    def _survival(self, x):
+        return np.exp(-self.lam * np.maximum(x, 0.0))
 
-    def survival_quantile(self, q):
-        qv = self._check_survival_arg(q)
-        return _match(q, -np.log(qv) / self.lam)
+    def _survival_quantile(self, q):
+        return -np.log(q) / self.lam
 
-    def virtual_inverse(self, y):
-        yv = np.asarray(y, dtype=float)
-        return _match(y, np.maximum(yv + 1.0 / self.lam, 0.0))
+    def _virtual_inverse(self, y):
+        return np.maximum(y + 1.0 / self.lam, 0.0)
 
     def __str__(self):
         return f"Exponential({self.lam})"
@@ -379,34 +394,28 @@ class PowerLaw(Distribution):
     def support(self):
         return SupportInterval(1.0, math.inf)
 
-    def cdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, np.where(xv <= 1.0, 0.0, 1.0 - np.maximum(xv, 1.0) ** (-self.alpha)))
+    def _cdf(self, x):
+        return np.where(x <= 1.0, 0.0, 1.0 - np.maximum(x, 1.0) ** (-self.alpha))
 
-    def pdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, np.where(xv < 1.0, 0.0, self.alpha * np.maximum(xv, 1.0) ** (-self.alpha - 1.0)))
+    def _pdf(self, x):
+        return np.where(x < 1.0, 0.0, self.alpha * np.maximum(x, 1.0) ** (-self.alpha - 1.0))
 
-    def quantile(self, q):
-        q = self._check_quantile_arg(q)
-        return _match(q, (1.0 - q) ** (-1.0 / self.alpha))
+    def _quantile(self, q):
+        return (1.0 - q) ** (-1.0 / self.alpha)
 
-    def survival(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, np.maximum(xv, 1.0) ** (-self.alpha))
+    def _survival(self, x):
+        return np.maximum(x, 1.0) ** (-self.alpha)
 
-    def survival_quantile(self, q):
-        qv = self._check_survival_arg(q)
-        return _match(q, qv ** (-1.0 / self.alpha))
+    def _survival_quantile(self, q):
+        return q ** (-1.0 / self.alpha)
 
-    def virtual_inverse(self, y):
-        yv = np.asarray(y, dtype=float)
+    def _virtual_inverse(self, y):
         if self.alpha == 1.0:
             # phi is identically zero: any support point meets y <= 0
-            return _match(y, np.where(yv <= 0.0, 1.0, np.inf))
+            return np.where(y <= 0.0, 1.0, np.inf)
         if self.alpha < 1.0:
             raise ValueError("PowerLaw(alpha<1) is irregular; no virtual inverse")
-        return _match(y, np.maximum(yv * self.alpha / (self.alpha - 1.0), 1.0))
+        return np.maximum(y * self.alpha / (self.alpha - 1.0), 1.0)
 
     def __str__(self):
         return f"PowerLaw({self.alpha})"
@@ -427,30 +436,24 @@ class EqualRevenue(Distribution):
     def support(self):
         return SupportInterval(0.0, math.inf)
 
-    def cdf(self, x):
-        xv = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return _match(x, xv / (xv + 1.0))
+    def _cdf(self, x):
+        x = np.maximum(x, 0.0)
+        return x / (x + 1.0)
 
-    def pdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, np.where(xv < 0.0, 0.0, (np.maximum(xv, 0.0) + 1.0) ** -2.0))
+    def _pdf(self, x):
+        return np.where(x < 0.0, 0.0, (np.maximum(x, 0.0) + 1.0) ** -2.0)
 
-    def quantile(self, q):
-        q = self._check_quantile_arg(q)
-        return _match(q, q / (1.0 - q))
+    def _quantile(self, q):
+        return q / (1.0 - q)
 
-    def survival(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, 1.0 / (np.maximum(xv, 0.0) + 1.0))
+    def _survival(self, x):
+        return 1.0 / (np.maximum(x, 0.0) + 1.0)
 
-    def survival_quantile(self, q):
-        qv = self._check_survival_arg(q)
-        return _match(q, (1.0 - qv) / qv)
+    def _survival_quantile(self, q):
+        return (1.0 - q) / q
 
-    def virtual_inverse(self, y):
-        yv = np.asarray(y, dtype=float)
-        out = np.where(yv <= -1.0, 0.0, np.inf)
-        return _match(y, out)
+    def _virtual_inverse(self, y):
+        return np.where(y <= -1.0, 0.0, np.inf)
 
     def __str__(self):
         return "EqualRevenue"
@@ -480,54 +483,41 @@ class TruncatedNormal(Distribution):
     def _mass_above_zero(self):
         return float(ndtr(self.mu / self.sigma))
 
-    def cdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        z = (xv - self.mu) / self.sigma
+    def _cdf(self, x):
+        z = (x - self.mu) / self.sigma
         z0 = -self.mu / self.sigma
         out = (ndtr(z) - ndtr(z0)) / self._mass_above_zero
-        return _match(x, np.clip(np.where(xv <= 0.0, 0.0, out), 0.0, 1.0))
+        return np.clip(np.where(x <= 0.0, 0.0, out), 0.0, 1.0)
 
-    def pdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        z = (xv - self.mu) / self.sigma
+    def _pdf(self, x):
+        z = (x - self.mu) / self.sigma
         dens = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-        return _match(x, np.where(xv < 0.0, 0.0, dens / self._mass_above_zero))
+        return np.where(x < 0.0, 0.0, dens / self._mass_above_zero)
 
-    def survival(self, x):
-        xv = np.asarray(x, dtype=float)
+    def _survival(self, x):
         # Phi((mu - x)/sigma) stays accurate where 1 - cdf would round away
-        out = ndtr((self.mu - xv) / self.sigma) / self._mass_above_zero
-        return _match(x, np.where(xv <= 0.0, 1.0, np.clip(out, 0.0, 1.0)))
+        out = ndtr((self.mu - x) / self.sigma) / self._mass_above_zero
+        return np.where(x <= 0.0, 1.0, np.clip(out, 0.0, 1.0))
 
-    def survival_quantile(self, q):
-        qv = self._check_survival_arg(q)
-        scalar = qv.ndim == 0
-        qa = np.atleast_1d(qv)
+    def _survival_quantile(self, q):
         hi_val = self.mu + 10.0 * self.sigma
-        while np.asarray(self.survival(hi_val)) > np.min(qa[qa > 0.0], initial=1.0):
+        while self._survival(hi_val) > np.min(q[q > 0.0], initial=1.0):
             hi_val += 10.0 * self.sigma
-        lo, hi = np.zeros_like(qa), np.full_like(qa, hi_val)
-        out = _bisect(lambda mid: np.asarray(self.survival(mid)) > qa, lo, hi, 80)
-        return float(out[0]) if scalar else out
+        lo, hi = np.zeros_like(q), np.full_like(q, hi_val)
+        return _bisect(lambda mid: self._survival(mid) > q, lo, hi, 80)
 
-    def quantile(self, q):
-        q = self._check_quantile_arg(q)
-        scalar = q.ndim == 0
-        qv = np.atleast_1d(q)
+    def _quantile(self, q):
         # bracket: cdf is 0 at 0; expand hi until it covers max(q) < 1
         hi_val = self.mu + 10.0 * self.sigma
-        while self.cdf(hi_val) < np.max(qv[qv < 1.0], initial=0.0):
+        while self._cdf(hi_val) < np.max(q[q < 1.0], initial=0.0):
             hi_val += 10.0 * self.sigma
-        lo, hi = np.zeros_like(qv), np.full_like(qv, hi_val)
+        lo, hi = np.zeros_like(q), np.full_like(q, hi_val)
         # 80 halvings push the bracket below 1e-10
-        out = _bisect(lambda mid: np.asarray(self.cdf(mid)) < qv, lo, hi, 80)
-        return float(out[0]) if scalar else out
+        return _bisect(lambda mid: self._cdf(mid) < q, lo, hi, 80)
 
-    def virtual_inverse(self, y):
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        lo, hi = np.zeros_like(yv), np.full_like(yv, self.mu + 12.0 * self.sigma)
-        out = _bisect(lambda mid: np.asarray(self._virtual_unchecked(mid)) < yv, lo, hi, 80)
-        return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
+    def _virtual_inverse(self, y):
+        lo, hi = np.zeros_like(y), np.full_like(y, self.mu + 12.0 * self.sigma)
+        return _bisect(lambda mid: self._virtual_unchecked(mid) < y, lo, hi, 80)
 
     def __str__(self):
         return f"TruncatedNormal({self.mu}, {self.sigma})"
@@ -553,23 +543,17 @@ class PointMass(Distribution):
     def support(self):
         return SupportInterval(self.v, self.v)
 
-    def cdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, np.where(xv >= self.v, 1.0, 0.0))
+    def _cdf(self, x):
+        return np.where(x >= self.v, 1.0, 0.0)
 
-    def cdf_left(self, x):
-        xv = np.asarray(x, dtype=float)
-        return _match(x, np.where(xv > self.v, 1.0, 0.0))
+    def _cdf_left(self, x):
+        return np.where(x > self.v, 1.0, 0.0)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         raise AtomicDistribution("PointMass has no density")
 
-    def quantile(self, q):
-        q = self._check_quantile_arg(q)
-        return _match(q, np.full(np.shape(q), self.v))
-
-    def _inverse_transform(self, u):
-        return _match(u, np.full(np.shape(u), self.v))
+    def _quantile(self, q):
+        return np.full(np.shape(q), self.v)
 
     def _atom_monopoly_reserve(self):
         return self.v
@@ -599,27 +583,17 @@ class TwoPoint(Distribution):
     def support(self):
         return SupportInterval(self.v_lo, self.v_hi)
 
-    def cdf(self, x):
-        xv = np.asarray(x, dtype=float)
-        out = np.where(xv >= self.v_hi, 1.0, np.where(xv >= self.v_lo, 1.0 - self.p_hi, 0.0))
-        return _match(x, out)
+    def _cdf(self, x):
+        return np.where(x >= self.v_hi, 1.0, np.where(x >= self.v_lo, 1.0 - self.p_hi, 0.0))
 
-    def cdf_left(self, x):
-        xv = np.asarray(x, dtype=float)
-        out = np.where(xv > self.v_hi, 1.0, np.where(xv > self.v_lo, 1.0 - self.p_hi, 0.0))
-        return _match(x, out)
+    def _cdf_left(self, x):
+        return np.where(x > self.v_hi, 1.0, np.where(x > self.v_lo, 1.0 - self.p_hi, 0.0))
 
-    def pdf(self, x):
+    def _pdf(self, x):
         raise AtomicDistribution("TwoPoint has no density")
 
-    def quantile(self, q):
-        q = self._check_quantile_arg(q)
-        out = np.where(np.asarray(q) > 1.0 - self.p_hi, self.v_hi, self.v_lo)
-        return _match(q, out)
-
-    def _inverse_transform(self, u):
-        out = np.where(np.asarray(u) > 1.0 - self.p_hi, self.v_hi, self.v_lo)
-        return _match(u, out)
+    def _quantile(self, q):
+        return np.where(q > 1.0 - self.p_hi, self.v_hi, self.v_lo)
 
     def _atom_monopoly_reserve(self):
         # tie goes to the lower price (same revenue, weakly more sales)
@@ -649,6 +623,13 @@ def regularity_check(d: Distribution, grid_size: int = 10_001) -> bool:
     q = np.linspace(EPS_Q, 1.0 - EPS_Q, grid_size)
     phi = np.asarray(d._virtual_unchecked(d.quantile(q)))
     return bool(np.all(np.diff(phi) >= -MONOTONE_TOL))
+
+
+def _require_regular(dists):
+    """Raise IrregularComponent naming the first entry that is atomic or fails the grid check."""
+    for t, d in enumerate(dists):
+        if not d.is_continuous or not regularity_check(d):
+            raise IrregularComponent(f"component {t} ({d}) is not regular")
 
 
 def _intersection_grid(d1: Distribution, d2: Distribution, grid_size: int):

@@ -307,16 +307,16 @@ def _experiment_hr_lemma_sweep(seed, n_samples, n_streams, horizon, count: int =
         dominant = plan_hr_dominant(market).reserve_component
         bench = discriminating_benchmark(market, cfg)
         extras = (ComponentExtra(dominant),)
-        sp1 = estimate_mc(market, SecondPrice(), extras, cfg)
-        tag = f"m{idx:02d}"
-        rows += _factor_rows(tag, bench, "sp_plus_dominant_extra", sp1, 2.0)
         bidder_dists = tuple(
             market.components[int(np.flatnonzero(market.weights[i])[0])]
             for i in range(market.n)
         )
+        # one pass prices both: the sweep's recipe is M' of the check
         rep = commensurateness_check(
             market, MyersonRegular(bidder_dists), SecondPrice(), extras, cfg
         )
+        tag = f"m{idx:02d}"
+        rows += _factor_rows(tag, bench, "sp_plus_dominant_extra", rep.estimate, 2.0)
         rows.append(
             ReportRow(
                 mechanism=f"{tag}:eq5_virtual_of_diverging_winner",

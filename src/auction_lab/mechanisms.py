@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import regularity_check
+from .distributions import _require_regular
 from .errors import (
     IndexOutOfRange,
-    IrregularComponent,
     NegativeReserve,
     ValueOutsideSupport,
 )
@@ -128,9 +127,7 @@ class MyersonRegular:
     dists: tuple
 
     def __post_init__(self):
-        for j, d in enumerate(self.dists):
-            if not regularity_check(d):
-                raise IrregularComponent(f"dists[{j}] = {d} fails regularity")
+        _require_regular(self.dists)
 
 
 @dataclass(frozen=True)
@@ -320,7 +317,7 @@ def allocate(mech: MechanismSpec, values, rng=None, market=None):
         _check_indices(mech.component_indices, market.k, "component index")
         draws = np.column_stack(
             [
-                market.components[t]._inverse_transform(rng.random(size))
+                market.components[t]._quantile(rng.random(size))
                 for t in mech.component_indices
             ]
         )

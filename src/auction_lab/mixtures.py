@@ -26,11 +26,11 @@ from .distributions import (
     Distribution,
     SupportInterval,
     _bisect,
+    _match,
     regularity_check,
 )
 from .errors import (
     AtomicDistribution,
-    IrregularComponent,
     IrregularComponentWarning,
     NegativeWeight,
     ProfileSpaceTooLarge,
@@ -65,14 +65,15 @@ def _coin_rule(cum, u):
 
 
 def _values_given_coins(components, coin, u):
-    """Each uniform through its coin's component; one component takes the whole array."""
+    """Each uniform through its coin's component quantile; one component takes the
+    whole array.  Stream uniforms lie in [0, 1), so no level check is needed."""
     if coin.size and np.all(coin == coin[0]):
-        return np.asarray(components[coin[0]]._inverse_transform(u), dtype=float)
+        return np.asarray(components[coin[0]]._quantile(u), dtype=float)
     values = np.empty(u.shape, dtype=float)
     for t, comp in enumerate(components):
         mask = coin == t
         if np.any(mask):
-            values[mask] = comp._inverse_transform(u[mask])
+            values[mask] = comp._quantile(u[mask])
     return values
 
 
@@ -102,52 +103,45 @@ class MixtureDistribution(Distribution):
         return None
 
     def _blend(self, method, x):
-        """A pointwise law function: the lone active component's, else the weighted sum."""
+        """A pointwise law primitive: the lone active component's, else the weighted sum."""
         single = self._delegate()
         if single is not None:
             return getattr(single, method)(x)
         return sum(w * getattr(self.components[t], method)(x) for t, w in self._active)
 
     def _invert(self, method, levels, too_low):
-        """Invert a monotone law function between the extreme component answers.
+        """Invert a monotone law primitive between the extreme component answers.
 
         `too_low(mid)` marks the levels whose answer lies above mid.
         """
-        scalar = np.ndim(levels) == 0
-        levels = np.atleast_1d(levels)
-        comp = np.stack(
-            [np.atleast_1d(getattr(self.components[t], method)(levels)) for t, _ in self._active]
-        )
-        out = _bisect(too_low, comp.min(axis=0), comp.max(axis=0), 100)
-        return float(out[0]) if scalar else out
+        comp = np.stack([getattr(self.components[t], method)(levels) for t, _ in self._active])
+        return _bisect(too_low, comp.min(axis=0), comp.max(axis=0), 100)
 
-    def cdf(self, x):
-        return self._blend("cdf", x)
+    def _cdf(self, x):
+        return self._blend("_cdf", x)
 
-    def cdf_left(self, x):
-        return self._blend("cdf_left", x)
+    def _cdf_left(self, x):
+        return self._blend("_cdf_left", x)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         if not self.is_continuous:
             raise AtomicDistribution("mixture carries an atom; no density")
-        return self._blend("pdf", x)
+        return self._blend("_pdf", x)
 
-    def survival(self, x):
-        return self._blend("survival", x)
+    def _survival(self, x):
+        return self._blend("_survival", x)
 
-    def survival_quantile(self, q):
+    def _survival_quantile(self, q):
         single = self._delegate()
         if single is not None:
-            return single.survival_quantile(q)
-        qv = self._check_survival_arg(q)
-        return self._invert("survival_quantile", qv, lambda mid: np.asarray(self.survival(mid)) > qv)
+            return single._survival_quantile(q)
+        return self._invert("_survival_quantile", q, lambda mid: self._survival(mid) > q)
 
-    def quantile(self, q):
+    def _quantile(self, q):
         single = self._delegate()
         if single is not None:
-            return single.quantile(q)
-        q = self._check_quantile_arg(q)
-        return self._invert("quantile", q, lambda mid: np.asarray(self.cdf(mid)) < q)
+            return single._quantile(q)
+        return self._invert("_quantile", q, lambda mid: self._cdf(mid) < q)
 
     def sample(self, stream, size=None):
         """Two-stage draw; marginal law equals the mixture cdf."""
@@ -162,9 +156,7 @@ class MixtureDistribution(Distribution):
         coin = _coin_rule(np.cumsum(self.weights), stream.random(size))
         u_val = stream.random(size)
         if size is None:
-            return int(coin), float(
-                self.components[int(coin)]._inverse_transform(u_val)
-            )
+            return int(coin), self.components[int(coin)].quantile(u_val)
         return coin, _values_given_coins(self.components, coin, u_val)
 
     def __str__(self):
@@ -253,13 +245,6 @@ def build_market(components, weights) -> MarketModel:
     return MarketModel(components, w)
 
 
-def _require_regular_components(market: MarketModel):
-    """Raise IrregularComponent unless every component is continuous and grid-regular."""
-    for t, comp in enumerate(market.components):
-        if not comp.is_continuous or not regularity_check(comp):
-            raise IrregularComponent(f"component {t} ({comp}) is not regular")
-
-
 def sample_two_stage(market: MarketModel, i: int, stream, size=None):
     """Draw (component-index, value) for bidder i."""
     if not 0 <= i < market.n:
@@ -323,10 +308,7 @@ class IronedCurve:
         q = 1.0 - np.asarray(self.source.cdf(v), dtype=float)
         dq = self.grid[1] - self.grid[0]
         cell = np.clip(((q - self.grid[0]) / dq).astype(int), 0, len(self.ironed_phi) - 1)
-        out = self.ironed_phi[cell]
-        if np.isscalar(v) or np.ndim(v) == 0:
-            return float(out)
-        return out
+        return _match(v, self.ironed_phi[cell])
 
 
 def _upper_concave_hull(x, y):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import hr_crossing
+from .distributions import _require_regular, hr_crossing
 from .errors import (
     AssumptionUnverified,
     GroupTooSmall,
@@ -35,7 +35,7 @@ from .mechanisms import (
     SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
 )
-from .mixtures import MarketModel, _coin_rule, _require_regular_components
+from .mixtures import MarketModel, _coin_rule
 from .revenue import ComponentExtra, EstimatorConfig, RevenueEstimate, _estimate_each, estimate_mc
 from .streams import substream
 
@@ -99,7 +99,7 @@ class AugmentationPlan:
 
 def plan_targeted(market: MarketModel) -> AugmentationPlan:
     """One extra bidder per component; factor 2."""
-    _require_regular_components(market)
+    _require_regular(market.components)
     return AugmentationPlan(
         strategy=TARGETED,
         guarantee_factor=2.0,
@@ -110,7 +110,7 @@ def plan_targeted(market: MarketModel) -> AugmentationPlan:
 
 def plan_hr_dominant(market: MarketModel) -> AugmentationPlan:
     """A single extra bidder from the hazard-rate dominant component; factor 2."""
-    _require_regular_components(market)
+    _require_regular(market.components)
     first_crossing = None
     for cand in range(market.k):
         crossing = None
@@ -188,7 +188,7 @@ def plan_nontargeted(market: MarketModel) -> AugmentationPlan:
     At k = 1 the formula still reports ceil(ln 2) = 1 even though the
     setting is then regular; the count is stated verbatim.
     """
-    _require_regular_components(market)
+    _require_regular(market.components)
     _require_iid(market)
     n_star, factor, _, _ = nontargeted_counts(market.k, market.delta)
     return AugmentationPlan(

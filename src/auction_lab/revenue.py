@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .distributions import TwoPoint
+from .distributions import TwoPoint, _match, _require_regular
 from .errors import (
     DivergentTail,
     InsufficientDivergenceSamples,
@@ -45,7 +45,6 @@ from .mechanisms import _myerson_batch, _virtual_matrix, allocate
 from .mixtures import (
     MarketModel,
     _coin_rule,
-    _require_regular_components,
     _values_given_coins,
     enumerate_profiles,
 )
@@ -145,7 +144,7 @@ def _draw_market(market: MarketModel, rng, size: int, extras=()):
     for j, spec in enumerate(extras, start=n):
         if isinstance(spec, ComponentExtra):
             rng.random(out=u)
-            values[:, j] = market.components[spec.index]._inverse_transform(u)
+            values[:, j] = market.components[spec.index]._quantile(u)
         elif isinstance(spec, DeterministicExtra):
             values[:, j] = float(spec.value)
         else:
@@ -309,14 +308,14 @@ def _second_highest_law(dists, z):
     """(P(second-highest <= z), P(second-highest > z)), vectorized over z.
 
     One pass over the bidders carries P(none / exactly one / at least two
-    above z) from F = cdf(z) and S = survival(z).  No term is subtracted, so
+    above z) from the array primitives F = _cdf(z) and S = _survival(z),
+    with no per-call argument handling.  No term is subtracted, so
     the upper tail keeps its precision where 1 - prod(F) would round away.
     """
     zv = np.asarray(z, dtype=float)
     none, one, two = 1.0, 0.0, 0.0
     for d in dists:
-        F = np.asarray(d.cdf(zv), dtype=float)
-        S = np.asarray(d.survival(zv), dtype=float)
+        F, S = d._cdf(zv), d._survival(zv)
         none, one, two = none * F, one * F + none * S, two * (F + S) + one * S
     return none + one, two
 
@@ -326,8 +325,7 @@ def vickrey_revenue_cdf(dists, z):
     bidder exceeds z."""
     if len(dists) < 2:
         raise ValueError("second-highest needs at least two bidders")
-    below, _ = _second_highest_law(dists, z)
-    return float(below) if np.isscalar(z) or np.ndim(z) == 0 else below
+    return _match(z, _second_highest_law(dists, z)[0])
 
 
 def posted_sequence_revenue_exact(dists, prices, order) -> RevenueEstimate:
@@ -501,7 +499,7 @@ def _profile_draw(dists):
     def draw(rng, size):
         values = np.empty((size, len(dists)))
         for j, d in enumerate(dists):
-            values[:, j] = d._inverse_transform(rng.random(size))
+            values[:, j] = d._quantile(rng.random(size))
         return None, values
 
     return draw
@@ -522,7 +520,7 @@ def discriminating_benchmark(
     if policies is None:
         # each profile's optimum is Myerson per component, so equal-revenue
         # or atomic components need explicit policies instead
-        _require_regular_components(market)
+        _require_regular(market.components)
     if total <= cfg.profile_cap:
         profiles = enumerate_profiles(market, cfg.profile_cap)
         if policies is not None:
@@ -599,6 +597,8 @@ class CommensuratenessReport:
     eq6: on every divergence sample the price paid by W' must be at least
          phi_W(v_W); the report carries the pointwise pass rate (the
          inequality holds sample by sample, not just in expectation).
+    estimate: the revenue of M' over every draw, equal to estimate_mc of M' on
+         the same market, extras and cfg.
     """
 
     n_samples: int
@@ -607,6 +607,7 @@ class CommensuratenessReport:
     eq5_std_err: float | None
     eq6_pass_count: int
     no_divergence: bool
+    estimate: RevenueEstimate
 
     @property
     def eq5_within_noise(self) -> bool:
@@ -643,7 +644,9 @@ def commensurateness_check(
     mechanisms, because the inequalities being tested are per-draw
     couplings.  Conditioning is by rejection: only samples whose winners
     diverge contribute, and fewer than 100 such samples (but more than
-    zero) raises InsufficientDivergenceSamples.
+    zero) raises InsufficientDivergenceSamples.  M' starts from the
+    generator state right after the draws, so the report's `estimate` is
+    bit-identical to estimate_mc(market, mech_m_prime, extras, cfg).
     """
     col_dists = _column_dists(market, extras_for_m_prime)
     for d in col_dists:
@@ -655,15 +658,17 @@ def commensurateness_check(
 
     def kernel(rng, coins, full):
         nonlocal eq6_pass
+        after_draws = rng.bit_generator.state
         w_m, _ = allocate(mech_m, full[:, :n], rng, market=market)
+        rng.bit_generator.state = after_draws
         w_p, price_p = allocate(mech_m_prime, full, rng, market=market)
         phi = _virtual_matrix(full, col_dists)
         diverged = w_p != w_m
         phi_wm = _winner_virtual(phi, w_m)[diverged]
         eq6_pass += int(np.count_nonzero(price_p[diverged] >= phi_wm - _EQ6_TOL))
-        return (_winner_virtual(phi, w_p)[diverged],)
+        return _winner_virtual(phi, w_p)[diverged], price_p
 
-    (stats,) = _market_streams(market, extras_for_m_prime, cfg, kernel)
+    stats, price_stats = _market_streams(market, extras_for_m_prime, cfg, kernel)
     div_count, mean, m2 = stats
     if 0 < div_count < _MIN_DIVERGENCE:
         raise InsufficientDivergenceSamples(
@@ -677,4 +682,5 @@ def commensurateness_check(
         eq5_std_err=math.sqrt(m2 / max(div_count - 1, 1) / div_count) if diverged else None,
         eq6_pass_count=eq6_pass,
         no_divergence=not diverged,
+        estimate=_as_estimate(price_stats),
     )

@@ -287,6 +287,42 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: IrregularComponent: component 0")
 
+    def test_simulate_myerson_atomic_component_exit_one(self, tmp_path, capsys):
+        doc = json.loads(scenario_text(mechanism={"kind": "myerson_regular"}))
+        doc["market"]["components"] = [
+            {"family": "point_mass", "value": 1.0},
+            {"family": "uniform", "a": 0, "b": 1},
+        ]
+        doc["market"]["weights"] = [[1.0, 0.0], [0.0, 1.0]]
+        path = tmp_path / "myerson_atomic.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: IrregularComponent: ")
+
+    def test_plan_sample_based_skipped_one_by_one(self, tmp_path, capsys):
+        doc = json.loads(scenario_text())
+        doc["market"] = {
+            "components": [
+                {"family": "uniform", "a": 0, "b": 2},
+                {"family": "exponential", "rate": 1.0},
+            ],
+            "iid": True,
+            "weights": [0.5, 0.5],
+            "n": 3,
+        }
+        path = tmp_path / "iid3.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", str(path), "--samples", "4000"]) == 0
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        by_strategy = {r["strategy"]: r for r in records}
+        assert "sample_based" not in by_strategy
+        for strategy in ("sample_reserve", "random_subset_reserve"):
+            assert by_strategy[strategy]["evidence_n_samples"] == 4000
+        (skipped,) = [r for r in records if "skipped" in r and r["strategy"] == "no_reserve"]
+        assert skipped["skipped"].startswith("GroupTooSmall: no-reserve guarantee needs t >= 2")
+
     def test_plan_non_iid_skips_nontargeted(self, tmp_path, capsys):
         doc = json.loads(scenario_text())
         doc["market"]["components"] = [

@@ -39,6 +39,19 @@ CONTINUOUS_FAMILIES = [
     TruncatedNormal(0.5, 2.0),
 ]
 
+# every family once, plus a bounded and an unbounded mixture
+EVERY_LAW = [
+    Uniform(0.5, 2.0),
+    Exponential(1.0),
+    PowerLaw(2.5),
+    EqualRevenue(),
+    TruncatedNormal(1.0, 1.0),
+    PointMass(1.0),
+    TwoPoint(1.0, 3.0, 0.4),
+    MixtureDistribution((Uniform(0, 1), Uniform(0, 2)), (0.5, 0.5)),
+    MixtureDistribution((Uniform(0, 1), Exponential(1.0)), (0.5, 0.5)),
+]
+
 
 def bisect_quantile_oracle(cdf, q, lo, hi, iters=200):
     """Independent bisection used to freeze quantile expectations."""
@@ -103,21 +116,7 @@ class TestQuantile:
         for q in (0.1, 0.5, 0.9, 0.999):
             assert d.cdf(d.quantile(q)) == pytest.approx(q, abs=1e-10)
 
-    @pytest.mark.parametrize(
-        "d",
-        [
-            Uniform(0.5, 2.0),
-            Exponential(1.0),
-            PowerLaw(2.5),
-            EqualRevenue(),
-            TruncatedNormal(1.0, 1.0),
-            PointMass(1.0),
-            TwoPoint(1.0, 3.0, 0.4),
-            MixtureDistribution((Uniform(0, 1), Uniform(0, 2)), (0.5, 0.5)),
-            MixtureDistribution((Uniform(0, 1), Exponential(1.0)), (0.5, 0.5)),
-        ],
-        ids=str,
-    )
+    @pytest.mark.parametrize("d", EVERY_LAW, ids=str)
     def test_survival_levels_checked(self, d):
         for bad in (-0.5, 2.0):
             with pytest.raises(ValueError):
@@ -129,6 +128,31 @@ class TestQuantile:
         else:
             with pytest.raises(UnboundedQuantile):
                 d.survival_quantile(0.0)
+
+
+class TestLawContract:
+    @pytest.mark.parametrize("d", EVERY_LAW, ids=str)
+    def test_law_contract(self, d):
+        """float for a Python float, an array of the input's shape otherwise;
+        quantile levels outside [0, 1] raise."""
+        laws = ["cdf", "cdf_left", "survival"] + (["pdf"] if d.is_continuous else [])
+        x = np.linspace(0.0, 4.0, 12).reshape(3, 4)
+        for name in laws:
+            law = getattr(d, name)
+            assert type(law(1.25)) is float, name
+            out = law(x)
+            assert isinstance(out, np.ndarray) and out.shape == x.shape, name
+        q = np.linspace(0.05, 0.95, 12).reshape(4, 3)
+        for name in ("quantile", "survival_quantile"):
+            law = getattr(d, name)
+            assert type(law(0.3)) is float, name
+            out = law(q)
+            assert isinstance(out, np.ndarray) and out.shape == q.shape, name
+        for bad in (-0.5, 2.0):
+            with pytest.raises(ValueError):
+                d.quantile(bad)
+            with pytest.raises(ValueError):
+                d.quantile(np.array([0.5, bad]))
 
 
 class TestHazardVirtual:

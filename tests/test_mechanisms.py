@@ -14,6 +14,7 @@ from auction_lab import (
     IronedCurve,
     MyersonIroned,
     MyersonRegular,
+    PointMass,
     PostedSequence,
     SecondPrice,
     SecondPriceAnonymousReserve,
@@ -180,6 +181,10 @@ class TestMyerson:
     def test_regularity_enforced_by_spec(self):
         with pytest.raises(IrregularComponent):
             MyersonRegular((PowerLawIrregular(),))
+
+    def test_atomic_entry_is_irregular(self):
+        with pytest.raises(IrregularComponent, match="component 0"):
+            MyersonRegular((PointMass(1.0), Uniform(0, 1)))
 
     def test_ironed_curves_accepted(self):
         curves = (iron_distribution(Uniform(0, 1)), iron_distribution(Uniform(0, 1)))

@@ -148,7 +148,7 @@ def _reference_draw_market(market, rng, size):
         for t, comp in enumerate(market.components):
             mask = coin == t
             if np.any(mask):
-                values[mask, i] = comp._inverse_transform(u_val[mask])
+                values[mask, i] = comp._quantile(u_val[mask])
         coins[:, i] = coin
     return coins, values
 
@@ -207,7 +207,7 @@ class TestDrawMarket:
         rng, ref_rng = stream(9, 0), stream(9, 0)
         _, values = _draw_market(market, rng, 500, extras)
         _, ref_values = _reference_draw_market(market, ref_rng, 500)
-        extra = market.components[0]._inverse_transform(ref_rng.random(500))
+        extra = market.components[0]._quantile(ref_rng.random(500))
         assert values[:, : market.n].tobytes() == ref_values.tobytes()
         assert values[:, market.n].tobytes() == extra.tobytes()
         assert np.all(values[:, market.n + 1] == 2.5)
@@ -640,6 +640,21 @@ class TestCommensurateness:
         assert rep.no_divergence
         assert rep.divergence_count == 0
         assert rep.eq5_within_noise and rep.eq6_pointwise
+
+    @pytest.mark.parametrize("stream_consuming", [False, True])
+    def test_report_estimate_equals_estimate_mc(self, stream_consuming):
+        market = hr_ordered_markets(seed=20130, count=1)[0]
+        dists = tuple(
+            market.components[int(np.flatnonzero(market.weights[i])[0])]
+            for i in range(market.n)
+        )
+        mech_m, mech_p = MyersonRegular(dists), SecondPrice()
+        if stream_consuming:
+            mech_m, mech_p = SecondPriceSampleReserve((0,)), SecondPriceSampleReserve((1,))
+        extras = (ComponentExtra(0),)
+        cfg = EstimatorConfig(seed=71, n_samples=30_000, n_streams=3)
+        rep = commensurateness_check(market, mech_m, mech_p, extras, cfg)
+        assert rep.estimate == estimate_mc(market, mech_p, extras, cfg)
 
     def test_insufficient_divergence(self):
         market = build_market((Uniform(0, 1), Uniform(0.0, 0.2)), [[1.0, 0.0]] * 2)
