@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     AtomicDistribution,
@@ -109,6 +109,8 @@ class Distribution:
     #: set by subclasses
     support: SupportInterval
     is_continuous: bool
+    #: a with P(value > x) ~ x**-a; inf for bounded or thinner tails
+    tail_index = math.inf
 
     # -- public law surface ---------------------------------------------------
 
@@ -391,6 +393,10 @@ class PowerLaw(Distribution):
             raise ValueError("PowerLaw requires alpha > 0")
 
     @property
+    def tail_index(self):
+        return self.alpha
+
+    @property
     def support(self):
         return SupportInterval(1.0, math.inf)
 
@@ -431,6 +437,7 @@ class EqualRevenue(Distribution):
     """
 
     is_continuous = True
+    tail_index = 1.0
 
     @property
     def support(self):
@@ -463,8 +470,8 @@ class EqualRevenue(Distribution):
 class TruncatedNormal(Distribution):
     """Normal(mu, sigma) conditioned on [0, inf).
 
-    The quantile has no assumed closed form; it is computed by bisection on
-    the cdf to 1e-10.
+    Quantiles invert ndtr in closed form with ndtri; the virtual inverse is a
+    bisection.
     """
 
     mu: float
@@ -500,20 +507,14 @@ class TruncatedNormal(Distribution):
         return np.where(x <= 0.0, 1.0, np.clip(out, 0.0, 1.0))
 
     def _survival_quantile(self, q):
-        hi_val = self.mu + 10.0 * self.sigma
-        while self._survival(hi_val) > np.min(q[q > 0.0], initial=1.0):
-            hi_val += 10.0 * self.sigma
-        lo, hi = np.zeros_like(q), np.full_like(q, hi_val)
-        return _bisect(lambda mid: self._survival(mid) > q, lo, hi, 80)
+        return np.maximum(self.mu - self.sigma * ndtri(q * self._mass_above_zero), 0.0)
 
     def _quantile(self, q):
-        # bracket: cdf is 0 at 0; expand hi until it covers max(q) < 1
-        hi_val = self.mu + 10.0 * self.sigma
-        while self._cdf(hi_val) < np.max(q[q < 1.0], initial=0.0):
-            hi_val += 10.0 * self.sigma
-        lo, hi = np.zeros_like(q), np.full_like(q, hi_val)
-        # 80 halvings push the bracket below 1e-10
-        return _bisect(lambda mid: self._cdf(mid) < q, lo, hi, 80)
+        # invert ndtr on the side where its argument is at most 1/2: past
+        # that, the cdf side keeps too few digits of the gap to 1
+        lower = ndtr(-self.mu / self.sigma) + q * self._mass_above_zero
+        low = np.maximum(self.mu + self.sigma * ndtri(np.minimum(lower, 0.5)), 0.0)
+        return np.where(lower > 0.5, self._survival_quantile(1.0 - q), low)
 
     def _virtual_inverse(self, y):
         lo, hi = np.zeros_like(y), np.full_like(y, self.mu + 12.0 * self.sigma)

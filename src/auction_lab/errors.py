@@ -47,7 +47,7 @@ class NegativeWeight(AuctionLabError):
 
 
 class ProfileSpaceTooLarge(AuctionLabError):
-    """k**n exceeds the enumeration cap; switch to sampled profiles."""
+    """k**n exceeds the enumeration cap (the `policies` benchmark enumerates every profile)."""
 
 
 class IrregularComponentWarning(UserWarning):
@@ -78,7 +78,11 @@ class NonMonotoneAllocation(AuctionLabError):
 # --- revenue estimation ----------------------------------------------------
 
 class DivergentTail(AuctionLabError):
-    """Tail integral of the revenue survival function fails to converge."""
+    """The tail of an integral (revenue survival, benchmark) leaves more than tol beyond its last panel."""
+
+
+class ToleranceNotMet(AuctionLabError):
+    """Quadrature panels still disagree beyond tol after the last bisection round."""
 
 
 class InsufficientDivergenceSamples(AuctionLabError):

@@ -197,7 +197,7 @@ def _experiment_appendix_lb(seed, n_samples, n_streams, horizon):
             dists = [market.components[q0], market.components[q1]] + extras_dists
             vickrey_mean += 0.25 * expected_revenue_quadrature(dists, tol=tol).mean
     vickrey = RevenueEstimate(vickrey_mean, 0.0, 0, "quadrature")
-    cfg = EstimatorConfig(seed=seed, n_samples=1, profile_cap=10**6)
+    cfg = EstimatorConfig(seed=seed, n_samples=1)
     bench = discriminating_benchmark(market, cfg, policies=_appendix_policies(horizon))
     ratio = approximation_ratio(bench, vickrey)
 

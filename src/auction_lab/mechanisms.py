@@ -211,25 +211,17 @@ def _ironed_inverse(curve: IronedCurve, y, strict):
     return curve.values[idx]
 
 
-def _myerson_batch(values, rules, coins=None):
+def _myerson_batch(values, rules):
     """Myerson winners and critical prices.
 
     The winner has the highest (ironed) virtual value if it is non-negative
     and pays the lowest value whose virtual value still meets
     max(0, highest rival virtual value).  rules[j] prices column j (a
-    Distribution or IronedCurve); with `coins`, rules[t] is component t and
-    each cell is priced by its coin's component.
+    Distribution or IronedCurve).
     """
     size, m = values.shape
     rows = np.arange(size)
-    if coins is None:
-        phi = _virtual_matrix(values, rules)
-    else:
-        phi = np.empty_like(values)
-        for t, comp in enumerate(rules):
-            mask = coins == t
-            if np.any(mask):
-                phi[mask] = comp._virtual_unchecked(values[mask])
+    phi = _virtual_matrix(values, rules)
     winner = np.argmax(phi, axis=1)
     sale = phi[rows, winner] >= 0.0
     strict = np.zeros(size, dtype=bool)
@@ -246,11 +238,10 @@ def _myerson_batch(values, rules, coins=None):
     else:
         max_others = np.full(size, -np.inf)
     thr = np.maximum(max_others, 0.0)
-    w_rule = winner if coins is None else coins[rows, winner]
     w_value = values[rows, winner]
     price = np.zeros(size)
     for j, rule in enumerate(rules):
-        mask = sale & (w_rule == j)
+        mask = sale & (winner == j)
         if not np.any(mask):
             continue
         if isinstance(rule, IronedCurve):

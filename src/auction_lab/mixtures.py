@@ -97,6 +97,10 @@ class MixtureDistribution(Distribution):
         his = [self.components[t].support.hi for t, _ in self._active]
         return SupportInterval(min(los), max(his))
 
+    @property
+    def tail_index(self):
+        return min(self.components[t].tail_index for t, _ in self._active)
+
     def _delegate(self):
         if len(self._active) == 1:
             return self.components[self._active[0][0]]

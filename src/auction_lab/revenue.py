@@ -13,24 +13,29 @@ Three estimation routes:
   `posted_sequence_revenue_exact`, the two-point evaluators).  The law of
   the second-highest value comes from one O(m) pass over the bidders
   (`_second_highest_law`) with no cap on their number.
-* Quantile/tail quadrature (`expected_revenue_quadrature`): adaptive Simpson
-  on P(second-highest > z) with the substitution u = z/(1+z) on the
-  unbounded tail.
+* Quadrature (`expected_revenue_quadrature`) of P(second-highest > z) by
+  one integration helper (`_integrate`): composite 16/32-node
+  Gauss-Legendre on panels split at atoms and support ends plus geometric
+  tail panels, every node of a round in one vectorized integrand call, and
+  bisection of the panels that miss their share of `tol`.
 
 `discriminating_benchmark` prices the seller who observes the mixture coins
-before choosing the auction: sum over index profiles q of p(q) * OPT(G(q)),
-by exact profile enumeration when k**n fits the cap and by unbiased coin
-sampling otherwise.  `commensurateness_check` measures the two conditional
-inequalities that make a simple auction commensurate with an optimal one,
-with common random numbers feeding both mechanisms because the underlying
-inequalities are per-draw couplings.
+before choosing the auction: sum over index profiles q of p(q) * OPT(G(q)).
+For regular components Myerson gives OPT(G(q)) as an integral of
+P(max_i phi_i(v_i) > y); the coins are independent across bidders, so the
+sum over q passes inside the product and the whole benchmark is one
+`_integrate` call, with no profile enumeration.  Supplied per-profile
+posted-price policies are valued exactly over all k**n profiles instead.
+`commensurateness_check` measures the two conditional inequalities that
+make a simple auction commensurate with an optimal one, with common random
+numbers feeding both mechanisms because the underlying inequalities are
+per-draw couplings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -38,12 +43,14 @@ from .distributions import TwoPoint, _match, _require_regular
 from .errors import (
     DivergentTail,
     InsufficientDivergenceSamples,
-    ProfileSpaceTooLarge,
+    SupremumNotAttained,
+    ToleranceNotMet,
     ZeroDenominator,
 )
-from .mechanisms import _myerson_batch, _virtual_matrix, allocate
+from .mechanisms import _virtual_matrix, allocate
 from .mixtures import (
     MarketModel,
+    MixtureDistribution,
     _coin_rule,
     _values_given_coins,
     enumerate_profiles,
@@ -97,7 +104,6 @@ class EstimatorConfig:
     seed: int
     n_samples: int = 100_000
     n_streams: int = 8
-    profile_cap: int = 10**6
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -186,25 +192,25 @@ def _as_estimate(stats) -> RevenueEstimate:
     return RevenueEstimate(mean=mean, std_err=math.sqrt(var / n), n_samples=n, method="mc")
 
 
-def _run_streams(cfg, n_samples, path, draw, kernel):
-    """Merged (n, mean, M2) per output of `kernel` over n_samples draws.
+def _run_streams(market: MarketModel, extras, cfg, kernel):
+    """Merged (n, mean, M2) per output of `kernel` over cfg.n_samples draws.
 
-    Stream s draws its share of the samples from substream(cfg.seed, *path,
-    s) with `draw(rng, size) -> (coins, values)`; `kernel(rng, coins,
-    values)` returns one sample array per output.  Kernel errors are
-    annotated with the sample range and stream being evaluated.
+    Stream s draws its share of the samples of the bidders, then the extras,
+    from substream(cfg.seed, s); `kernel(rng, values)` returns one sample
+    array per output.  Kernel errors are annotated with the sample range and
+    stream being evaluated.
     """
     merged = None
     offset = 0
-    base, rem = divmod(n_samples, cfg.n_streams)
+    base, rem = divmod(cfg.n_samples, cfg.n_streams)
     for s in range(cfg.n_streams):
         size = base + (1 if s < rem else 0)
         if size == 0:
             continue
-        rng = substream(cfg.seed, *path, s)
-        coins, values = draw(rng, size)
+        rng = substream(cfg.seed, s)
+        _, values = _draw_market(market, rng, size, extras)
         try:
-            outputs = kernel(rng, coins, values)
+            outputs = kernel(rng, values)
         except Exception as exc:
             exc.sample_range = (offset, offset + size)
             exc.stream_index = s
@@ -220,12 +226,6 @@ def _run_streams(cfg, n_samples, path, draw, kernel):
     return merged
 
 
-def _market_streams(market, extras, cfg, kernel):
-    """_run_streams over cfg.n_samples draws of the bidders, then the extras."""
-    draw = partial(_draw_market, market, extras=extras)
-    return _run_streams(cfg, cfg.n_samples, (), draw, kernel)
-
-
 def _estimate_each(market: MarketModel, mechs, extras, cfg: EstimatorConfig):
     """estimate_mc of every mechanism in `mechs`, all on one set of draws.
 
@@ -233,7 +233,7 @@ def _estimate_each(market: MarketModel, mechs, extras, cfg: EstimatorConfig):
     so each result is bit-identical to its own estimate_mc call.
     """
 
-    def kernel(rng, coins, values):
+    def kernel(rng, values):
         after_draws = rng.bit_generator.state
         prices = []
         for mech in mechs:
@@ -241,7 +241,7 @@ def _estimate_each(market: MarketModel, mechs, extras, cfg: EstimatorConfig):
             prices.append(allocate(mech, values, rng, market=market)[1])
         return prices
 
-    stats = _market_streams(market, extras, cfg, kernel)
+    stats = _run_streams(market, extras, cfg, kernel)
     return [_as_estimate(st) for st in stats]
 
 
@@ -291,11 +291,11 @@ def virtual_surplus_gap(
     """
     col_dists = _column_dists(market, extras)
 
-    def kernel(rng, coins, values):
+    def kernel(rng, values):
         winner, price = allocate(mech, values, rng, market=market)
         return (price - _winner_virtual(_virtual_matrix(values, col_dists), winner),)
 
-    (stats,) = _market_streams(market, extras, cfg, kernel)
+    (stats,) = _run_streams(market, extras, cfg, kernel)
     return _as_estimate(stats)
 
 
@@ -401,108 +401,93 @@ def best_posted_ladder_two_point(n_bidders: int, dist: TwoPoint):
 # ---------------------------------------------------------------------------
 
 
-def _adaptive_simpson(f, a, b, tol, depth=50):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth)
+_GAUSS = tuple(np.polynomial.legendre.leggauss(n) for n in (16, 32))
+_TAIL_DOUBLINGS = 60
+_MAX_ROUNDS = 40
+_ROUNDING = 64 * np.finfo(float).eps
 
 
-def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return _simpson_recurse(
-        f, a, m, fa, flm, fm, left, half, depth - 1
-    ) + _simpson_recurse(f, m, b, fm, frm, fb, right, half, depth - 1)
+def _integrate(f, breaks, tol):
+    """Integral of f over [min(breaks), inf) by composite Gauss-Legendre.
+
+    Panels run between the sorted breakpoints, then over [c*2^j, c*2^(j+1)]
+    for j < 60 from the last breakpoint c (1 when it is 0).  Each round
+    evaluates the 16- and 32-node rules on every open panel in one call
+    f(array of nodes) and keeps the 32-node value of each panel where the
+    two agree within its share of tol (or to rounding); the others are
+    bisected, each half taking half the share.  Raises DivergentTail when the
+    geometric continuation of the last two tail panels leaves more than tol
+    beyond the last one, and ToleranceNotMet when panels still disagree
+    after the last round.  Sums use np.add.reduce, so the result does not
+    depend on BLAS threading.
+    """
+    edges = sorted(set(breaks))
+    if edges[-1] <= 0.0:
+        edges.append(1.0)
+    edges += [edges[-1] * 2.0**j for j in range(1, _TAIL_DOUBLINGS + 1)]
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    share = np.full(a.size, tol / a.size)
+    (x16, w16), (x32, w32) = _GAUSS
+    unit = np.concatenate([x16, x32])
+    kept = []
+    for rounds in range(_MAX_ROUNDS):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        vals = f((mid[:, None] + half[:, None] * unit).ravel()).reshape(a.size, unit.size)
+        coarse = half * np.add.reduce(vals[:, :16] * w16, axis=1)
+        fine = half * np.add.reduce(vals[:, 16:] * w32, axis=1)
+        if rounds == 0:
+            prev, last = fine[-2:]
+            ratio = last / prev if prev > 0.0 else math.inf
+            if last > 0.0 and (ratio >= 1.0 or last * ratio / (1.0 - ratio) > tol):
+                raise DivergentTail("integrand tail is not integrable at this tolerance")
+        ok = np.abs(fine - coarse) <= np.maximum(share, _ROUNDING * np.abs(fine))
+        kept.append(fine[ok])
+        if ok.all():
+            break
+        a, b, share = a[~ok], b[~ok], share[~ok]
+        mid = 0.5 * (a + b)
+        a, b, share = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(0.5 * share, 2)
+    else:
+        raise ToleranceNotMet(f"{a.size} quadrature panels still miss tol {tol:g}")
+    return float(np.add.reduce(np.concatenate(kept)))
 
 
 def _atom_breakpoints(dists):
+    """Support ends of every law, recursing into mixture components, whose
+    ends include every atom."""
     pts = set()
     for d in dists:
-        sup = d.support
-        pts.add(sup.lo)
-        if math.isfinite(sup.hi):
-            pts.add(sup.hi)
-        if isinstance(d, TwoPoint):
-            pts.update((d.v_lo, d.v_hi))
+        if isinstance(d, MixtureDistribution):
+            pts |= _atom_breakpoints([d.components[t] for t, _ in d._active])
+            continue
+        pts.add(d.support.lo)
+        if d.support.bounded:
+            pts.add(d.support.hi)
     return pts
 
 
 def expected_revenue_quadrature(dists, reserve: float | None = None, tol: float = 1e-6) -> RevenueEstimate:
-    """E[second-price revenue] = integral of P(second-highest > z).
+    """E[second-price revenue] = reserve * P(sale) + integral of P(second-highest > z).
 
     The integrand comes from `_second_highest_law`, so any number of bidders
-    is allowed.  Splits at atoms and support endpoints so each Simpson
-    segment is smooth, then substitutes z = u/(1-u) on the unbounded tail.
-    Raises DivergentTail when the transformed tail integrand keeps growing
-    toward u = 1.
+    is allowed; `_integrate` splits at atoms and support ends and raises
+    DivergentTail when the revenue has no finite mean at this tolerance.
     """
     lo = float(reserve) if reserve is not None else 0.0
-
-    def survival(z):
-        return float(_second_highest_law(dists, z)[1])
-
     head = 0.0
     if reserve is not None:
         sold = 1.0 - math.prod(float(d.cdf_left(reserve)) for d in dists)
         head = reserve * sold
-
-    pts = sorted(p for p in _atom_breakpoints(dists) if p > lo + 1e-300)
-    cut = max([lo] + pts) + 1.0  # tail starts past every breakpoint
-    segments = []
-    prev = lo
-    for p in pts + [cut]:
-        if p > prev:
-            segments.append((prev, p))
-            prev = p
-
-    seg_tol = tol / (2.0 * max(len(segments), 1))
-    nudge = 1e-13
-    bounded = 0.0
-    for a, b in segments:
-        eps_a = nudge * (1.0 + abs(a))
-        eps_b = nudge * (1.0 + abs(b))
-        bounded += _adaptive_simpson(survival, a + eps_a, b - eps_b, seg_tol)
-
-    # tail: z = u/(1-u), dz = du/(1-u)^2
-    def g(u):
-        z = u / (1.0 - u)
-        return survival(z) / ((1.0 - u) ** 2)
-
-    probes = [g(1.0 - 10.0**-e) for e in (6, 8, 10)]
-    if probes[0] < probes[1] < probes[2] and probes[2] > max(probes[0] * 25.0, 1.0 / tol):
-        raise DivergentTail("revenue survival tail is not integrable at this tolerance")
-    u_start = cut / (1.0 + cut)
-    tail = _adaptive_simpson(g, u_start, 1.0 - 1e-12, tol / 2.0)
-
-    return RevenueEstimate(
-        mean=head + bounded + tail, std_err=0.0, n_samples=0, method="quadrature"
-    )
+    breaks = [lo] + [p for p in _atom_breakpoints(dists) if p > lo]
+    body = _integrate(lambda z: _second_highest_law(dists, z)[1], breaks, tol)
+    return RevenueEstimate(mean=head + body, std_err=0.0, n_samples=0, method="quadrature")
 
 
 # ---------------------------------------------------------------------------
 # Discriminating benchmark and ratios
 # ---------------------------------------------------------------------------
 
-_MIN_PROFILE_SAMPLES = 64
-
-
-def _profile_draw(dists):
-    """Draws for a fixed index profile: one uniform column per bidder."""
-
-    def draw(rng, size):
-        values = np.empty((size, len(dists)))
-        for j, d in enumerate(dists):
-            values[:, j] = d._quantile(rng.random(size))
-        return None, values
-
-    return draw
+_BENCHMARK_TOL = 1e-9
 
 
 def discriminating_benchmark(
@@ -511,64 +496,52 @@ def discriminating_benchmark(
     """sum_q p(q) * OPT(G(q)): optimal revenue given the coins are observed.
 
     With `policies` (a mapping or callable from a profile tuple to a
-    PostedSequence), each profile is valued exactly by the supplied policy;
-    this is how equal-revenue or atomic components are benchmarked.  Without
-    policies every component must be regular and each profile's optimum is
-    a per-profile Myerson Monte Carlo estimate.
+    PostedSequence), each of the k**n profiles is valued exactly by the
+    supplied policy; this is how equal-revenue or atomic components are
+    benchmarked.  Without policies every component must be regular with a
+    tail index above 1, and the benchmark is Myerson's expected virtual
+    surplus, the integral over y >= 0 of P(max_i phi_i(v_i) > y), as one
+    `_integrate` call: method "quadrature" for any n and k.  `cfg` is not
+    read; it keeps the call shape of the Monte Carlo estimators.
     """
-    total = market.k**market.n
     if policies is None:
-        # each profile's optimum is Myerson per component, so equal-revenue
-        # or atomic components need explicit policies instead
         _require_regular(market.components)
-    if total <= cfg.profile_cap:
-        profiles = enumerate_profiles(market, cfg.profile_cap)
-        if policies is not None:
-            lookup = policies if callable(policies) else policies.get
-            mean = 0.0
-            for prof in profiles:
-                if prof.weight == 0.0:
-                    continue
-                policy = lookup(prof.q)
-                if policy is None:
-                    raise ValueError(f"no policy supplied for profile {prof.q}")
-                dists = [market.components[t] for t in prof.q]
-                val = posted_sequence_revenue_exact(dists, policy.prices, policy.order)
-                mean += prof.weight * val.mean
-            return RevenueEstimate(mean=mean, std_err=0.0, n_samples=0, method="exact")
+        for t, c in enumerate(market.components):
+            if c.tail_index <= 1.0:
+                raise SupremumNotAttained(
+                    f"component {t} ({c}) has tail index {c.tail_index:g} <= 1, so its "
+                    "optimal revenue is a supremum Myerson does not price; supply policies"
+                )
+        breaks = [0.0]
+        for c in market.components:
+            breaks.append(max(0.0, c._virtual_unchecked(c.support.lo)))
+            if c.support.bounded:
+                breaks.append(c.support.hi)
+        weights = market.weights[:, :, None]
 
-        mean = 0.0
-        var = 0.0
-        n_total = 0
-        for idx, prof in enumerate(profiles):
-            if prof.weight == 0.0:
-                continue
-            dists = [market.components[t] for t in prof.q]
-            n_q = max(int(round(cfg.n_samples * prof.weight)), _MIN_PROFILE_SAMPLES)
+        def any_phi_above(y):
+            # independent coins average inside the product:
+            # 1 - prod_i (1 - sum_t p_it S_t(phi_t^-1(y))), formed as -expm1 of
+            # a sum of log1p so the tail keeps its precision
+            surv = np.stack([c._survival(c._virtual_inverse(y)) for c in market.components])
+            above = np.minimum(np.add.reduce(weights * surv, axis=1), 1.0)
+            with np.errstate(divide="ignore"):
+                return -np.expm1(np.add.reduce(np.log1p(-above), axis=0))
 
-            def kernel(rng, coins, values):
-                return (_myerson_batch(values, dists)[1],)
+        mean = _integrate(any_phi_above, breaks, _BENCHMARK_TOL)
+        return RevenueEstimate(mean=mean, std_err=0.0, n_samples=0, method="quadrature")
 
-            (stats,) = _run_streams(cfg, n_q, (idx,), _profile_draw(dists), kernel)
-            est = _as_estimate(stats)
-            mean += prof.weight * est.mean
-            var += (prof.weight * est.std_err) ** 2
-            n_total += est.n_samples
-        return RevenueEstimate(
-            mean=mean, std_err=math.sqrt(var), n_samples=n_total, method="mc"
-        )
-
-    if policies is not None:
-        raise ProfileSpaceTooLarge(
-            f"k**n = {total} exceeds the cap and policies cannot be sampled"
-        )
-    # unbiased coin sampling: draw (q, v) jointly, run the realized-profile
-    # optimal auction per draw
-    def kernel(rng, coins, values):
-        return (_myerson_batch(values, market.components, coins)[1],)
-
-    (stats,) = _market_streams(market, (), cfg, kernel)
-    return _as_estimate(stats)
+    lookup = policies if callable(policies) else policies.get
+    mean = 0.0
+    for prof in enumerate_profiles(market):
+        if prof.weight == 0.0:
+            continue
+        policy = lookup(prof.q)
+        if policy is None:
+            raise ValueError(f"no policy supplied for profile {prof.q}")
+        dists = [market.components[t] for t in prof.q]
+        mean += prof.weight * posted_sequence_revenue_exact(dists, policy.prices, policy.order).mean
+    return RevenueEstimate(mean=mean, std_err=0.0, n_samples=0, method="exact")
 
 
 def approximation_ratio(opt: RevenueEstimate, simple: RevenueEstimate) -> RatioEstimate:
@@ -656,7 +629,7 @@ def commensurateness_check(
     n = market.n
     eq6_pass = 0
 
-    def kernel(rng, coins, full):
+    def kernel(rng, full):
         nonlocal eq6_pass
         after_draws = rng.bit_generator.state
         w_m, _ = allocate(mech_m, full[:, :n], rng, market=market)
@@ -668,7 +641,7 @@ def commensurateness_check(
         eq6_pass += int(np.count_nonzero(price_p[diverged] >= phi_wm - _EQ6_TOL))
         return _winner_virtual(phi, w_p)[diverged], price_p
 
-    stats, price_stats = _market_streams(market, extras_for_m_prime, cfg, kernel)
+    stats, price_stats = _run_streams(market, extras_for_m_prime, cfg, kernel)
     div_count, mean, m2 = stats
     if 0 < div_count < _MIN_DIVERGENCE:
         raise InsufficientDivergenceSamples(

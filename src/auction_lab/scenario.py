@@ -13,8 +13,7 @@ mechanism, optional extra bidders and estimator settings:
       },
       "mechanism": {"kind": "second_price", "reserve": 0.5},
       "extras": [{"component": 0}, {"value": 1.0}],
-      "estimator": {"seed": 7, "n_samples": 100000, "n_streams": 8,
-                    "profile_cap": 1000000}
+      "estimator": {"seed": 7, "n_samples": 100000, "n_streams": 8}
     }
 
 An i.i.d. market may give a single weights row: {"components": [...],
@@ -276,7 +275,6 @@ def parse_scenario(text: str, default_seed: int | None = None) -> ScenarioConfig
             seed=seed,
             n_samples=int(est_raw.get("n_samples", 100_000)),
             n_streams=int(est_raw.get("n_streams", 8)),
-            profile_cap=int(est_raw.get("profile_cap", 10**6)),
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError("estimator", str(exc)) from exc

@@ -39,9 +39,10 @@ def scenario_text(**overrides):
 
 class TestParseScenario:
     def test_minimal_valid(self):
-        # keys the schema no longer reads ("outputs", "quadrature_tol") are ignored
+        # keys the schema no longer reads ("outputs", "quadrature_tol",
+        # "profile_cap") are ignored
         legacy = scenario_text(
-            estimator={"seed": 7, "n_samples": 5000, "quadrature_tol": 1e-6},
+            estimator={"seed": 7, "n_samples": 5000, "quadrature_tol": 1e-6, "profile_cap": 10**6},
             outputs={"csv": "out.csv", "format_version": 1},
         )
         for text in (scenario_text(), legacy):

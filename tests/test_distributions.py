@@ -1,5 +1,7 @@
 """Distribution families: example values, derived quantities, grid certificates."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,18 @@ class TestQuantile:
         d = TruncatedNormal(1.0, 1.0)
         for q in (0.1, 0.5, 0.9, 0.999):
             assert d.cdf(d.quantile(q)) == pytest.approx(q, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "d", [TruncatedNormal(1.0, 1.0), TruncatedNormal(-1.0, 0.5), TruncatedNormal(-5.0, 1.0)], ids=str
+    )
+    def test_truncated_normal_closed_form_against_bisection(self, d):
+        # the survival side keeps its digits for every mu, so it is the oracle
+        def oracle(level):
+            return bisect_quantile_oracle(lambda x: -d.survival(x), -level, 0.0, d.mu + 40.0 * d.sigma)
+
+        for q in (1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9):
+            assert d.survival_quantile(q) == pytest.approx(oracle(q), rel=1e-12)
+            assert d.quantile(q) == pytest.approx(oracle(1.0 - q), rel=1e-12)
 
     @pytest.mark.parametrize("d", EVERY_LAW, ids=str)
     def test_survival_levels_checked(self, d):
@@ -267,6 +281,18 @@ class TestRevenueCurveAndReserve:
     def test_first_order_stationarity_at_interior_reserve(self, d):
         r = d.monopoly_reserve()
         assert d.virtual(r) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_tail_index():
+    assert Uniform(0, 1).tail_index == math.inf
+    assert Exponential(1.0).tail_index == math.inf
+    assert TruncatedNormal(1.0, 1.0).tail_index == math.inf
+    assert PointMass(1.0).tail_index == math.inf
+    assert PowerLaw(2.5).tail_index == 2.5
+    assert EqualRevenue().tail_index == 1.0
+    mix = MixtureDistribution((PowerLaw(3.0), Exponential(1.0), PowerLaw(1.5)), (0.5, 0.5, 0.0))
+    assert mix.tail_index == 3.0  # zero-weight components do not count
+    assert MixtureDistribution((PowerLaw(3.0), EqualRevenue()), (0.9, 0.1)).tail_index == 1.0
 
 
 class TestRegularity:

@@ -15,6 +15,7 @@ from auction_lab import (
     EqualRevenue,
     EstimatorConfig,
     Exponential,
+    MixtureDistribution,
     MyersonIroned,
     MyersonRegular,
     PointMass,
@@ -35,6 +36,7 @@ from auction_lab import (
     build_market,
     commensurateness_check,
     discriminating_benchmark,
+    enumerate_profiles,
     estimate_mc,
     expected_revenue_quadrature,
     hr_ordered_markets,
@@ -50,13 +52,17 @@ from auction_lab.errors import (
     DivergentTail,
     InsufficientDivergenceSamples,
     IrregularComponent,
+    SupremumNotAttained,
+    ToleranceNotMet,
     ZeroDenominator,
 )
 from auction_lab.mixtures import _coin_rule
 from auction_lab.revenue import (
     _as_estimate,
+    _atom_breakpoints,
     _draw_market,
     _estimate_each,
+    _integrate,
     _merge_stats,
     _second_highest_law,
     _stream_stats,
@@ -426,7 +432,51 @@ class TestSecondHighestLaw:
             assert above == pytest.approx(oracle, rel=1e-12, abs=0.0), f"m={m}"
 
 
+def quad_oracle(dists, breaks):
+    """scipy.integrate.quad at 1e-13 of P(second-highest > z) over [0, inf),
+    split at the given atoms and support ends."""
+    def survival(z):
+        return float(_second_highest_law(dists, z)[1])
+
+    edges = sorted(set(breaks) | {0.0})
+    total = integrate.quad(survival, edges[-1], math.inf, epsabs=1e-13, epsrel=1e-13, limit=500)[0]
+    for a, b in zip(edges[:-1], edges[1:]):
+        total += integrate.quad(survival, a, b, epsabs=1e-13, epsrel=1e-13, limit=500)[0]
+    return total
+
+
+def support_ends(dists):
+    return {x for d in dists for x in (d.support.lo, d.support.hi) if math.isfinite(x)}
+
+
+def thm1_profile_sets():
+    """Each distinct bidder multiset of the thm1-sweep profiles, one extra per component."""
+    seen = {}
+    for market in random_mixture_markets(seed=20130, count=20):
+        for prof in enumerate_profiles(market):
+            dists = [market.components[t] for t in sorted(prof.q)] + list(market.components)
+            seen.setdefault(tuple(map(str, dists)), dists)
+    return list(seen.values())
+
+
 class TestQuadrature:
+    def test_matches_quad_oracle_on_thm1_profiles(self):
+        tol = 1e-6
+        for dists in thm1_profile_sets():
+            got = expected_revenue_quadrature(dists, tol=tol).mean
+            assert abs(got - quad_oracle(dists, support_ends(dists))) <= tol, [str(d) for d in dists]
+
+    def test_mixture_atoms_are_breakpoints(self):
+        # an interior atom at 0.37 inside each bidder's U(0, 1) component
+        dists = [
+            MixtureDistribution((PointMass(0.37), Uniform(0, 1)), (w, 1.0 - w))
+            for w in (0.3, 0.5, 0.8)
+        ]
+        assert _atom_breakpoints(dists) == {0.0, 0.37, 1.0}
+        tol = 1e-8
+        got = expected_revenue_quadrature(dists, tol=tol).mean
+        assert abs(got - quad_oracle(dists, {0.37, 1.0})) <= tol
+
     def test_sixty_four_bidders_agree_with_mc(self):
         m = 64
         components = (Uniform(0.2, 1.7), Exponential(1.3), PowerLaw(2.8))
@@ -440,13 +490,15 @@ class TestQuadrature:
         assert abs(mc.mean - quad.mean) <= 4 * mc.std_err
 
     def test_appendix_conditional_value(self):
-        est = expected_revenue_quadrature([ER, ER, PM, ER], tol=1e-4)
-        assert est.mean == pytest.approx(0.125 + math.log(8.0), abs=1e-3)
+        tol = 1e-6
+        est = expected_revenue_quadrature([ER, ER, PM, ER], tol=tol)
+        assert abs(est.mean - (0.125 + math.log(8.0))) <= tol
         assert est.method == "quadrature" and est.std_err == 0.0
 
     def test_cross_distribution_duplicates(self):
-        est = expected_revenue_quadrature([PM, ER, PM, ER], tol=1e-4)
-        assert est.mean == pytest.approx(1.5, abs=1e-3)
+        tol = 1e-6
+        est = expected_revenue_quadrature([PM, ER, PM, ER], tol=tol)
+        assert abs(est.mean - 1.5) <= tol
 
     def test_both_deterministic(self):
         est = expected_revenue_quadrature([PM, PM, PM, ER], tol=1e-4)
@@ -466,11 +518,24 @@ class TestQuadrature:
         est = expected_revenue_quadrature(
             [Uniform(0, 1), Uniform(0, 1)], reserve=0.5, tol=1e-8
         )
-        assert est.mean == pytest.approx(5 / 12, abs=1e-6)
+        assert est.mean == pytest.approx(5 / 12, abs=1e-8)
 
     def test_divergent_tail(self):
         with pytest.raises(DivergentTail):
             expected_revenue_quadrature([PowerLaw(0.4), PowerLaw(0.4)], tol=1e-6)
+
+    def test_tolerance_is_enforced(self):
+        def step(z):
+            return np.where(z < 0.3, 1.0, 0.0)
+
+        # a jump is resolved when it is a breakpoint and refused when it is not
+        assert _integrate(step, [0.0, 0.3], 1e-12) == pytest.approx(0.3, abs=1e-12)
+        with pytest.raises(ToleranceNotMet):
+            _integrate(step, [0.0], 1e-6)
+        # a z**-1.5 tail leaves about 2e-9 beyond 2**60: within 1e-6, not 1e-10
+        assert _integrate(lambda z: (1.0 + z) ** -1.5, [0.0], 1e-6) == pytest.approx(2.0, abs=1e-6)
+        with pytest.raises(DivergentTail):
+            _integrate(lambda z: (1.0 + z) ** -1.5, [0.0], 1e-10)
 
 
 class TestPostedAndTwoPointExact:
@@ -543,16 +608,36 @@ class TestDiscriminatingBenchmark:
         assert 1.74 <= bench.mean <= 1.7501
         assert bench.method == "exact"
 
-    def test_sampled_coins_agrees_with_enumeration(self):
-        market = build_market(
-            (Uniform(0, 1), Exponential(1.0)), [[0.5, 0.5]] * 3
+    @pytest.mark.parametrize(
+        "market",
+        random_mixture_markets(seed=20130, count=4) + hr_ordered_markets(seed=20130, count=4),
+        ids=[f"mixture{j}" for j in range(4)] + [f"hr{j}" for j in range(4)],
+    )
+    def test_agrees_with_pinned_profile_mc(self, market):
+        bench = discriminating_benchmark(market, EstimatorConfig(seed=1))
+        assert bench.method == "quadrature" and bench.std_err == 0.0
+        mean, se = pinned_profile_benchmark(market, seed=83, n_samples=200_000)
+        assert abs(bench.mean - mean) <= 4 * se
+
+    def test_any_market_size_is_one_integral(self):
+        rng = np.random.default_rng(89)
+        components = (
+            Uniform(0.2, 1.7), Exponential(1.3), PowerLaw(2.8), Uniform(0.0, 1.0), Exponential(0.7)
         )
-        enum_cfg = EstimatorConfig(seed=37, n_samples=300_000)
-        samp_cfg = EstimatorConfig(seed=38, n_samples=300_000, profile_cap=2)
-        by_enum = discriminating_benchmark(market, enum_cfg)
-        by_sampling = discriminating_benchmark(market, samp_cfg)
-        se = math.hypot(by_enum.std_err, by_sampling.std_err)
-        assert abs(by_enum.mean - by_sampling.mean) <= 4 * se
+        weights = rng.random((60, 5)) + 0.1
+        market = build_market(components, weights / weights.sum(axis=1, keepdims=True))
+        bench = discriminating_benchmark(market, EstimatorConfig(seed=1))
+        assert bench.method == "quadrature"
+        assert bench.std_err == 0.0 and bench.n_samples == 0
+        # sixty bidders push the top virtual value near the largest supports
+        assert 1.7 < bench.mean < 10.0
+
+    @pytest.mark.parametrize("heavy", [EqualRevenue(), PowerLaw(1.0)], ids=str)
+    def test_tail_index_one_needs_policies(self, heavy):
+        # Myerson values these at zero virtual surplus, far below the supremum
+        market = build_market((heavy, Uniform(0, 1)), [[0.5, 0.5]] * 2)
+        with pytest.raises(SupremumNotAttained, match="supply policies"):
+            discriminating_benchmark(market, EstimatorConfig(seed=1))
 
     def test_irregular_component_needs_policy(self):
         market = build_market((PM, ER), [[0.5, 0.5]] * 2)
@@ -573,6 +658,22 @@ class TestDiscriminatingBenchmark:
             ironed = estimate_mc(market, mech, (), cfg)
             se = math.hypot(bench.std_err, ironed.std_err)
             assert bench.mean >= ironed.mean - 4 * se, f"market {j}"
+
+
+def pinned_profile_benchmark(market, seed, n_samples):
+    """MC oracle: estimate_mc of MyersonRegular on each coin profile pinned as
+    its own market, weighted by p(q); returns (mean, standard error)."""
+    mean, var = 0.0, 0.0
+    for j, prof in enumerate(enumerate_profiles(market)):
+        if prof.weight == 0.0:
+            continue
+        pinned = build_market(market.components, np.eye(market.k)[list(prof.q)])
+        mech = MyersonRegular(tuple(market.components[t] for t in prof.q))
+        cfg = EstimatorConfig(seed=seed + j, n_samples=max(round(n_samples * prof.weight), 2_000))
+        est = estimate_mc(pinned, mech, (), cfg)
+        mean += prof.weight * est.mean
+        var += (prof.weight * est.std_err) ** 2
+    return mean, math.sqrt(var)
 
 
 class TestApproximationRatio:
