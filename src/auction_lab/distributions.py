@@ -493,7 +493,9 @@ class TruncatedNormal(Distribution):
     def _cdf(self, x):
         z = (x - self.mu) / self.sigma
         z0 = -self.mu / self.sigma
-        out = (ndtr(z) - ndtr(z0)) / self._mass_above_zero
+        # for mu <= 0 both lower tails sit near 1; the upper tails keep the digits
+        mass_0_to_x = ndtr(z) - ndtr(z0) if self.mu > 0.0 else ndtr(-z0) - ndtr(-z)
+        out = mass_0_to_x / self._mass_above_zero
         return np.clip(np.where(x <= 0.0, 0.0, out), 0.0, 1.0)
 
     def _pdf(self, x):

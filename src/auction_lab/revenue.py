@@ -2,13 +2,17 @@
 
 Three estimation routes:
 
-* Monte Carlo (`estimate_mc`) over seeded streams.  Sampling is partitioned
-  across n_streams independent streams by one routine (`_run_streams`) that
-  draws each stream once and evaluates every requested output on it.  A
-  stream reduces to (n, mean, M2) by a shifted two-pass, and streams merge
-  in index order with the Chan-Golub-LeVeque pairwise update, so a result
-  is bit-identical for a fixed (seed, n_samples, n_streams) no matter how
-  the work would be scheduled.
+* Monte Carlo over seeded streams, by one evaluator (`_run_streams`).  It
+  partitions the samples across n_streams independent streams, draws each
+  stream once, runs every requested mechanism on the draws from the
+  generator state right after them, and reduces the sample arrays of a
+  per-draw measure.  `estimate_mc` measures prices, `virtual_surplus_gap`
+  price minus the winner's virtual value and `commensurateness_check` the
+  two commensurateness inequalities plus the price of M'.  A stream
+  reduces to (n, mean, M2) by a shifted two-pass, and streams merge in
+  index order with the Chan-Golub-LeVeque pairwise update, so a result is
+  bit-identical for a fixed (seed, n_samples, n_streams) whatever else
+  shares the draws.
 * Exact order-statistic formulas (`vickrey_revenue_cdf`,
   `posted_sequence_revenue_exact`, the two-point evaluators).  The law of
   the second-highest value comes from one O(m) pass over the bidders
@@ -26,10 +30,6 @@ P(max_i phi_i(v_i) > y); the coins are independent across bidders, so the
 sum over q passes inside the product and the whole benchmark is one
 `_integrate` call, with no profile enumeration.  Supplied per-profile
 posted-price policies are valued exactly over all k**n profiles instead.
-`commensurateness_check` measures the two conditional inequalities that
-make a simple auction commensurate with an optimal one, with common random
-numbers feeding both mechanisms because the underlying inequalities are
-per-draw couplings.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import TwoPoint, _match, _require_regular
+from .distributions import PointMass, TwoPoint, _match, _require_regular
 from .errors import (
+    AtomicDistribution,
     DivergentTail,
     InsufficientDivergenceSamples,
     SupremumNotAttained,
@@ -189,17 +190,22 @@ def _merge_stats(a, b):
 def _as_estimate(stats) -> RevenueEstimate:
     n, mean, m2 = stats
     var = m2 / (n - 1) if n > 1 else 0.0
-    return RevenueEstimate(mean=mean, std_err=math.sqrt(var / n), n_samples=n, method="mc")
+    return RevenueEstimate(mean=mean, std_err=math.sqrt(var / max(n, 1)), n_samples=n, method="mc")
 
 
-def _run_streams(market: MarketModel, extras, cfg, kernel):
-    """Merged (n, mean, M2) per output of `kernel` over cfg.n_samples draws.
+def _run_streams(market: MarketModel, extras, cfg, mechs, measure):
+    """One "mc" RevenueEstimate per output of `measure` over cfg.n_samples draws.
 
-    Stream s draws its share of the samples of the bidders, then the extras,
-    from substream(cfg.seed, s); `kernel(rng, values)` returns one sample
-    array per output.  Kernel errors are annotated with the sample range and
-    stream being evaluated.
+    Stream s draws its share of the bidders, then the extras, once from
+    substream(cfg.seed, s).  Each (mechanism, columns) pair of `mechs` runs
+    through `allocate` on the first `columns` value columns (None: all),
+    from the generator state right after the draws.  `measure(values,
+    outcomes)` maps the draws and every (winner, price) to sample arrays,
+    reduced per stream and merged across streams.  Errors are annotated
+    with the sample range and stream being evaluated.
     """
+    if cfg is None:
+        raise ValueError("an EstimatorConfig with an explicit seed is required")
     merged = None
     offset = 0
     base, rem = divmod(cfg.n_samples, cfg.n_streams)
@@ -209,8 +215,13 @@ def _run_streams(market: MarketModel, extras, cfg, kernel):
             continue
         rng = substream(cfg.seed, s)
         _, values = _draw_market(market, rng, size, extras)
+        after_draws = rng.bit_generator.state
         try:
-            outputs = kernel(rng, values)
+            outcomes = []
+            for mech, columns in mechs:
+                rng.bit_generator.state = after_draws
+                outcomes.append(allocate(mech, values[:, :columns], rng, market=market))
+            outputs = measure(values, outcomes)
         except Exception as exc:
             exc.sample_range = (offset, offset + size)
             exc.stream_index = s
@@ -223,7 +234,7 @@ def _run_streams(market: MarketModel, extras, cfg, kernel):
         stats = [_stream_stats(x) for x in outputs]
         merged = stats if merged is None else list(map(_merge_stats, merged, stats))
         offset += size
-    return merged
+    return [_as_estimate(st) for st in merged]
 
 
 def _estimate_each(market: MarketModel, mechs, extras, cfg: EstimatorConfig):
@@ -233,16 +244,10 @@ def _estimate_each(market: MarketModel, mechs, extras, cfg: EstimatorConfig):
     so each result is bit-identical to its own estimate_mc call.
     """
 
-    def kernel(rng, values):
-        after_draws = rng.bit_generator.state
-        prices = []
-        for mech in mechs:
-            rng.bit_generator.state = after_draws
-            prices.append(allocate(mech, values, rng, market=market)[1])
-        return prices
+    def prices(values, outcomes):
+        return [price for _, price in outcomes]
 
-    stats = _run_streams(market, extras, cfg, kernel)
-    return [_as_estimate(st) for st in stats]
+    return _run_streams(market, extras, cfg, [(m, None) for m in mechs], prices)
 
 
 def estimate_mc(
@@ -256,18 +261,21 @@ def estimate_mc(
     Mechanism errors abort the whole estimate, annotated with the sample
     range (stream and offsets) that was being evaluated.
     """
-    if cfg is None:
-        raise ValueError("an EstimatorConfig with an explicit seed is required")
     return _estimate_each(market, (mech,), extras, cfg)[0]
 
 
 def _column_dists(market, extras):
-    """The distribution behind each value column; extras must be components."""
-    if not all(isinstance(spec, ComponentExtra) for spec in extras):
-        raise ValueError("virtual values need a distribution per column")
-    return [market.bidder_mixture(i) for i in range(market.n)] + [
-        market.components[spec.index] for spec in extras
+    """The distribution behind each value column, a deterministic extra being
+    a PointMass; virtual values need a density, so a column with atoms
+    raises AtomicDistribution (before any draw, as callers run this first)."""
+    dists = [market.bidder_mixture(i) for i in range(market.n)] + [
+        market.components[s.index] if isinstance(s, ComponentExtra) else PointMass(s.value)
+        for s in extras
     ]
+    for j, d in enumerate(dists):
+        if not d.is_continuous:
+            raise AtomicDistribution(f"column {j} ({d}) has atoms; virtual values need a density")
+    return dists
 
 
 def _winner_virtual(phi, winner):
@@ -277,26 +285,23 @@ def _winner_virtual(phi, winner):
 
 
 def virtual_surplus_gap(
-    market: MarketModel,
-    mech,
-    extras=(),
-    cfg: EstimatorConfig = None,
-) -> RevenueEstimate:
-    """Paired MC estimate of E[revenue - phi_winner(v_winner)].
+    market: MarketModel, mechs, extras=(), cfg: EstimatorConfig = None
+) -> list[RevenueEstimate]:
+    """Paired MC estimate of E[revenue - phi_winner(v_winner)] per mechanism.
 
-    Both sides use the same draws, so the standard error is that of the
-    per-draw difference; a truthful mechanism should give a mean within
-    noise of zero.  Every column needs a continuous distribution (extras
-    must be component draws, not deterministic values).
+    All mechanisms share one set of draws and one phi matrix per stream,
+    and each gap is bit-identical to a call with that mechanism alone.  A
+    standard error is that of the per-draw difference; a truthful mechanism
+    gives a mean within noise of zero.  A column with atoms (a
+    DeterministicExtra included) raises AtomicDistribution before any draw.
     """
     col_dists = _column_dists(market, extras)
 
-    def kernel(rng, values):
-        winner, price = allocate(mech, values, rng, market=market)
-        return (price - _winner_virtual(_virtual_matrix(values, col_dists), winner),)
+    def measure(values, outcomes):
+        phi = _virtual_matrix(values, col_dists)
+        return [price - _winner_virtual(phi, winner) for winner, price in outcomes]
 
-    (stats,) = _run_streams(market, extras, cfg, kernel)
-    return _as_estimate(stats)
+    return _run_streams(market, extras, cfg, [(m, None) for m in mechs], measure)
 
 
 # ---------------------------------------------------------------------------
@@ -612,37 +617,28 @@ def commensurateness_check(
 ) -> CommensuratenessReport:
     """Measure whether M' is commensurate with M on this market.
 
-    M runs on the original bidders; M' runs on the originals plus the extra
-    bidders.  Common random numbers: the same original draws feed both
-    mechanisms, because the inequalities being tested are per-draw
-    couplings.  Conditioning is by rejection: only samples whose winners
-    diverge contribute, and fewer than 100 such samples (but more than
-    zero) raises InsufficientDivergenceSamples.  M' starts from the
-    generator state right after the draws, so the report's `estimate` is
-    bit-identical to estimate_mc(market, mech_m_prime, extras, cfg).
+    One `_run_streams` pass runs M on the n original columns and M' on
+    those plus the extras: common random numbers, because the inequalities
+    are per-draw couplings.  On the samples whose winners diverge
+    (conditioning by rejection) the measure keeps phi of W' (eq5) and
+    whether eq6 holds; fewer than 100 of them, but more than zero, raises
+    InsufficientDivergenceSamples.  `estimate` is the price of M' over
+    every draw, bit-identical to estimate_mc(market, mech_m_prime, extras,
+    cfg).  A column with atoms raises AtomicDistribution before any draw.
     """
     col_dists = _column_dists(market, extras_for_m_prime)
-    for d in col_dists:
-        if not d.is_continuous:
-            raise ValueError("commensurateness needs continuous distributions")
 
-    n = market.n
-    eq6_pass = 0
-
-    def kernel(rng, full):
-        nonlocal eq6_pass
-        after_draws = rng.bit_generator.state
-        w_m, _ = allocate(mech_m, full[:, :n], rng, market=market)
-        rng.bit_generator.state = after_draws
-        w_p, price_p = allocate(mech_m_prime, full, rng, market=market)
-        phi = _virtual_matrix(full, col_dists)
+    def measure(values, outcomes):
+        (w_m, _), (w_p, price_p) = outcomes
+        phi = _virtual_matrix(values, col_dists)
         diverged = w_p != w_m
-        phi_wm = _winner_virtual(phi, w_m)[diverged]
-        eq6_pass += int(np.count_nonzero(price_p[diverged] >= phi_wm - _EQ6_TOL))
-        return _winner_virtual(phi, w_p)[diverged], price_p
+        holds = price_p[diverged] >= _winner_virtual(phi, w_m)[diverged] - _EQ6_TOL
+        # eq6 is a count: its output has one sample per divergence where it holds
+        return _winner_virtual(phi, w_p)[diverged], price_p[diverged][holds], price_p
 
-    stats, price_stats = _run_streams(market, extras_for_m_prime, cfg, kernel)
-    div_count, mean, m2 = stats
+    mechs = [(mech_m, market.n), (mech_m_prime, None)]
+    eq5, eq6, estimate = _run_streams(market, extras_for_m_prime, cfg, mechs, measure)
+    div_count = eq5.n_samples
     if 0 < div_count < _MIN_DIVERGENCE:
         raise InsufficientDivergenceSamples(
             f"only {div_count} divergence samples; need {_MIN_DIVERGENCE}"
@@ -651,9 +647,9 @@ def commensurateness_check(
     return CommensuratenessReport(
         n_samples=cfg.n_samples,
         divergence_count=div_count,
-        eq5_mean=mean if diverged else None,
-        eq5_std_err=math.sqrt(m2 / max(div_count - 1, 1) / div_count) if diverged else None,
-        eq6_pass_count=eq6_pass,
+        eq5_mean=eq5.mean if diverged else None,
+        eq5_std_err=eq5.std_err if diverged else None,
+        eq6_pass_count=eq6.n_samples,
         no_divergence=not diverged,
-        estimate=_as_estimate(price_stats),
+        estimate=estimate,
     )

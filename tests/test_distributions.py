@@ -130,6 +130,16 @@ class TestQuantile:
             assert d.survival_quantile(q) == pytest.approx(oracle(q), rel=1e-12)
             assert d.quantile(q) == pytest.approx(oracle(1.0 - q), rel=1e-12)
 
+    @pytest.mark.parametrize("mu", [-5.0, -2.0, 0.0])
+    @pytest.mark.parametrize("q", [1e-9, 1e-6, 1e-3, 0.3])
+    def test_truncated_normal_cdf_keeps_lower_tail_digits(self, mu, q):
+        # for mu <= 0 the lower tail is a difference of two upper tails; as a
+        # difference of two cdfs near 1 it read 16% off at mu=-5, q=1e-9.  The
+        # quantile itself is mu minus a number near mu there, so the round
+        # trip holds to ~2e-6, not to rounding.
+        d = TruncatedNormal(mu, 1.0)
+        assert d.cdf(d.quantile(q)) == pytest.approx(q, rel=1e-5)
+
     @pytest.mark.parametrize("d", EVERY_LAW, ids=str)
     def test_survival_levels_checked(self, d):
         for bad in (-0.5, 2.0):

@@ -1,6 +1,8 @@
 """Built-in experiments and the sweep market generators."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auction_lab import (
     build_market,
@@ -41,6 +43,15 @@ class TestGenerators:
         b = random_mixture_markets(seed=9, count=3)
         assert [m.components for m in a] == [m.components for m in b]
         assert all(np.array_equal(x.weights, y.weights) for x, y in zip(a, b))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12))
+    def test_sweep_components_have_tail_index_above_two(self, seed, count):
+        # a value with tail index above 2 has a finite variance, and so does
+        # every order statistic of the market's values: 4-SE verdicts mean something
+        for gen in (random_mixture_markets, hr_ordered_markets):
+            for m in gen(seed, count):
+                assert all(c.tail_index > 2.0 for c in m.components), gen.__name__
 
 
 class TestSweepStructure:

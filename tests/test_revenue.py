@@ -49,6 +49,7 @@ from auction_lab import (
     stream,
 )
 from auction_lab.errors import (
+    AtomicDistribution,
     DivergentTail,
     InsufficientDivergenceSamples,
     IrregularComponent,
@@ -757,6 +758,19 @@ class TestCommensurateness:
         rep = commensurateness_check(market, mech_m, mech_p, extras, cfg)
         assert rep.estimate == estimate_mc(market, mech_p, extras, cfg)
 
+    def test_atomic_column_rejected_before_any_draw(self):
+        market = self.lemma_market()
+        cfg = EstimatorConfig(seed=1, n_samples=100)
+        atomic_mixture = build_market((Uniform(0, 1), TwoPoint(1.0, 3.0, 0.4)), [[0.5, 0.5]] * 2)
+        cases = [
+            (market, (DeterministicExtra(1.0),)),
+            (atomic_mixture, ()),
+        ]
+        for mkt, extras in cases:
+            with pytest.raises(AtomicDistribution) as err:
+                commensurateness_check(mkt, SecondPrice(), SecondPrice(), extras, cfg)
+            assert not hasattr(err.value, "stream_index")
+
     def test_insufficient_divergence(self):
         market = build_market((Uniform(0, 1), Uniform(0.0, 0.2)), [[1.0, 0.0]] * 2)
         cfg = EstimatorConfig(seed=61, n_samples=3_000)
@@ -769,8 +783,35 @@ class TestCommensurateness:
 class TestVirtualSurplusGap:
     def test_second_price_gap_within_noise(self):
         cfg = EstimatorConfig(seed=67, n_samples=300_000)
-        gap = virtual_surplus_gap(two_uniform_market(), SecondPrice(), (), cfg)
+        (gap,) = virtual_surplus_gap(two_uniform_market(), [SecondPrice()], (), cfg)
         assert abs(gap.mean) <= 4 * gap.std_err
+
+    def test_shared_draws_equal_single_calls(self):
+        market = build_market((Uniform(0, 1), Exponential(1.0)), [[0.4, 0.6]] * 3)
+        cfg = EstimatorConfig(seed=19, n_samples=30_000, n_streams=3)
+        extras = (ComponentExtra(1),)
+        # the sample-reserve mechanisms consume the stream after the draws
+        mechs = [
+            SecondPriceSampleReserve((0, 1)),
+            SecondPrice(),
+            SecondPriceAnonymousReserve(0.6),
+            SecondPriceSampleReserve((1,)),
+        ]
+        shared = virtual_surplus_gap(market, mechs, extras, cfg)
+        for j, mech in enumerate(mechs):
+            assert shared[j] == virtual_surplus_gap(market, [mech], extras, cfg)[0], j
+
+    def test_atomic_mixture_rejected_before_any_draw(self):
+        market = build_market((Uniform(0, 1), PointMass(0.5)), [[0.5, 0.5]] * 2)
+        with pytest.raises(AtomicDistribution) as err:
+            virtual_surplus_gap(market, [SecondPrice()], (), EstimatorConfig(seed=1, n_samples=100))
+        assert not hasattr(err.value, "stream_index")
+
+    def test_deterministic_extra_rejected_before_any_draw(self):
+        cfg = EstimatorConfig(seed=1, n_samples=100)
+        with pytest.raises(AtomicDistribution) as err:
+            virtual_surplus_gap(two_uniform_market(), [SecondPrice()], (DeterministicExtra(2.0),), cfg)
+        assert not hasattr(err.value, "stream_index")
 
     def test_sample_reserve_mechanism_runs(self):
         market = two_uniform_market()
