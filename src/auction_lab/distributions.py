@@ -516,7 +516,16 @@ class TruncatedNormal(Distribution):
         # that, the cdf side keeps too few digits of the gap to 1
         lower = ndtr(-self.mu / self.sigma) + q * self._mass_above_zero
         low = np.maximum(self.mu + self.sigma * ndtri(np.minimum(lower, 0.5)), 0.0)
-        return np.where(lower > 0.5, self._survival_quantile(1.0 - q), low)
+        x = np.where(lower > 0.5, self._survival_quantile(1.0 - q), low)
+        if self.mu > 0.0:
+            return x
+        # for mu <= 0 that is mu minus a number near mu, so a small quantile
+        # keeps few digits; one Newton step on _cdf, accurate there, restores
+        # them.  Above the median F(x) - q keeps only absolute digits, so the
+        # survival form stands.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            polished = np.maximum(x - (self._cdf(x) - q) / self._pdf(x), 0.0)
+        return np.where(q <= 0.5, polished, x)
 
     def _virtual_inverse(self, y):
         lo, hi = np.zeros_like(y), np.full_like(y, self.mu + 12.0 * self.sigma)

@@ -5,6 +5,10 @@ row of a (size, m) value matrix at once, and `run` is a one-row call of it.
 Ties are broken by lowest bidder index everywhere; this is measure-zero for
 continuous value draws and is the documented convention for atomic inputs.
 
+The second-price and Myerson kernels find each row's winner and
+second-highest entry in one sweep over the contiguous columns of a
+column-major matrix (`_top_two`), whatever layout `allocate` receives.
+
 Payments are critical values: the infimum bid at which the winner still
 wins.  Under Myerson that is the winner's `virtual_inverse` of the
 threshold max(0, highest rival virtual value), or its inverse on the
@@ -166,33 +170,72 @@ MechanismSpec = (
 # ---------------------------------------------------------------------------
 
 
+# rows per block when a kernel copies a matrix into column-major order: a
+# block of a row-major input stays in cache while it is transposed
+_ROW_BLOCK = 2048
+
+
+def _top_two(x):
+    """(winner, top, second) of each row of a (size, m) matrix.
+
+    One sweep over the columns, so a column-major `x` is read contiguously:
+    `second` is the second-highest entry counting ties (-inf when m == 1)
+    and `winner` the lowest index holding `top`.  Max and min are exact, so
+    this equals argmax plus a partition at m - 2 bit for bit.
+    """
+    top = x[:, 0].copy()
+    second = np.full(x.shape[0], -np.inf)
+    winner = np.zeros(x.shape[0], dtype=np.int32)  # half the memory traffic of intp
+    for j in range(1, x.shape[1]):
+        col = x[:, j]
+        np.maximum(second, np.minimum(top, col), out=second)
+        # j exceeds every index so far, so max() moves the winner exactly
+        # where col > top, without the branches of a masked write
+        np.maximum(winner, np.multiply(col > top, j, dtype=np.int32), out=winner)
+        np.maximum(top, col, out=top)
+    return winner.astype(np.intp), top, second
+
+
 def _sp_batch(values, reserves=0.0):
     """Second-price winners and prices.
 
     The winner is the highest value meeting its reserve (ties to the lowest
     index) and pays max(second-highest qualifying value, own reserve).
-    `reserves` broadcasts against values: a scalar, one per bidder, a
-    (size, 1) column of per-row reserves, or one per cell.
+    `reserves` is a scalar, a (size, 1) column of per-row reserves, one per
+    bidder, or one per cell.
+
+    `_top_two` sweeps a column-major matrix.  Where a row's bidders face
+    different reserves it is a copy with -inf for each value below its own
+    reserve.  Where one reserve serves the whole row no value needs
+    masking: the top value qualifies iff any does, and a runner-up below
+    the reserve prices like a missing one, at the reserve.  So column-major
+    values are swept as they are.  Copies go a row block at a time.
     """
     size, m = values.shape
-    reserves = np.broadcast_to(np.asarray(reserves, dtype=float), (size, m))
-    qual = values >= reserves
-    masked = np.where(qual, values, -np.inf)
-    winner = np.argmax(masked, axis=1)
-    sale = qual.any(axis=1)
-    rows = np.arange(size)
-    if m >= 2:
-        second = np.partition(masked, m - 2, axis=1)[:, m - 2]
+    reserves = np.asarray(reserves, dtype=float)
+    shared = reserves.ndim == 0 or reserves.shape[-1] == 1
+    if not shared:
+        reserves = np.broadcast_to(reserves, (size, m))
+    x = values
+    if not (shared and values.flags.f_contiguous):
+        x = np.empty((size, m), order="F")
+        for start in range(0, size, _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            v = values[block]
+            x[block] = v if shared else np.where(v >= reserves[block], v, -np.inf)
+    winner, top, second = _top_two(x)
+    if shared:
+        own = reserves[:, 0] if reserves.ndim == 2 else reserves
     else:
-        second = np.full(size, -np.inf)
-    price = np.maximum(second, reserves[rows, winner])
-    price = np.where(sale, price, 0.0)
-    return np.where(sale, winner, -1), price
+        own = reserves[np.arange(size), winner]
+    sale = top >= own
+    return np.where(sale, winner, -1), np.where(sale, np.maximum(second, own), 0.0)
 
 
 def _virtual_matrix(values, rules):
-    """phi per column under a Distribution or IronedCurve per column."""
-    phi = np.empty_like(values)
+    """phi per column under a Distribution or IronedCurve per column, laid
+    out column-major whatever the layout of `values`."""
+    phi = np.empty(values.shape, order="F")
     for j, rule in enumerate(rules):
         if isinstance(rule, IronedCurve):
             phi[:, j] = rule.ironed_virtual(values[:, j])
@@ -217,26 +260,23 @@ def _myerson_batch(values, rules):
     The winner has the highest (ironed) virtual value if it is non-negative
     and pays the lowest value whose virtual value still meets
     max(0, highest rival virtual value).  rules[j] prices column j (a
-    Distribution or IronedCurve).
+    Distribution or IronedCurve).  The winner and that rival value come
+    from one `_top_two` sweep over the columns of the column-major phi.
     """
-    size, m = values.shape
+    size = values.shape[0]
     rows = np.arange(size)
     phi = _virtual_matrix(values, rules)
-    winner = np.argmax(phi, axis=1)
-    sale = phi[rows, winner] >= 0.0
+    winner, top, max_others = _top_two(phi)
+    sale = top >= 0.0
     strict = np.zeros(size, dtype=bool)
-    if m >= 2:
-        max_others = np.partition(phi, m - 2, axis=1)[:, m - 2]
-        if any(isinstance(rule, IronedCurve) for rule in rules):
-            phi_masked = phi.copy()
-            phi_masked[rows, winner] = -np.inf
-            rival = np.argmax(phi_masked, axis=1)
-            # a tie at the threshold goes to the rival only when the rival has
-            # the lower index and actually sits at the threshold (not when the
-            # phi >= 0 gate is what binds)
-            strict = (rival < winner) & (max_others >= 0.0)
-    else:
-        max_others = np.full(size, -np.inf)
+    if any(isinstance(rule, IronedCurve) for rule in rules):
+        phi_masked = phi.copy()
+        phi_masked[rows, winner] = -np.inf
+        rival = np.argmax(phi_masked, axis=1)
+        # a tie at the threshold goes to the rival only when the rival has
+        # the lower index and actually sits at the threshold (not when the
+        # phi >= 0 gate is what binds)
+        strict = (rival < winner) & (max_others >= 0.0)
     thr = np.maximum(max_others, 0.0)
     w_value = values[rows, winner]
     price = np.zeros(size)

@@ -137,11 +137,13 @@ def _draw_market(market: MarketModel, rng, size: int, extras=()):
 
     The stream is consumed bidder by bidder, `size` coin uniforms then
     `size` value uniforms (the order of MixtureDistribution.sample_with_coin),
-    and the extra bidders' uniforms come after the originals.
+    and the extra bidders' uniforms come after the originals.  Both
+    matrices are column-major, so each bidder's column is written, and
+    later swept by the mechanism kernels, contiguously.
     """
     n = market.n
-    coins = np.empty((size, n), dtype=np.int64)
-    values = np.empty((size, n + len(extras)))
+    coins = np.empty((size, n), dtype=np.int64, order="F")
+    values = np.empty((size, n + len(extras)), order="F")
     u = np.empty(size)
     for i in range(n):
         rng.random(out=u)

@@ -134,11 +134,24 @@ class TestQuantile:
     @pytest.mark.parametrize("q", [1e-9, 1e-6, 1e-3, 0.3])
     def test_truncated_normal_cdf_keeps_lower_tail_digits(self, mu, q):
         # for mu <= 0 the lower tail is a difference of two upper tails; as a
-        # difference of two cdfs near 1 it read 16% off at mu=-5, q=1e-9.  The
-        # quantile itself is mu minus a number near mu there, so the round
-        # trip holds to ~2e-6, not to rounding.
+        # difference of two cdfs near 1 it read 16% off at mu=-5, q=1e-9.  That
+        # difference still loses digits there, so the round trip holds to
+        # ~2e-6, not to rounding.
         d = TruncatedNormal(mu, 1.0)
         assert d.cdf(d.quantile(q)) == pytest.approx(q, rel=1e-5)
+
+    @pytest.mark.parametrize("mu", [-5.0, -2.0, 0.0, 1.0])
+    @pytest.mark.parametrize("q", [1e-9, 1e-6, 1e-3, 0.3, 0.9, 1.0 - 1e-9])
+    def test_truncated_normal_quantile_against_mpmath(self, mu, q):
+        # for mu <= 0 the closed form is mu minus a number near mu; unpolished
+        # it read 1.7e-6 (mu=-5) and 1.95e-6 (mu=-2) off at q=1e-9
+        mp = pytest.importorskip("mpmath")
+        x = TruncatedNormal(mu, 1.0).quantile(q)
+        with mp.workdps(50):
+            m, level = mp.mpf(mu), mp.mpf(q)
+            mass = mp.ncdf(m)
+            root = mp.findroot(lambda t: (mp.ncdf(t - m) - mp.ncdf(-m)) / mass - level, x)
+            assert abs(x / root - 1) <= 1e-6
 
     @pytest.mark.parametrize("d", EVERY_LAW, ids=str)
     def test_survival_levels_checked(self, d):

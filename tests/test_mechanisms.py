@@ -2,12 +2,15 @@
 
 `critical_payment` here is the bisection oracle the vectorized Myerson
 prices are checked against; the package itself prices in closed form.
+`top_two_reference` is the row-wise argmax and partition the kernels'
+column sweep is checked against.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from auction_lab import (
     AuctionOutcome,
@@ -34,6 +37,7 @@ from auction_lab.errors import (
     NonMonotoneAllocation,
     ValueOutsideSupport,
 )
+from auction_lab.mechanisms import _top_two
 
 
 BISECTION_TOL = 1e-9
@@ -102,6 +106,18 @@ def myerson_reference(values, rules):
 
     lo = (rule.source if isinstance(rule, IronedCurve) else rule).support.lo
     return winner, critical_payment(ValuationProfile(tuple(values)), winner, allocation, lo)
+
+
+def top_two_reference(x):
+    """(winner, top, second) per row by argmax and a partition at m - 2."""
+    m = x.shape[1]
+    winner = np.argmax(x, axis=1)
+    top = x[np.arange(x.shape[0]), winner]
+    if m >= 2:
+        second = np.partition(x, m - 2, axis=1)[:, m - 2]
+    else:
+        second = np.full(x.shape[0], -np.inf)
+    return winner, top, second
 
 
 def brute_force_critical_bid(wins, lo, hi, grid=2_000_001):
@@ -294,6 +310,24 @@ class TestInvariants:
         assert o.winner == 0
         o2 = run(SecondPrice(), ValuationProfile((0.8, 0.9)))
         assert o2.winner == 1
+
+
+# few distinct levels, so ties and -inf (a failed reserve) are frequent
+_TIED_CELLS = st.sampled_from([-np.inf, 0.0, 1.0, 2.0, 3.0])
+
+
+class TestTopTwo:
+    @given(m=st.integers(1, 9), data=st.data(), fortran=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_argmax_and_partition(self, m, data, fortran):
+        x = data.draw(arrays(float, (data.draw(st.integers(1, 40)), m), elements=_TIED_CELLS))
+        x = np.vstack([x, np.full((1, m), -np.inf)])  # one row that sells nothing
+        x = np.asfortranarray(x) if fortran else np.ascontiguousarray(x)
+        winner, top, second = _top_two(x)
+        ref_winner, ref_top, ref_second = top_two_reference(x)
+        assert np.array_equal(winner, ref_winner)
+        assert top.tobytes() == ref_top.tobytes()
+        assert second.tobytes() == ref_second.tobytes()
 
 
 class TestSubsetReserve:

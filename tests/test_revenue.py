@@ -184,6 +184,7 @@ class TestDrawMarket:
             rng, ref_rng = stream(101, j), stream(101, j)
             coins, values = _draw_market(market, rng, 4_000)
             ref_coins, ref_values = _reference_draw_market(market, ref_rng, 4_000)
+            assert values.flags.f_contiguous, "the kernels sweep contiguous columns"
             assert np.array_equal(coins, ref_coins), f"market {j}"
             assert values.tobytes() == ref_values.tobytes(), f"market {j}"
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -330,17 +331,39 @@ class TestBatchScalarEquivalence:
             _case(PostedSequence((2.0, 1.2, 0.5), (3, 4, 0)), WIDE),
         ],
     )
-    def test_winner_and_price_match(self, mech, columns):
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_winner_and_price_match(self, mech, columns, layout):
         rng = stream(123, 0)
         n = 500
-        values = np.column_stack([d.sample(rng, n) for d in columns])
+        values = np.asarray(np.column_stack([d.sample(rng, n) for d in columns]), order=layout)
         winner, price = allocate(mech, values, rng)
         for i in range(n):
             expect_w, expect_p = row_reference(mech, values[i].tolist())
             assert winner[i] == expect_w, f"row {i}"
             assert price[i] == pytest.approx(expect_p, abs=1e-7), f"row {i}"
 
-    def test_ironed_batch_matches_scalar(self):
+    @given(m=st.integers(1, 6), data=st.data(), fortran=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_tied_values_match_row_reference(self, m, data, fortran):
+        # integer levels make ties, and values at a reserve, frequent: one
+        # reserve per row sweeps the raw values, per-bidder reserves a copy
+        levels = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+        rows = data.draw(st.lists(st.lists(levels, min_size=m, max_size=m), min_size=1, max_size=30))
+        values = np.asarray(rows, order="F" if fortran else "C")
+        mechs = [
+            SecondPrice(),
+            SecondPriceAnonymousReserve(data.draw(st.sampled_from([0.0, 1.0, 1.5, 3.0]))),
+            SecondPriceBidderReserves(tuple(data.draw(st.lists(levels, min_size=m, max_size=m)))),
+        ]
+        if m >= 2:
+            mechs.append(SecondPriceSubsetReserve((data.draw(st.integers(0, m - 1)),)))
+        for mech in mechs:
+            winner, price = allocate(mech, values)
+            for i, row in enumerate(rows):
+                assert (winner[i], price[i]) == row_reference(mech, row), (mech, row)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_ironed_batch_matches_scalar(self, layout):
         mix = build_market(
             (Uniform(0, 1), Uniform(0, 3)), [[0.6, 0.4], [0.6, 0.4]]
         )
@@ -348,7 +371,7 @@ class TestBatchScalarEquivalence:
         mech = MyersonIroned(curves)
         rng = stream(77, 0)
         n = 300
-        values = np.column_stack([3 * rng.random(n), 3 * rng.random(n)])
+        values = np.asarray(np.column_stack([3 * rng.random(n), 3 * rng.random(n)]), order=layout)
         winner, price = allocate(mech, values, rng)
         for i in range(n):
             expect_w, expect_p = row_reference(mech, values[i].tolist())
