@@ -11,7 +11,7 @@ Subcommands:
 Common flags: --seed, --samples, --streams, --horizon, --out PATH,
 --format {csv,json-lines,text-table}.  The seed comes from --seed, then the
 scenario file, then the AUCTION_LAB_SEED environment variable; there is no
-wall-clock fallback.
+wall-clock fallback.  A negative seed or a count below 1 is an error.
 
 Exit codes: 0 when every verdict passes, 2 when a verdict fails, 1 on any
 error.
@@ -26,7 +26,7 @@ import sys
 from dataclasses import replace
 
 from .distributions import hr_crossing
-from .errors import AuctionLabError, NoDominantComponent
+from .errors import AuctionLabError, NoDominantComponent, SchemaError
 from .experiments import DEFAULT_HORIZON, run_experiment
 from .planner import (
     NO_RESERVE,
@@ -39,7 +39,7 @@ from .planner import (
     sample_based_plans,
     select_anonymous_reserve,
 )
-from .reports import ExperimentReport, ReportRow, write_report
+from .reports import ExperimentReport, ReportRow, emit_report, estimate_row, write_output
 from .revenue import approximation_ratio, discriminating_benchmark, estimate_mc
 from .scenario import parse_scenario
 
@@ -77,8 +77,17 @@ def _common_flags(p):
     )
 
 
+def _check_flags(args):
+    for flag, minimum in (("seed", 0), ("samples", 1), ("streams", 1)):
+        value = getattr(args, flag)
+        if value is not None and value < minimum:
+            raise SchemaError(f"--{flag}", f"expected an integer >= {minimum}")
+
+
 def _env_seed():
     raw = os.environ.get(SEED_ENV_VAR)
+    if raw and not raw.isdigit():
+        raise SchemaError(SEED_ENV_VAR, "expected an integer >= 0")
     return int(raw) if raw else None
 
 
@@ -100,44 +109,40 @@ def _load_scenario(args):
 
 
 def _emit(args, report: ExperimentReport) -> int:
-    data = write_report(report, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(data.decode())
+    write_output(emit_report(report, args.format), args.out)
     return 0 if report.passed else 2
+
+
+def _emit_scenario(args, config, rows) -> int:
+    report = ExperimentReport(
+        scenario_id=config.scenario_id, rows=tuple(rows), seed=config.estimator.seed
+    )
+    return _emit(args, report)
+
+
+def _mechanism_estimate(config):
+    """MC estimate of the scenario's mechanism and its row, labelled by kind."""
+    est = estimate_mc(config.market, config.mechanism, config.extras, config.estimator)
+    return est, estimate_row(config.kind, est)
 
 
 def _cmd_simulate(args) -> int:
     config = _load_scenario(args)
-    return _emit(args, run_experiment(config))
+    _, row = _mechanism_estimate(config)
+    return _emit_scenario(args, config, (row,))
 
 
 def _cmd_ratio(args) -> int:
     config = _load_scenario(args)
-    cfg = config.estimator
-    bench = discriminating_benchmark(config.market, cfg)
-    simple = estimate_mc(config.market, config.mechanism(), config.extras, cfg)
+    bench = discriminating_benchmark(config.market, config.estimator)
+    simple, row = _mechanism_estimate(config)
     ratio = approximation_ratio(bench, simple)
     rows = (
-        ReportRow("benchmark", bench.mean, bench.std_err, bench.n_samples, bench.method),
-        ReportRow(
-            config.mechanism_raw["kind"],
-            simple.mean,
-            simple.std_err,
-            simple.n_samples,
-            simple.method,
-        ),
-        ReportRow(
-            "benchmark_over_mechanism",
-            ratio.ratio,
-            ratio.std_err,
-            0,
-            "ratio",
-        ),
+        estimate_row("benchmark", bench),
+        row,
+        ReportRow("benchmark_over_mechanism", ratio.ratio, ratio.std_err, 0, "ratio"),
     )
-    report = ExperimentReport(
-        scenario_id=config.scenario_id, rows=rows, seed=cfg.seed
-    )
-    return _emit(args, report)
+    return _emit_scenario(args, config, rows)
 
 
 def _cmd_plan(args) -> int:
@@ -189,11 +194,7 @@ def _cmd_plan(args) -> int:
             }
         )
     payload = "\n".join(json.dumps(r, sort_keys=False) for r in records) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    write_output(payload.encode(), args.out)
     return 0
 
 
@@ -219,12 +220,7 @@ def _cmd_check_hr(args) -> int:
     except NoDominantComponent as exc:
         record["dominant_component"] = None
         record["first_crossing"] = list(exc.crossing) if exc.crossing else None
-    payload = json.dumps(record, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    write_output((json.dumps(record, indent=2) + "\n").encode(), args.out)
     return 0
 
 
@@ -234,7 +230,7 @@ def _cmd_reproduce(args) -> int:
         args.name,
         seed=seed,
         n_samples=args.samples,
-        n_streams=args.streams or 8,
+        n_streams=args.streams,
         horizon=args.horizon,
     )
     return _emit(args, report)
@@ -252,6 +248,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return _COMMANDS[args.command](args)
     except AuctionLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

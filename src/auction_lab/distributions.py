@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import erfcx, ndtr, ndtri
 
 from .errors import (
     AtomicDistribution,
@@ -470,8 +470,8 @@ class EqualRevenue(Distribution):
 class TruncatedNormal(Distribution):
     """Normal(mu, sigma) conditioned on [0, inf).
 
-    Quantiles invert ndtr in closed form with ndtri; the virtual inverse is a
-    bisection.
+    Quantiles invert ndtr in closed form with ndtri; the virtual value uses
+    the Mills ratio through erfcx, and its inverse is a bisection.
     """
 
     mu: float
@@ -527,9 +527,19 @@ class TruncatedNormal(Distribution):
             polished = np.maximum(x - (self._cdf(x) - q) / self._pdf(x), 0.0)
         return np.where(q <= 0.5, polished, x)
 
+    def _virtual_unchecked(self, x):
+        # S/f is sigma times the normal Mills ratio Q(z)/pdf(z) = sqrt(pi/2)
+        # erfcx(z/sqrt 2); formed as a ratio it is 0/0 beyond z ~ 37
+        xv = np.asarray(x, dtype=float)
+        z = (xv - self.mu) / self.sigma
+        mills = math.sqrt(0.5 * math.pi) * erfcx(z / math.sqrt(2.0))
+        return _match(x, xv - self.sigma * mills)
+
     def _virtual_inverse(self, y):
-        lo, hi = np.zeros_like(y), np.full_like(y, self.mu + 12.0 * self.sigma)
-        return _bisect(lambda mid: self._virtual_unchecked(mid) < y, lo, hi, 80)
+        # phi(x) >= x - sigma sqrt(pi/2) for x >= max(mu, 0), so phi > y at
+        # y + 2 sigma; mu + 12 sigma covers every y below mu + 10 sigma
+        hi = np.maximum(self.mu + 12.0 * self.sigma, y + 2.0 * self.sigma)
+        return _bisect(lambda mid: self._virtual_unchecked(mid) < y, np.zeros_like(y), hi, 80)
 
     def __str__(self):
         return f"TruncatedNormal({self.mu}, {self.sigma})"

@@ -16,16 +16,15 @@ Built-in names:
 * ``reserve-4k-sweep`` same markets as thm1-sweep: benchmark <= 4k * best
                      single-reserve Vickrey, within 4 combined SE.
 
-Every experiment is deterministic given (name, seed); wall-clock runtime is
-kept off the emitted rows.  The equal-revenue optimum is a supremum in the
-posted price H; built-ins evaluate it at a finite horizon (default 1e6) and
-the reported value carries an O(1/H) gap accounted for by the bounds.
+Every experiment is deterministic given (name, seed).  The equal-revenue
+optimum is a supremum in the posted price H; built-ins evaluate it at a
+finite horizon (default 1e6) and the reported value carries an O(1/H) gap
+accounted for by the bounds.
 """
 
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .mechanisms import (
 )
 from .mixtures import build_market
 from .planner import plan_hr_dominant, select_anonymous_reserve
-from .reports import ExperimentReport, ReportRow
+from .reports import ExperimentReport, ReportRow, estimate_row
 from .revenue import (
     ComponentExtra,
     EstimatorConfig,
@@ -52,7 +51,6 @@ from .revenue import (
     posted_sequence_revenue_exact,
     second_price_two_point_exact,
 )
-from .scenario import ScenarioConfig
 from .streams import substream
 
 __all__ = [
@@ -70,18 +68,6 @@ DEFAULT_HORIZON = 1e6
 APPENDIX_EXPECTED_CONDITIONAL = 0.125 + math.log(8.0)  # 1/8 + ln 8
 
 
-def _estimate_row(name, est, bound="", verdict=""):
-    return ReportRow(
-        mechanism=name,
-        mean=est.mean,
-        std_err=est.std_err,
-        n_samples=est.n_samples,
-        method=est.method,
-        bound_tested=bound,
-        verdict=verdict,
-    )
-
-
 def _check(ok: bool) -> str:
     return "pass" if ok else "fail"
 
@@ -91,8 +77,8 @@ def _factor_rows(tag, bench, name, est, factor):
     se = math.sqrt(bench.std_err**2 + (factor * est.std_err) ** 2)
     ok = bench.mean <= factor * est.mean + 4.0 * se
     return [
-        _estimate_row(f"{tag}:benchmark", bench),
-        _estimate_row(
+        estimate_row(f"{tag}:benchmark", bench),
+        estimate_row(
             f"{tag}:{name}", est, bound=f"benchmark <= {factor:g}*mean + 4se", verdict=_check(ok)
         ),
     ]
@@ -203,19 +189,19 @@ def _experiment_appendix_lb(seed, n_samples, n_streams, horizon):
 
     expected = APPENDIX_EXPECTED_CONDITIONAL
     rows = [
-        _estimate_row(
+        estimate_row(
             "vickrey_plus_2_extras",
             vickrey,
             bound="mean in [1.54, 1.56]",
             verdict=_check(1.54 <= vickrey.mean <= 1.56),
         ),
-        _estimate_row(
+        estimate_row(
             "both_equal_revenue_conditional",
             both_er,
             bound=f"|mean - {expected:.6f}| <= 1e-3",
             verdict=_check(abs(both_er.mean - expected) <= 1e-3),
         ),
-        _estimate_row(
+        estimate_row(
             "discriminating_benchmark",
             bench,
             bound="mean in [1.74, 1.7501]",
@@ -240,13 +226,13 @@ def _experiment_hr09_lb(seed, n_samples, n_streams, horizon):
     optimal = posted_sequence_revenue_exact([pm, er], (horizon, 1.0), (1, 0))
     ratio = approximation_ratio(optimal, duplicated)
     rows = [
-        _estimate_row(
+        estimate_row(
             "duplicated_vickrey",
             duplicated,
             bound="|mean - 1.5| <= 1e-3",
             verdict=_check(abs(duplicated.mean - 1.5) <= 1e-3),
         ),
-        _estimate_row("optimal_with_discrimination", optimal),
+        estimate_row("optimal_with_discrimination", optimal),
         ReportRow(
             mechanism="optimal_over_duplicated",
             mean=ratio.ratio,
@@ -266,14 +252,14 @@ def _experiment_tvsnt(seed, n_samples, n_streams, horizon, n: int = 10):
     targeted = second_price_two_point_exact(n, dist, extra_values=(1.0, float(n * n)))
     nontargeted = second_price_two_point_exact(2 * n, dist)
     rows = [
-        _estimate_row("optimal_original", optimal),
-        _estimate_row(
+        estimate_row("optimal_original", optimal),
+        estimate_row(
             "targeted_two_extras",
             targeted,
             bound="mean >= 0.99 * optimal_original",
             verdict=_check(targeted.mean >= 0.99 * optimal.mean),
         ),
-        _estimate_row(
+        estimate_row(
             f"nontargeted_{n}_extras",
             nontargeted,
             bound="mean < 0.35 * optimal_original",
@@ -372,41 +358,24 @@ _DEFAULT_SAMPLES = {
 }
 
 
-def _run_scenario(config: ScenarioConfig) -> ExperimentReport:
-    start = time.perf_counter()
-    est = estimate_mc(config.market, config.mechanism(), config.extras, config.estimator)
-    kind = config.mechanism_raw["kind"]
-    rows = (_estimate_row(kind, est),)
-    return ExperimentReport(
-        scenario_id=config.scenario_id,
-        rows=rows,
-        seed=config.estimator.seed,
-        runtime_seconds=time.perf_counter() - start,
-    )
-
-
 def run_experiment(
-    name_or_config,
+    name: str,
     seed: int | None = None,
     n_samples: int | None = None,
-    n_streams: int = 8,
+    n_streams: int | None = None,
     horizon: float = DEFAULT_HORIZON,
 ) -> ExperimentReport:
-    """Run a built-in experiment by name, or a parsed ScenarioConfig."""
-    if isinstance(name_or_config, ScenarioConfig):
-        return _run_scenario(name_or_config)
-    name = str(name_or_config)
+    """Run a built-in experiment by name.
+
+    Unset arguments take the defaults: DEFAULT_SEED, the experiment's own
+    sample count and EstimatorConfig's stream count.
+    """
     if name not in BUILTIN_EXPERIMENTS:
         raise UnknownExperiment(
             f"{name!r}; known: {sorted(BUILTIN_EXPERIMENTS)}"
         )
     seed = DEFAULT_SEED if seed is None else seed
     n_samples = _DEFAULT_SAMPLES[name] if n_samples is None else n_samples
-    start = time.perf_counter()
+    n_streams = EstimatorConfig.n_streams if n_streams is None else n_streams
     rows = BUILTIN_EXPERIMENTS[name](seed, n_samples, n_streams, horizon)
-    return ExperimentReport(
-        scenario_id=name,
-        rows=tuple(rows),
-        seed=seed,
-        runtime_seconds=time.perf_counter() - start,
-    )
+    return ExperimentReport(scenario_id=name, rows=tuple(rows), seed=seed)

@@ -9,13 +9,14 @@ against and a pass/fail verdict.  The CSV column set is fixed:
     bound_tested, verdict
 
 json-lines uses the same keys, one object per row, and round-trips through
-its own parser byte-for-byte.  Wall-clock runtime lives on the report
-object only, never in emitted rows, so emission is reproducible.
+its own parser byte-for-byte.  No wall-clock runtime is recorded, so
+emission is reproducible.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .errors import IOFailure
@@ -51,12 +52,24 @@ class ReportRow:
     verdict: str = ""  # "pass" | "fail" | ""
 
 
+def estimate_row(name, est, bound="", verdict="") -> ReportRow:
+    """The row of a RevenueEstimate, optionally with its tested bound and verdict."""
+    return ReportRow(
+        mechanism=name,
+        mean=est.mean,
+        std_err=est.std_err,
+        n_samples=est.n_samples,
+        method=est.method,
+        bound_tested=bound,
+        verdict=verdict,
+    )
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     scenario_id: str
     rows: tuple
     seed: int
-    runtime_seconds: float = 0.0
 
     @property
     def estimates(self):
@@ -65,10 +78,6 @@ class ExperimentReport:
     @property
     def ratios(self):
         return [r for r in self.rows if r.method == "ratio"]
-
-    @property
-    def verdicts(self):
-        return [(r.mechanism, r.bound_tested, r.verdict) for r in self.rows if r.verdict]
 
     @property
     def passed(self) -> bool:
@@ -147,13 +156,13 @@ def parse_report_jsonl(data: bytes) -> ExperimentReport:
     return ExperimentReport(scenario_id=scenario_id, rows=tuple(rows), seed=0)
 
 
-def write_report(report: ExperimentReport, format: str, path: str | None) -> bytes:
-    """Emit and optionally write to a file; returns the bytes either way."""
-    data = emit_report(report, format)
-    if path is not None:
-        try:
-            with open(path, "wb") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise IOFailure(f"cannot write {path}: {exc}") from exc
-    return data
+def write_output(data: bytes, path: str | None) -> None:
+    """Write emitted bytes to the file at `path`, or to stdout when it is None."""
+    if path is None:
+        sys.stdout.write(data.decode())
+        return
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise IOFailure(f"cannot write {path}: {exc}") from exc

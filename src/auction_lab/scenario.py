@@ -19,7 +19,14 @@ mechanism, optional extra bidders and estimator settings:
 An i.i.d. market may give a single weights row: {"components": [...],
 "iid": true, "weights": [0.5, 0.5], "n": 4}.  The seed is mandatory (no
 wall-clock seeding); callers may inject a fallback seed taken from a CLI
-flag or the AUCTION_LAB_SEED environment variable.
+flag or the AUCTION_LAB_SEED environment variable.  Estimator keys left
+out take EstimatorConfig's defaults.
+
+`parse_scenario` reads every field once, through the readers below, and
+builds the mechanism spec against the parsed market.  Numbers must be
+finite, and counts, indices and seeds JSON integers (booleans are
+neither); a malformed field raises SchemaError naming its path, such as
+``mechanism.prices[1]``.
 
 Version bumps are breaking: any version other than 1 is rejected.
 """
@@ -27,6 +34,7 @@ Version bumps are breaking: any version other than 1 is rejected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +50,7 @@ from .distributions import (
 )
 from .errors import SchemaError
 from .mechanisms import (
+    MechanismSpec,
     MyersonIroned,
     MyersonRegular,
     PostedSequence,
@@ -58,184 +67,183 @@ __all__ = ["ScenarioConfig", "parse_scenario", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
-_FAMILY_FIELDS = {
-    "uniform": ("a", "b"),
-    "exponential": ("rate",),
-    "power_law": ("alpha",),
-    "equal_revenue": (),
-    "truncated_normal": ("mu", "sigma"),
-    "point_mass": ("value",),
-    "two_point": ("lo", "hi", "p_hi"),
+# family name -> (class, its positional parameters' field names)
+_FAMILIES = {
+    "uniform": (Uniform, ("a", "b")),
+    "exponential": (Exponential, ("rate",)),
+    "power_law": (PowerLaw, ("alpha",)),
+    "equal_revenue": (EqualRevenue, ()),
+    "truncated_normal": (TruncatedNormal, ("mu", "sigma")),
+    "point_mass": (PointMass, ("value",)),
+    "two_point": (TwoPoint, ("lo", "hi", "p_hi")),
 }
 
-_MECHANISM_KINDS = (
-    "second_price",
-    "myerson_regular",
-    "myerson_ironed",
-    "posted_sequence",
-    "second_price_subset_reserve",
-    "second_price_sample_reserve",
-)
+
+# Each reader takes (obj, key, path): obj is a JSON object and key a field
+# name, or obj is a list and key an index; path locates obj in the document.
+
+
+def _at(path, key):
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return key if path == "$" else f"{path}.{key}"
 
 
 def _need(obj, key, path, kind=None):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"{path}.{key}", "required field missing")
+    if isinstance(key, str) and (not isinstance(obj, dict) or key not in obj):
+        raise SchemaError(_at(path, key), "required field missing")
     val = obj[key]
     if kind is not None and not isinstance(val, kind):
-        raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}")
+        raise SchemaError(_at(path, key), f"expected {kind.__name__}")
     return val
 
 
 def _number(obj, key, path):
     val = _need(obj, key, path)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SchemaError(f"{path}.{key}", "expected a number")
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        raise SchemaError(_at(path, key), "expected a finite number")
     return float(val)
 
 
-def _parse_distribution(spec, path):
+def _integer(obj, key, path, minimum=None):
+    val = _need(obj, key, path)
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise SchemaError(_at(path, key), "expected an integer")
+    if minimum is not None and val < minimum:
+        raise SchemaError(_at(path, key), f"expected an integer >= {minimum}")
+    return val
+
+
+def _list(obj, key, path, read):
+    """obj[key] as a tuple, each item read by `read(items, index, path)`."""
+    items = _need(obj, key, path, list)
+    where = _at(path, key)
+    return tuple(read(items, i, where) for i in range(len(items)))
+
+
+def _parse_distribution(obj, key, path):
+    spec = _need(obj, key, path, dict)
+    path = _at(path, key)
     family = _need(spec, "family", path)
-    if family not in _FAMILY_FIELDS:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise SchemaError(
             f"{path}.family",
-            f"unknown family {family!r}; known: {sorted(_FAMILY_FIELDS)}",
+            f"unknown family {family!r}; known: {sorted(_FAMILIES)}",
         )
-    args = {f: _number(spec, f, path) for f in _FAMILY_FIELDS[family]}
+    family_cls, fields = _FAMILIES[family]
+    args = [_number(spec, f, path) for f in fields]
     try:
-        if family == "uniform":
-            return Uniform(args["a"], args["b"])
-        if family == "exponential":
-            return Exponential(args["rate"])
-        if family == "power_law":
-            return PowerLaw(args["alpha"])
-        if family == "equal_revenue":
-            return EqualRevenue()
-        if family == "truncated_normal":
-            return TruncatedNormal(args["mu"], args["sigma"])
-        if family == "point_mass":
-            return PointMass(args["value"])
-        return TwoPoint(args["lo"], args["hi"], args["p_hi"])
+        return family_cls(*args)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 
 
+def _number_row(obj, key, path):
+    return _list(obj, key, path, _number)
+
+
 def _parse_market(section) -> MarketModel:
-    comps_raw = _need(section, "components", "market", list)
-    if not comps_raw:
+    components = _list(section, "components", "market", _parse_distribution)
+    if not components:
         raise SchemaError("market.components", "at least one component required")
-    components = [
-        _parse_distribution(c, f"market.components[{t}]")
-        for t, c in enumerate(comps_raw)
-    ]
-    weights_raw = _need(section, "weights", "market", list)
-    if section.get("iid"):
-        n = _need(section, "n", "market")
-        if not isinstance(n, int) or n < 1:
-            raise SchemaError("market.n", "expected a positive integer")
-        rows = [weights_raw] * n
+    if "iid" in section and _need(section, "iid", "market", bool):
+        n = _integer(section, "n", "market", minimum=1)
+        rows = [_number_row(section, "weights", "market")] * n
     else:
-        rows = weights_raw
-    if not rows or not all(isinstance(r, list) for r in rows):
+        rows = _list(section, "weights", "market", _number_row)
+    if not rows:
         raise SchemaError("market.weights", "expected a list of rows")
-    w = np.asarray(rows, dtype=float)
-    if w.ndim != 2 or w.shape[1] != len(components):
-        raise SchemaError("market.weights", f"rows must have {len(components)} entries")
-    if np.any(w < 0.0):
-        i = int(np.argwhere((w < 0.0).any(axis=1))[0][0])
-        raise SchemaError(f"market.weights[{i}]", "negative entry")
-    sums = w.sum(axis=1)
-    bad = np.abs(sums - 1.0) > 1e-12
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise SchemaError(f"market.weights[{i}]", f"row sum {sums[i]!r} != 1")
+    for i, row in enumerate(rows):
+        where = f"market.weights[{i}]"
+        if len(row) != len(components):
+            raise SchemaError(where, f"rows must have {len(components)} entries")
+        if min(row) < 0.0:
+            raise SchemaError(where, "negative entry")
+        if abs(sum(row) - 1.0) > 1e-12:
+            raise SchemaError(where, f"row sum {sum(row)!r} != 1")
     return build_market(components, rows)
 
 
-def _parse_extras(raw):
-    extras = []
-    for j, spec in enumerate(raw):
-        path = f"extras[{j}]"
-        if not isinstance(spec, dict):
-            raise SchemaError(path, "expected an object")
+def _parse_extras(doc, k):
+    def extra(raw, j, path):
+        spec = _need(raw, j, path, dict)
+        path = _at(path, j)
         if "component" in spec:
-            idx = spec["component"]
-            if not isinstance(idx, int) or idx < 0:
-                raise SchemaError(f"{path}.component", "expected a component index")
-            extras.append(ComponentExtra(idx))
-        elif "value" in spec:
-            extras.append(DeterministicExtra(_number(spec, "value", path)))
-        else:
-            raise SchemaError(path, "needs 'component' or 'value'")
-    return tuple(extras)
+            idx = _integer(spec, "component", path, minimum=0)
+            if idx >= k:
+                raise SchemaError(f"{path}.component", f"index {idx} >= k={k}")
+            return ComponentExtra(idx)
+        if "value" in spec:
+            return DeterministicExtra(_number(spec, "value", path))
+        raise SchemaError(path, "needs 'component' or 'value'")
+
+    return _list(doc, "extras", "$", extra) if "extras" in doc else ()
+
+
+def _parse_mechanism(raw, market: MarketModel, extras) -> MechanismSpec:
+    """Build the spec of mechanism section `raw` against the parsed market."""
+    path = "mechanism"
+    kind = _need(raw, "kind", path)
+    if kind == "second_price":
+        if "reserve" in raw and "bidder_reserves" in raw:
+            raise SchemaError(path, "set at most one reserve mode")
+        if "reserve" in raw:
+            return SecondPriceAnonymousReserve(_number(raw, "reserve", path))
+        if "bidder_reserves" in raw:
+            reserves = _number_row(raw, "bidder_reserves", path)
+            total_columns = market.n + len(extras)
+            if len(reserves) != total_columns:
+                raise SchemaError(
+                    "mechanism.bidder_reserves",
+                    f"need one reserve per column ({total_columns})",
+                )
+            return SecondPriceBidderReserves(reserves)
+        return SecondPrice()
+    if kind == "myerson_regular":
+        dists = []
+        for i in range(market.n):
+            hot = np.flatnonzero(market.weights[i] > 0.0)
+            if len(hot) != 1:
+                raise SchemaError(
+                    path, f"myerson_regular needs degenerate weight rows; row {i} mixes"
+                )
+            dists.append(market.components[int(hot[0])])
+        for spec in extras:
+            if not isinstance(spec, ComponentExtra):
+                raise SchemaError("extras", "myerson_regular extras must be component draws")
+            dists.append(market.components[spec.index])
+        return MyersonRegular(tuple(dists))
+    if kind == "myerson_ironed":
+        if extras:
+            raise SchemaError("extras", "myerson_ironed does not take extras")
+        grid = DEFAULT_IRONING_GRID
+        if "grid_size" in raw:
+            grid = _integer(raw, "grid_size", path)
+        return MyersonIroned(tuple(iron(market, i, grid) for i in range(market.n)))
+    if kind == "posted_sequence":
+        return PostedSequence(
+            _number_row(raw, "prices", path), _list(raw, "order", path, _integer)
+        )
+    if kind == "second_price_subset_reserve":
+        return SecondPriceSubsetReserve(_list(raw, "subset", path, _integer))
+    if kind == "second_price_sample_reserve":
+        return SecondPriceSampleReserve(_list(raw, "components", path, _integer))
+    raise SchemaError("mechanism.kind", f"unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: market, mechanism recipe, extras and estimator."""
+    """Validated scenario: market, built mechanism spec, extras and estimator.
+
+    `kind` is the scenario's mechanism kind, the label of its report row.
+    """
 
     scenario_id: str
     market: MarketModel
-    mechanism_raw: dict
+    kind: str
+    mechanism: MechanismSpec
     extras: tuple
     estimator: EstimatorConfig
-
-    def mechanism(self):
-        """Build the mechanism spec against this scenario's market."""
-        raw = self.mechanism_raw
-        kind = raw["kind"]
-        total_columns = self.market.n + len(self.extras)
-        if kind == "second_price":
-            if "reserve" in raw and "bidder_reserves" in raw:
-                raise SchemaError("mechanism", "set at most one reserve mode")
-            if "reserve" in raw:
-                return SecondPriceAnonymousReserve(float(raw["reserve"]))
-            if "bidder_reserves" in raw:
-                reserves = tuple(float(r) for r in raw["bidder_reserves"])
-                if len(reserves) != total_columns:
-                    raise SchemaError(
-                        "mechanism.bidder_reserves",
-                        f"need one reserve per column ({total_columns})",
-                    )
-                return SecondPriceBidderReserves(reserves)
-            return SecondPrice()
-        if kind == "myerson_regular":
-            dists = []
-            for i in range(self.market.n):
-                row = self.market.weights[i]
-                hot = np.flatnonzero(row > 0.0)
-                if len(hot) != 1:
-                    raise SchemaError(
-                        "mechanism",
-                        f"myerson_regular needs degenerate weight rows; row {i} mixes",
-                    )
-                dists.append(self.market.components[int(hot[0])])
-            for spec in self.extras:
-                if not isinstance(spec, ComponentExtra):
-                    raise SchemaError(
-                        "extras", "myerson_regular extras must be component draws"
-                    )
-                dists.append(self.market.components[spec.index])
-            return MyersonRegular(tuple(dists))
-        if kind == "myerson_ironed":
-            grid = raw.get("grid_size", DEFAULT_IRONING_GRID)
-            curves = [iron(self.market, i, grid) for i in range(self.market.n)]
-            if self.extras:
-                raise SchemaError("extras", "myerson_ironed does not take extras")
-            return MyersonIroned(tuple(curves))
-        if kind == "posted_sequence":
-            prices = tuple(float(p) for p in _need(raw, "prices", "mechanism", list))
-            order = tuple(int(i) for i in _need(raw, "order", "mechanism", list))
-            return PostedSequence(prices, order)
-        if kind == "second_price_subset_reserve":
-            subset = tuple(int(i) for i in _need(raw, "subset", "mechanism", list))
-            return SecondPriceSubsetReserve(subset)
-        if kind == "second_price_sample_reserve":
-            comps = tuple(
-                int(t) for t in _need(raw, "components", "mechanism", list)
-            )
-            return SecondPriceSampleReserve(comps)
-        raise SchemaError("mechanism.kind", f"unknown kind {kind!r}")
 
 
 def parse_scenario(text: str, default_seed: int | None = None) -> ScenarioConfig:
@@ -246,45 +254,34 @@ def parse_scenario(text: str, default_seed: int | None = None) -> ScenarioConfig
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
-    version = _need(doc, "version", "$")
+    version = _integer(doc, "version", "$")
     if version != SCHEMA_VERSION:
         raise SchemaError("version", f"unsupported version {version!r}; expected 1")
 
     market = _parse_market(_need(doc, "market", "$", dict))
-
+    extras = _parse_extras(doc, market.k)
     mech_raw = _need(doc, "mechanism", "$", dict)
-    kind = _need(mech_raw, "kind", "mechanism")
-    if kind not in _MECHANISM_KINDS:
-        raise SchemaError("mechanism.kind", f"unknown kind {kind!r}")
+    try:
+        mechanism = _parse_mechanism(mech_raw, market, extras)
+    except ValueError as exc:  # a spec constructor refused the parsed values
+        raise SchemaError("mechanism", str(exc)) from exc
 
-    extras = _parse_extras(doc.get("extras", []))
-    for j, spec in enumerate(extras):
-        if isinstance(spec, ComponentExtra) and spec.index >= market.k:
-            raise SchemaError(f"extras[{j}].component", f"index {spec.index} >= k={market.k}")
-
-    est_raw = doc.get("estimator", {})
-    if not isinstance(est_raw, dict):
-        raise SchemaError("estimator", "expected an object")
-    seed = est_raw.get("seed", default_seed)
+    est_raw = _need(doc, "estimator", "$", dict) if "estimator" in doc else {}
+    seed = default_seed
+    if "seed" in est_raw:
+        seed = _integer(est_raw, "seed", "estimator", minimum=0)
     if seed is None:
         raise SchemaError("estimator.seed", "required (no wall-clock seeding)")
-    if not isinstance(seed, int):
-        raise SchemaError("estimator.seed", "expected an integer")
-    try:
-        estimator = EstimatorConfig(
-            seed=seed,
-            n_samples=int(est_raw.get("n_samples", 100_000)),
-            n_streams=int(est_raw.get("n_streams", 8)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("estimator", str(exc)) from exc
-
-    config = ScenarioConfig(
-        scenario_id=str(doc.get("id", "scenario")),
+    counts = {
+        key: _integer(est_raw, key, "estimator", minimum=1)
+        for key in ("n_samples", "n_streams")
+        if key in est_raw
+    }
+    return ScenarioConfig(
+        scenario_id=_need(doc, "id", "$", str) if "id" in doc else "scenario",
         market=market,
-        mechanism_raw=mech_raw,
+        kind=mech_raw["kind"],
+        mechanism=mechanism,
         extras=extras,
-        estimator=estimator,
+        estimator=EstimatorConfig(seed=seed, **counts),
     )
-    config.mechanism()  # surface mechanism-level schema problems at parse time
-    return config

@@ -37,6 +37,83 @@ def scenario_text(**overrides):
     return json.dumps(doc)
 
 
+# one scenario per mechanism kind on MINIMAL's two uniform bidders
+MECHANISMS = [
+    pytest.param({"kind": "second_price"}, id="second_price"),
+    pytest.param({"kind": "second_price", "reserve": 0.5}, id="second_price-reserve"),
+    pytest.param(
+        {"kind": "second_price", "bidder_reserves": [0.2, 0.4]}, id="second_price-bidder_reserves"
+    ),
+    pytest.param({"kind": "myerson_regular"}, id="myerson_regular"),
+    pytest.param({"kind": "myerson_ironed", "grid_size": 1025}, id="myerson_ironed"),
+    pytest.param(
+        {"kind": "posted_sequence", "prices": [0.6, 0.4], "order": [1, 0]}, id="posted_sequence"
+    ),
+    pytest.param(
+        {"kind": "second_price_subset_reserve", "subset": [0]}, id="second_price_subset_reserve"
+    ),
+    pytest.param(
+        {"kind": "second_price_sample_reserve", "components": [0]},
+        id="second_price_sample_reserve",
+    ),
+]
+
+IID_TRUE_N = {
+    "components": [{"family": "uniform", "a": 0, "b": 1}],
+    "iid": True,
+    "weights": [1.0],
+    "n": True,
+}
+
+# (top-level key, its malformed value, the path the SchemaError names)
+MALFORMED = [
+    ("mechanism", {"kind": "second_price", "reserve": "abc"}, "mechanism.reserve"),
+    ("mechanism", {"kind": "second_price", "reserve": None}, "mechanism.reserve"),
+    ("mechanism", {"kind": "second_price", "reserve": float("nan")}, "mechanism.reserve"),
+    ("mechanism", {"kind": "second_price", "bidder_reserves": 5}, "mechanism.bidder_reserves"),
+    (
+        "mechanism",
+        {"kind": "posted_sequence", "prices": [0.5, "x"], "order": [0, 1]},
+        "mechanism.prices[1]",
+    ),
+    (
+        "mechanism",
+        {"kind": "posted_sequence", "prices": [0.5], "order": [0.9]},
+        "mechanism.order[0]",
+    ),
+    ("mechanism", {"kind": "posted_sequence", "prices": [0.5, 0.4], "order": [0]}, "mechanism"),
+    ("mechanism", {"kind": "myerson_ironed", "grid_size": "big"}, "mechanism.grid_size"),
+    ("mechanism", {"kind": "myerson_ironed", "grid_size": 100}, "mechanism"),
+    ("mechanism", {"kind": "second_price_subset_reserve", "subset": [0.7]}, "mechanism.subset[0]"),
+    (
+        "mechanism",
+        {"kind": "second_price_sample_reserve", "components": [True]},
+        "mechanism.components[0]",
+    ),
+    ("estimator", {"seed": 7, "n_samples": 1.7}, "estimator.n_samples"),
+    ("estimator", {"seed": 7, "n_samples": "5"}, "estimator.n_samples"),
+    ("estimator", {"seed": 7, "n_streams": 0}, "estimator.n_streams"),
+    ("estimator", {"seed": True}, "estimator.seed"),
+    ("estimator", {"seed": -1}, "estimator.seed"),
+    ("market", IID_TRUE_N, "market.n"),
+    (
+        "market",
+        {"components": [{"family": "uniform", "a": 0, "b": 1}], "weights": [[1.0], [1.0, 0.0]]},
+        "market.weights[1]",
+    ),
+    (
+        "market",
+        {"components": [{"family": "uniform", "a": 0, "b": 1}], "weights": [["1"]]},
+        "market.weights[0][0]",
+    ),
+    (
+        "market",
+        {"components": [{"family": "uniform", "a": 0, "b": 1}], "weights": [[float("nan")]]},
+        "market.weights[0][0]",
+    ),
+]
+
+
 class TestParseScenario:
     def test_minimal_valid(self):
         # keys the schema no longer reads ("outputs", "quadrature_tol",
@@ -120,6 +197,11 @@ class TestParseScenario:
     def test_not_json(self):
         with pytest.raises(SchemaError):
             parse_scenario("not json {")
+
+    def test_unknown_mechanism_kind(self):
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(scenario_text(mechanism={"kind": "first_price"}))
+        assert err.value.path == "mechanism.kind"
 
 
 class TestEmitReport:
@@ -268,6 +350,82 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: IndexOutOfRange: {message}" in captured.err
+
+    @pytest.mark.parametrize("key, value, path", MALFORMED, ids=[m[2] for m in MALFORMED])
+    def test_malformed_field_exit_one(self, tmp_path, capsys, key, value, path):
+        text = scenario_text(**{key: value})
+        assert main(["simulate", self.write_scenario(tmp_path, text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: SchemaError: {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--samples", "0"],
+            ["simulate", "--samples", "-3"],
+            ["simulate", "--streams", "0"],
+            ["simulate", "--seed", "-1"],
+            ["reproduce", "--streams", "0"],
+            ["reproduce", "--samples", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_count_flags_below_one_exit_one(self, tmp_path, capsys, argv):
+        target = "tvsnt" if argv[0] == "reproduce" else self.write_scenario(tmp_path)
+        assert main([argv[0], target, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: SchemaError: {argv[1]}: expected an integer >= ")
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    @pytest.mark.parametrize("command", ["simulate", "ratio"])
+    def test_every_mechanism_kind(self, tmp_path, capsys, command, mechanism):
+        path = self.write_scenario(tmp_path, scenario_text(mechanism=mechanism))
+        assert main([command, path, "--samples", "2000", "--format", "json-lines"]) == 0
+        labels = [json.loads(l)["mechanism"] for l in capsys.readouterr().out.splitlines()]
+        kind = mechanism["kind"]
+        if command == "simulate":
+            assert labels == [kind]
+        else:
+            assert labels == ["benchmark", kind, "benchmark_over_mechanism"]
+
+    @pytest.mark.parametrize("command", ["simulate", "ratio"])
+    def test_each_bidder_ironed_once(self, tmp_path, capsys, monkeypatch, command):
+        import auction_lab.mixtures as mixtures
+
+        ironed = []
+        real = mixtures.iron_distribution
+
+        def spy(dist, grid_size):
+            ironed.append(dist)
+            return real(dist, grid_size)
+
+        monkeypatch.setattr(mixtures, "iron_distribution", spy)
+        doc = json.loads(scenario_text(mechanism={"kind": "myerson_ironed", "grid_size": 1025}))
+        doc["market"]["weights"] = [[1.0]] * 3
+        path = self.write_scenario(tmp_path, json.dumps(doc))
+        assert main([command, path, "--samples", "2000"]) == 0
+        assert len(ironed) == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "plan", "check-hr"])
+    def test_unwritable_out_exit_one(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "report.txt"
+        argv = [command, self.write_scenario(tmp_path), "--samples", "2000", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: IOFailure: cannot write {out}")
+
+    def test_ratio_truncated_normal_exit_zero(self, tmp_path, capsys):
+        doc = json.loads(scenario_text())
+        doc["market"]["components"] = [
+            {"family": "truncated_normal", "mu": -0.5, "sigma": 1.0},
+            {"family": "exponential", "rate": 1.0},
+        ]
+        doc["market"]["weights"] = [[0.5, 0.5], [0.5, 0.5]]
+        assert main(["ratio", self.write_scenario(tmp_path, json.dumps(doc))]) == 0
+        assert "benchmark_over_mechanism" in capsys.readouterr().out
 
     def test_ratio_subcommand(self, tmp_path, capsys):
         assert main(["ratio", self.write_scenario(tmp_path)]) == 0

@@ -236,6 +236,15 @@ class TestHazardVirtual:
                 x = d.virtual_inverse(y)
                 assert d._virtual_unchecked(x) >= y - 1e-7
 
+    @pytest.mark.parametrize(
+        "d", [TruncatedNormal(1, 1), TruncatedNormal(-0.5, 1), TruncatedNormal(0.5, 2)], ids=str
+    )
+    @pytest.mark.parametrize("y", [20.0, 1e3, 1e6])
+    def test_truncated_normal_virtual_inverse_far_tail(self, d, y):
+        # a bracket ending at mu + 12 sigma returned 13.0 for TN(1, 1) at every
+        # y here, and phi as x - S/f is 0/0 beyond z ~ 37
+        assert d.virtual(d.virtual_inverse(y)) == pytest.approx(y, rel=1e-12)
+
 
 class TestSampling:
     def test_same_seed_same_sequence(self):

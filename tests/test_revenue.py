@@ -634,8 +634,16 @@ class TestDiscriminatingBenchmark:
 
     @pytest.mark.parametrize(
         "market",
-        random_mixture_markets(seed=20130, count=4) + hr_ordered_markets(seed=20130, count=4),
-        ids=[f"mixture{j}" for j in range(4)] + [f"hr{j}" for j in range(4)],
+        random_mixture_markets(seed=20130, count=4)
+        + hr_ordered_markets(seed=20130, count=4)
+        + [
+            # the benchmark's inverse of phi reaches far past mu + 12 sigma
+            build_market((TruncatedNormal(1, 1),), [[1.0]] * 2),
+            build_market((Uniform(0, 1), TruncatedNormal(0.5, 1)), [[0.5, 0.5], [0.3, 0.7]]),
+            build_market((TruncatedNormal(-0.5, 1), Exponential(1.0)), [[0.6, 0.4]] * 2),
+        ],
+        ids=[f"mixture{j}" for j in range(4)] + [f"hr{j}" for j in range(4)]
+        + [f"truncated_normal{j}" for j in range(3)],
     )
     def test_agrees_with_pinned_profile_mc(self, market):
         bench = discriminating_benchmark(market, EstimatorConfig(seed=1))
