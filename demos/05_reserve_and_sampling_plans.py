@@ -17,9 +17,11 @@ from auction_lab import (
     evaluate_plan,
     nontargeted_counts,
     plan_hr_dominant,
+    plan_no_reserve,
     plan_nontargeted,
+    plan_random_subset,
+    plan_sample_reserve,
     plan_targeted,
-    sample_based_plans,
     select_anonymous_reserve,
 )
 
@@ -43,7 +45,10 @@ def main():
         plan_hr_dominant(MARKET),
         plan_nontargeted(MARKET),
         select_anonymous_reserve(MARKET, cfg),
-    ] + sample_based_plans(MARKET, group_sizes=(4, 2))
+        plan_sample_reserve(MARKET, group_sizes=(4, 2)),
+        plan_random_subset(MARKET),
+        plan_no_reserve(MARKET, group_sizes=(4, 2)),
+    ]
 
     print(f"{'strategy':<26} {'factor':>7} {'revenue':>9} {'bench/rev':>10} {'ok':>4}")
     for plan in plans:

@@ -65,10 +65,12 @@ from .planner import (
     guarantee_factor,
     nontargeted_counts,
     plan_hr_dominant,
+    plan_no_reserve,
     plan_nontargeted,
     plan_nontargeted_hr,
+    plan_random_subset,
+    plan_sample_reserve,
     plan_targeted,
-    sample_based_plans,
     select_anonymous_reserve,
 )
 from .reports import ExperimentReport, ReportRow, emit_report, parse_report_jsonl

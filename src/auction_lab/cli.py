@@ -11,7 +11,8 @@ Subcommands:
 Common flags: --seed, --samples, --streams, --horizon, --out PATH,
 --format {csv,json-lines,text-table}.  The seed comes from --seed, then the
 scenario file, then the AUCTION_LAB_SEED environment variable; there is no
-wall-clock fallback.  A negative seed or a count below 1 is an error.
+wall-clock fallback.  A negative seed, a count below 1 or a horizon that is
+not a finite positive number is an error.
 
 Exit codes: 0 when every verdict passes, 2 when a verdict fails, 1 on any
 error.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -29,14 +31,20 @@ from .distributions import hr_crossing
 from .errors import AuctionLabError, NoDominantComponent, SchemaError
 from .experiments import DEFAULT_HORIZON, run_experiment
 from .planner import (
+    ANON_RESERVE,
+    HR_DOMINANT,
     NO_RESERVE,
+    NONTARGETED,
     RANDOM_SUBSET,
     SAMPLE_RESERVE,
+    TARGETED,
     evaluate_plan,
     plan_hr_dominant,
+    plan_no_reserve,
     plan_nontargeted,
+    plan_random_subset,
+    plan_sample_reserve,
     plan_targeted,
-    sample_based_plans,
     select_anonymous_reserve,
 )
 from .reports import ExperimentReport, ReportRow, emit_report, estimate_row, write_output
@@ -82,6 +90,8 @@ def _check_flags(args):
         value = getattr(args, flag)
         if value is not None and value < minimum:
             raise SchemaError(f"--{flag}", f"expected an integer >= {minimum}")
+    if not (math.isfinite(args.horizon) and args.horizon > 0.0):
+        raise SchemaError("--horizon", "expected a finite number > 0")
 
 
 def _env_seed():
@@ -150,28 +160,28 @@ def _cmd_plan(args) -> int:
     market = config.market
     cfg = config.estimator
     records = []
+    # each recipe is skipped on its own preconditions only
     builders = (
-        ("targeted", plan_targeted, (market,)),
-        ("hr_dominant", plan_hr_dominant, (market,)),
-        ("nontargeted", plan_nontargeted, (market,)),
-        ("anonymous_reserve", select_anonymous_reserve, (market, cfg)),
-        # each sample-based plan is skipped on its own precondition only
-        *(
-            (s, lambda s: sample_based_plans(market, include=(s,))[0], (s,))
-            for s in (SAMPLE_RESERVE, RANDOM_SUBSET, NO_RESERVE)
-        ),
+        (TARGETED, plan_targeted, (market,)),
+        (HR_DOMINANT, plan_hr_dominant, (market,)),
+        (NONTARGETED, plan_nontargeted, (market,)),
+        (ANON_RESERVE, select_anonymous_reserve, (market, cfg)),
+        (SAMPLE_RESERVE, plan_sample_reserve, (market,)),
+        (RANDOM_SUBSET, plan_random_subset, (market,)),
+        (NO_RESERVE, plan_no_reserve, (market,)),
     )
     plans = []
-    for label, fn, fn_args in builders:
+    for strategy, fn, fn_args in builders:
         try:
             plans.append(fn(*fn_args))
         except AuctionLabError as exc:
-            records.append({"strategy": label, "skipped": f"{type(exc).__name__}: {exc}"})
+            records.append({"strategy": strategy, "skipped": f"{type(exc).__name__}: {exc}"})
     for plan in plans:
         # plans chosen on MC evidence carry it, computed with this same cfg
         evidence = plan.estimate
         if evidence is None:
             evidence = evaluate_plan(market, plan, cfg)
+        subset = getattr(plan.mechanism, "subset", None)
         records.append(
             {
                 "strategy": plan.strategy,
@@ -179,10 +189,10 @@ def _cmd_plan(args) -> int:
                 "extras": [
                     getattr(e, "index", getattr(e, "value", None)) for e in plan.extras
                 ],
-                "reserve": plan.reserve,
+                "reserve": getattr(plan.mechanism, "reserve", None),
                 "reserve_component": plan.reserve_component,
                 "count": plan.count,
-                "subset": list(plan.subset) if plan.subset else None,
+                "subset": list(subset) if subset else None,
                 "assumptions": [
                     {"name": a.name, "verified": a.verified, "detail": a.detail}
                     for a in plan.assumptions

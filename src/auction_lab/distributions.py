@@ -101,9 +101,9 @@ class Distribution:
     The public methods are the only place an argument is converted, a level
     is checked, or a scalar result becomes float.  Families implement the
     array primitives `_cdf`, `_pdf`, `_quantile` (plus `_cdf_left` with
-    atoms, `_survival`/`_survival_quantile` to stay exact in the tail, and
-    `_virtual_inverse` when regular) on float arrays whose levels are
-    already checked.
+    atoms, `_survival`/`_survival_quantile` to stay exact in the tail,
+    `_mills` where the ratio S/f loses the tail, and `_virtual_inverse`
+    when regular) on float arrays whose levels are already checked.
     """
 
     #: set by subclasses
@@ -169,6 +169,10 @@ class Distribution:
     def _survival_quantile(self, q):
         return self._quantile(1.0 - q)
 
+    def _mills(self, x):
+        # the inverse hazard (1 - F)/f: h = 1/mills and phi = x - mills
+        return self._survival(x) / self._pdf(x)
+
     def _virtual_inverse(self, y):
         raise NotImplementedError(f"{self} has no virtual inverse")
 
@@ -202,8 +206,7 @@ class Distribution:
     def hazard(self, x):
         """Hazard rate f(x)/(1-F(x)) strictly inside the support."""
         self._require_density(x)
-        xv = np.asarray(x, dtype=float)
-        return _match(x, self._pdf(xv) / self._survival(xv))
+        return _match(x, 1.0 / self._mills(np.asarray(x, dtype=float)))
 
     def virtual(self, x):
         """Virtual value x - 1/h(x) strictly inside the support."""
@@ -212,12 +215,11 @@ class Distribution:
 
     def _virtual_unchecked(self, x):
         xv = np.asarray(x, dtype=float)
-        return _match(x, xv - self._survival(xv) / self._pdf(xv))
+        return _match(x, xv - self._mills(xv))
 
     def hazard_and_virtual(self, x):
         """Return (h(x), phi(x)) at a point strictly inside the support."""
-        h = self.hazard(x)
-        return h, _match(x, np.asarray(x, dtype=float) - 1.0 / np.asarray(h))
+        return self.hazard(x), self.virtual(x)
 
     def _require_density(self, x):
         if not self.is_continuous:
@@ -527,13 +529,11 @@ class TruncatedNormal(Distribution):
             polished = np.maximum(x - (self._cdf(x) - q) / self._pdf(x), 0.0)
         return np.where(q <= 0.5, polished, x)
 
-    def _virtual_unchecked(self, x):
+    def _mills(self, x):
         # S/f is sigma times the normal Mills ratio Q(z)/pdf(z) = sqrt(pi/2)
         # erfcx(z/sqrt 2); formed as a ratio it is 0/0 beyond z ~ 37
-        xv = np.asarray(x, dtype=float)
-        z = (xv - self.mu) / self.sigma
-        mills = math.sqrt(0.5 * math.pi) * erfcx(z / math.sqrt(2.0))
-        return _match(x, xv - self.sigma * mills)
+        z = (x - self.mu) / self.sigma
+        return self.sigma * (math.sqrt(0.5 * math.pi) * erfcx(z / math.sqrt(2.0)))
 
     def _virtual_inverse(self, y):
         # phi(x) >= x - sigma sqrt(pi/2) for x >= max(mu, 0), so phi > y at
@@ -679,9 +679,11 @@ def hr_crossing(d1: Distribution, d2: Distribution, grid_size: int = 10_001):
     if not (d1.is_continuous and d2.is_continuous):
         raise AtomicDistribution("hazard-rate dominance needs continuous distributions")
     x = _intersection_grid(d1, d2, grid_size)
-    with np.errstate(divide="ignore", over="ignore"):
-        h1 = np.asarray(d1.pdf(x)) / np.maximum(np.asarray(d1.survival(x)), 1e-300)
-        h2 = np.asarray(d2.pdf(x)) / np.maximum(np.asarray(d2.survival(x)), 1e-300)
+    # where a law's density and tail both underflow its hazard is 0/0 = nan,
+    # and a nan comparison is False: such a point is no evidence either way
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h1 = 1.0 / d1._mills(x)
+        h2 = 1.0 / d2._mills(x)
     bad = h1 > h2 + MONOTONE_TOL
     if not np.any(bad):
         return None

@@ -30,23 +30,23 @@ import numpy as np
 
 from .distributions import EqualRevenue, Exponential, PointMass, PowerLaw, TwoPoint, Uniform
 from .errors import UnknownExperiment
-from .mechanisms import (
-    MyersonRegular,
-    PostedSequence,
-    SecondPrice,
-)
+from .mechanisms import MyersonRegular, PostedSequence
 from .mixtures import build_market
-from .planner import plan_hr_dominant, select_anonymous_reserve
+from .planner import (
+    evaluate_plan,
+    guarantee_factor,
+    plan_hr_dominant,
+    plan_targeted,
+    select_anonymous_reserve,
+)
 from .reports import ExperimentReport, ReportRow, estimate_row
 from .revenue import (
-    ComponentExtra,
     EstimatorConfig,
     RevenueEstimate,
     approximation_ratio,
     best_posted_ladder_two_point,
     commensurateness_check,
     discriminating_benchmark,
-    estimate_mc,
     expected_revenue_quadrature,
     posted_sequence_revenue_exact,
     second_price_two_point_exact,
@@ -280,9 +280,10 @@ def _experiment_thm1_sweep(seed, n_samples, n_streams, horizon, count: int = 20)
     for idx, market in enumerate(random_mixture_markets(seed, count)):
         cfg = _market_cfg(seed, idx, n_samples, n_streams)
         bench = discriminating_benchmark(market, cfg)
-        extras = tuple(ComponentExtra(t) for t in range(market.k))
-        sp = estimate_mc(market, SecondPrice(), extras, cfg)
-        rows += _factor_rows(f"m{idx:02d}", bench, f"sp_plus_{market.k}_extras", sp, 2.0)
+        plan = plan_targeted(market)
+        sp = evaluate_plan(market, plan, cfg)
+        name = f"sp_plus_{len(plan.extras)}_extras"
+        rows += _factor_rows(f"m{idx:02d}", bench, name, sp, guarantee_factor(plan))
     return rows
 
 
@@ -290,19 +291,19 @@ def _experiment_hr_lemma_sweep(seed, n_samples, n_streams, horizon, count: int =
     rows = []
     for idx, market in enumerate(hr_ordered_markets(seed, count)):
         cfg = _market_cfg(seed, idx, n_samples, n_streams)
-        dominant = plan_hr_dominant(market).reserve_component
+        plan = plan_hr_dominant(market)
         bench = discriminating_benchmark(market, cfg)
-        extras = (ComponentExtra(dominant),)
         bidder_dists = tuple(
             market.components[int(np.flatnonzero(market.weights[i])[0])]
             for i in range(market.n)
         )
-        # one pass prices both: the sweep's recipe is M' of the check
+        # one pass prices both: the planner's recipe is M' of the check
         rep = commensurateness_check(
-            market, MyersonRegular(bidder_dists), SecondPrice(), extras, cfg
+            market, MyersonRegular(bidder_dists), plan.mechanism, plan.extras, cfg
         )
         tag = f"m{idx:02d}"
-        rows += _factor_rows(tag, bench, "sp_plus_dominant_extra", rep.estimate, 2.0)
+        factor = guarantee_factor(plan)
+        rows += _factor_rows(tag, bench, "sp_plus_dominant_extra", rep.estimate, factor)
         rows.append(
             ReportRow(
                 mechanism=f"{tag}:eq5_virtual_of_diverging_winner",
@@ -334,8 +335,8 @@ def _experiment_reserve_4k_sweep(seed, n_samples, n_streams, horizon, count: int
         cfg = _market_cfg(seed, idx, n_samples, n_streams)
         bench = discriminating_benchmark(market, cfg)
         plan = select_anonymous_reserve(market, cfg)
-        name = f"sp_reserve_{plan.reserve:.6g}"
-        rows += _factor_rows(f"m{idx:02d}", bench, name, plan.estimate, 4.0 * market.k)
+        name = f"sp_reserve_{plan.mechanism.reserve:.6g}"
+        rows += _factor_rows(f"m{idx:02d}", bench, name, plan.estimate, guarantee_factor(plan))
     return rows
 
 

@@ -1,12 +1,12 @@
 """Prescriptive augmentation recipes with their guarantee factors.
 
-Each planning function returns an AugmentationPlan: what to add to the
-auction (extra bidders, a reserve, or nothing) together with the worst-case
-factor by which the optimal revenue can exceed the plan's revenue, and the
-list of preconditions that were checked.  Factors are stated exactly as the
-corresponding theorem proves them; asymptotic Theta(.) counts are reported
-as the explicit formula with the constant from the proof, ceilinged to an
-integer.
+Each planning function returns an AugmentationPlan: the auction to run (a
+mechanism plus extra bidders, which `evaluate_plan` prices as it stands),
+the worst-case factor by which the optimal revenue can exceed its revenue,
+and the preconditions that were checked.  Factors are stated exactly as
+the corresponding theorem proves them; asymptotic Theta(.) counts are
+reported as the explicit formula with the constant from the proof,
+ceilinged to an integer.
 
 Hazard-rate dominance between components is certified numerically on a
 10 001-point grid; a NoDominantComponent verdict carries the first crossing
@@ -26,10 +26,12 @@ from .errors import (
     AssumptionUnverified,
     GroupTooSmall,
     InvalidDelta,
+    IrregularComponent,
     NoDominantComponent,
     SupremumNotAttained,
 )
 from .mechanisms import (
+    MechanismSpec,
     SecondPrice,
     SecondPriceAnonymousReserve,
     SecondPriceSampleReserve,
@@ -48,7 +50,9 @@ __all__ = [
     "plan_nontargeted",
     "plan_nontargeted_hr",
     "select_anonymous_reserve",
-    "sample_based_plans",
+    "plan_sample_reserve",
+    "plan_random_subset",
+    "plan_no_reserve",
     "guarantee_factor",
     "coverage_probability",
     "evaluate_plan",
@@ -83,11 +87,10 @@ class Assumption:
 class AugmentationPlan:
     strategy: str
     guarantee_factor: float
+    mechanism: MechanismSpec = SecondPrice()
     extras: tuple = ()
-    reserve: float | None = None
     reserve_component: int | None = None
-    count: int | None = None
-    subset: tuple | None = None
+    count: int | None = None  # bidders added from the marginal mixture
     assumptions: tuple = ()
     notes: str = ""
     estimate: RevenueEstimate | None = None  # MC evidence the plan was chosen on
@@ -159,8 +162,7 @@ def nontargeted_counts(k: int, delta: float, p1: float | None = None):
         raise InvalidDelta(f"delta must lie in (0, 1/k]; got {delta} for k={k}")
     n_general = math.ceil((math.log(k) + math.log(k + 1)) / delta)
     factor_general = 2.0 * (k + 1) / k
-    n_hr = None
-    factor_hr = None
+    n_hr = factor_hr = None
     if p1 is not None:
         if not 0.0 < p1 <= 1.0:
             raise InvalidDelta(f"p1 must lie in (0, 1]; got {p1}")
@@ -170,11 +172,8 @@ def nontargeted_counts(k: int, delta: float, p1: float | None = None):
 
 
 def _iid_assumption(market: MarketModel) -> Assumption:
-    return Assumption(
-        "iid_weights",
-        market.iid,
-        "identical mixture rows" if market.iid else "rows differ",
-    )
+    detail = "identical mixture rows" if market.iid else "rows differ"
+    return Assumption("iid_weights", market.iid, detail)
 
 
 def _require_iid(market: MarketModel):
@@ -206,8 +205,7 @@ def plan_nontargeted(market: MarketModel) -> AugmentationPlan:
 
 def plan_nontargeted_hr(market: MarketModel) -> AugmentationPlan:
     """ceil(1/p1) mixture extras when a hazard-rate dominant component exists."""
-    dominant_plan = plan_hr_dominant(market)  # raises NoDominantComponent
-    dom = dominant_plan.reserve_component
+    dom = plan_hr_dominant(market).reserve_component  # raises NoDominantComponent
     _require_iid(market)
     p1 = float(market.weights[0, dom])
     if p1 <= 0.0:
@@ -232,12 +230,14 @@ def select_anonymous_reserve(market: MarketModel, cfg: EstimatorConfig) -> Augme
 
     Candidates whose monopoly price is an unattained supremum are skipped
     with a warning.  All candidates are evaluated on one set of draws, so the
-    argmax is deterministic; the winner's estimate rides on the plan.
+    argmax is deterministic; the winner's estimate rides on the plan.  The
+    factor's premise, a mixture of regular components, is verified by the
+    grid check of every component.
     """
     candidates = []
     for t, comp in enumerate(market.components):
         try:
-            candidates.append((t, comp.monopoly_reserve()))
+            candidates.append((t, SecondPriceAnonymousReserve(comp.monopoly_reserve())))
         except SupremumNotAttained:
             warnings.warn(
                 f"component {t} ({comp}): monopoly price unattained; skipped",
@@ -245,17 +245,21 @@ def select_anonymous_reserve(market: MarketModel, cfg: EstimatorConfig) -> Augme
             )
     if not candidates:
         raise SupremumNotAttained("no component has an attainable monopoly price")
-    mechs = tuple(SecondPriceAnonymousReserve(r) for _, r in candidates)
-    ests = _estimate_each(market, mechs, (), cfg)
+    ests = _estimate_each(market, tuple(mech for _, mech in candidates), (), cfg)
     best = max(range(len(candidates)), key=lambda j: ests[j].mean)
-    t, r = candidates[best]
+    t, mech = candidates[best]
+    try:
+        _require_regular(market.components)
+        regular = Assumption("components_regular_mixture", True)
+    except IrregularComponent as exc:
+        regular = Assumption("components_regular_mixture", False, str(exc))
     return AugmentationPlan(
         strategy=ANON_RESERVE,
         guarantee_factor=4.0 * market.k,
-        reserve=r,
+        mechanism=mech,
         reserve_component=t,
         assumptions=(
-            Assumption("components_regular_mixture", True),
+            regular,
             Assumption(
                 "all_candidates_attained",
                 len(candidates) == market.k,
@@ -267,87 +271,83 @@ def select_anonymous_reserve(market: MarketModel, cfg: EstimatorConfig) -> Augme
     )
 
 
-def _group_sizes_from_weights(market: MarketModel):
-    """Heuristic n_t = floor(n * min_i p_{i,t}); the theory assumes known groups."""
-    return [int(market.n * float(market.weights[:, t].min())) for t in range(market.k)]
-
-
-def sample_based_plans(
-    market: MarketModel,
-    group_sizes=None,
-    include=(SAMPLE_RESERVE, RANDOM_SUBSET, NO_RESERVE),
-):
-    """Sample-reserve, random-subset-reserve and no-reserve plans.
-
-    With k distinct components and at least t bidders per group, a random
-    reserve distributed as the max of one fresh draw per component keeps a
-    1/2 * t/(t+1) fraction of the optimal revenue (factor 2(t+1)/t), and the
-    bare Vickrey auction keeps 1/2 * (t-1)/t for t >= 2 (factor 2t/(t-1)).
-    The subset variant prices the remaining n-s bidders by the max of s
-    randomly chosen ones; its factor multiplies 2(k+1)/k by the n/(n-s)
-    loss from benchmarking against n-s bidders only.
-    """
+def _group_sizes(market: MarketModel, group_sizes):
+    """(sizes, assumption): the supplied group sizes, else the heuristic
+    n_t = floor(n * min_i p_{i,t}); the theory assumes known groups."""
     heuristic = group_sizes is None
     if heuristic:
-        group_sizes = _group_sizes_from_weights(market)
-    group_sizes = [int(g) for g in group_sizes]
-    if len(group_sizes) != market.k:
+        group_sizes = [int(market.n * float(market.weights[:, t].min())) for t in range(market.k)]
+    sizes = [int(g) for g in group_sizes]
+    if len(sizes) != market.k:
         raise ValueError("one group size per component required")
-    t_min = min(group_sizes)
-    group_assumption = Assumption(
+    known = Assumption(
         "group_sizes_known",
         not heuristic,
         "supplied" if not heuristic else "heuristic floor(n * min_i p_it)",
     )
+    return sizes, known
 
-    plans = []
-    if SAMPLE_RESERVE in include:
-        if t_min < 1:
-            raise GroupTooSmall(f"sample reserve needs t >= 1; group sizes {group_sizes}")
-        plans.append(
-            AugmentationPlan(
-                strategy=SAMPLE_RESERVE,
-                guarantee_factor=2.0 * (t_min + 1) / t_min,
-                assumptions=(group_assumption,),
-                notes="reserve = max of one fresh draw per distinct component",
-            )
+
+def plan_sample_reserve(market: MarketModel, group_sizes=None) -> AugmentationPlan:
+    """Vickrey with a random reserve, the max of one fresh draw per component.
+
+    With k distinct components and at least t bidders per group it keeps a
+    1/2 * t/(t+1) fraction of the optimal revenue: factor 2(t+1)/t.
+    """
+    sizes, known = _group_sizes(market, group_sizes)
+    t_min = min(sizes)
+    if t_min < 1:
+        raise GroupTooSmall(f"sample reserve needs t >= 1; group sizes {sizes}")
+    return AugmentationPlan(
+        strategy=SAMPLE_RESERVE,
+        guarantee_factor=2.0 * (t_min + 1) / t_min,
+        mechanism=SecondPriceSampleReserve(tuple(range(market.k))),
+        assumptions=(known,),
+        notes="reserve = max of one fresh draw per distinct component",
+    )
+
+
+def plan_random_subset(market: MarketModel) -> AugmentationPlan:
+    """Price the other bidders by the max of k of them; factor 2(k+1)/k * n/(n-k).
+
+    The n/(n-k) term is the loss from benchmarking against the n-k priced
+    bidders only.
+    """
+    s = market.k
+    if s >= market.n:
+        raise GroupTooSmall(
+            f"subset reserve needs more bidders than components (n={market.n}, k={market.k})"
         )
-    if RANDOM_SUBSET in include:
-        s = market.k
-        if s >= market.n:
-            raise GroupTooSmall(
-                f"subset reserve needs more bidders than components (n={market.n}, k={market.k})"
-            )
-        try:
-            n_star, _, _, _ = nontargeted_counts(market.k, market.delta)
-            covers = s >= n_star
-            detail = f"subset {s} vs n*={n_star}"
-        except InvalidDelta:
-            covers = False
-            detail = "delta outside (0, 1/k]"
-        plans.append(
-            AugmentationPlan(
-                strategy=RANDOM_SUBSET,
-                guarantee_factor=2.0 * (market.k + 1) / market.k * market.n / (market.n - s),
-                subset=tuple(range(s)),
-                assumptions=(
-                    _iid_assumption(market),
-                    Assumption("subset_covers_components", covers, detail),
-                ),
-                notes="reserve = max value of the subset, applied to the others",
-            )
-        )
-    if NO_RESERVE in include:
-        if t_min < 2:
-            raise GroupTooSmall(f"no-reserve guarantee needs t >= 2; got t={t_min}")
-        plans.append(
-            AugmentationPlan(
-                strategy=NO_RESERVE,
-                guarantee_factor=2.0 * t_min / (t_min - 1),
-                assumptions=(group_assumption,),
-            )
-        )
-    return plans
+    try:
+        n_star, _, _, _ = nontargeted_counts(market.k, market.delta)
+        covers = s >= n_star
+        detail = f"subset {s} vs n*={n_star}"
+    except InvalidDelta:
+        covers = False
+        detail = "delta outside (0, 1/k]"
+    return AugmentationPlan(
+        strategy=RANDOM_SUBSET,
+        guarantee_factor=2.0 * (market.k + 1) / market.k * market.n / (market.n - s),
+        mechanism=SecondPriceSubsetReserve(tuple(range(s))),
+        assumptions=(
+            _iid_assumption(market),
+            Assumption("subset_covers_components", covers, detail),
+        ),
+        notes="reserve = max value of the subset, applied to the others",
+    )
+
+
+def plan_no_reserve(market: MarketModel, group_sizes=None) -> AugmentationPlan:
+    """The bare Vickrey auction keeps 1/2 * (t-1)/t of the optimum for t >= 2: factor 2t/(t-1)."""
+    sizes, known = _group_sizes(market, group_sizes)
+    t_min = min(sizes)
+    if t_min < 2:
+        raise GroupTooSmall(f"no-reserve guarantee needs t >= 2; got t={t_min}")
+    return AugmentationPlan(
+        strategy=NO_RESERVE,
+        guarantee_factor=2.0 * t_min / (t_min - 1),
+        assumptions=(known,),
+    )
 
 
 def guarantee_factor(plan: AugmentationPlan) -> float:
@@ -378,18 +378,7 @@ def coverage_probability(probs, n_draws: int, n_trials: int, seed: int):
 def evaluate_plan(
     market: MarketModel, plan: AugmentationPlan, cfg: EstimatorConfig
 ) -> RevenueEstimate:
-    """MC revenue of the mechanism a plan prescribes."""
-    if plan.strategy in (TARGETED, HR_DOMINANT):
-        return estimate_mc(market, SecondPrice(), plan.extras, cfg)
-    if plan.strategy in (NONTARGETED, NONTARGETED_HR):
-        return estimate_mc(market.extended(plan.count), SecondPrice(), (), cfg)
-    if plan.strategy == ANON_RESERVE:
-        return estimate_mc(market, SecondPriceAnonymousReserve(plan.reserve), (), cfg)
-    if plan.strategy == SAMPLE_RESERVE:
-        mech = SecondPriceSampleReserve(tuple(range(market.k)))
-        return estimate_mc(market, mech, (), cfg)
-    if plan.strategy == RANDOM_SUBSET:
-        return estimate_mc(market, SecondPriceSubsetReserve(plan.subset), (), cfg)
-    if plan.strategy == NO_RESERVE:
-        return estimate_mc(market, SecondPrice(), (), cfg)
-    raise ValueError(f"unknown strategy {plan.strategy!r}")
+    """MC revenue of the auction a plan prescribes, on the market it extends."""
+    return estimate_mc(
+        market.extended(plan.count) if plan.count else market, plan.mechanism, plan.extras, cfg
+    )

@@ -52,8 +52,6 @@ from .mechanisms import _virtual_matrix, allocate
 from .mixtures import (
     MarketModel,
     MixtureDistribution,
-    _coin_rule,
-    _values_given_coins,
     enumerate_profiles,
 )
 from .streams import substream
@@ -133,32 +131,26 @@ class DeterministicExtra:
 
 
 def _draw_market(market: MarketModel, rng, size: int, extras=()):
-    """Coins (size, n) and values (size, n + len(extras)) for one stream.
+    """Values (size, n + len(extras)) for one stream.
 
-    The stream is consumed bidder by bidder, `size` coin uniforms then
-    `size` value uniforms (the order of MixtureDistribution.sample_with_coin),
-    and the extra bidders' uniforms come after the originals.  Both
-    matrices are column-major, so each bidder's column is written, and
-    later swept by the mechanism kernels, contiguously.
+    Each bidder draws in turn through `MixtureDistribution.sample_with_coin`
+    (`size` coin uniforms, then `size` value uniforms), and the extra
+    bidders' uniforms come after the originals.  The matrix is column-major,
+    so each bidder's column is written, and later swept by the mechanism
+    kernels, contiguously.
     """
     n = market.n
-    coins = np.empty((size, n), dtype=np.int64, order="F")
     values = np.empty((size, n + len(extras)), order="F")
-    u = np.empty(size)
     for i in range(n):
-        rng.random(out=u)
-        coins[:, i] = _coin_rule(np.cumsum(market.weights[i]), u)
-        rng.random(out=u)
-        values[:, i] = _values_given_coins(market.components, coins[:, i], u)
+        _, values[:, i] = market.bidder_mixture(i).sample_with_coin(rng, size)
     for j, spec in enumerate(extras, start=n):
         if isinstance(spec, ComponentExtra):
-            rng.random(out=u)
-            values[:, j] = market.components[spec.index]._quantile(u)
+            values[:, j] = market.components[spec.index]._quantile(rng.random(size))
         elif isinstance(spec, DeterministicExtra):
             values[:, j] = float(spec.value)
         else:
             raise TypeError(f"unknown extra spec {spec!r}")
-    return coins, values
+    return values
 
 
 def _stream_stats(x):
@@ -216,7 +208,7 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure):
         if size == 0:
             continue
         rng = substream(cfg.seed, s)
-        _, values = _draw_market(market, rng, size, extras)
+        values = _draw_market(market, rng, size, extras)
         after_draws = rng.bit_generator.state
         try:
             outcomes = []

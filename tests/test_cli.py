@@ -378,6 +378,13 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err.startswith(f"error: SchemaError: {argv[1]}: expected an integer >= ")
 
+    @pytest.mark.parametrize("horizon", ["-1", "0", "nan", "inf"])
+    def test_horizon_not_finite_positive_exit_one(self, capsys, horizon):
+        assert main(["reproduce", "appendix-lb", f"--horizon={horizon}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SchemaError: --horizon: ")
+
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("command", ["simulate", "ratio"])
     def test_every_mechanism_kind(self, tmp_path, capsys, command, mechanism):
@@ -493,7 +500,7 @@ class TestCliCommands:
         path.write_text(json.dumps(doc))
         assert main(["plan", str(path), "--samples", "4000"]) == 0
         records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        (skipped,) = [r for r in records if r["strategy"] == "nontargeted"]
+        (skipped,) = [r for r in records if r["strategy"] == "nontargeted_count"]
         assert skipped["skipped"].startswith("InvalidDelta: ")
         assert "targeted_per_component" in {r["strategy"] for r in records}
 

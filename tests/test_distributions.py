@@ -245,6 +245,18 @@ class TestHazardVirtual:
         # y here, and phi as x - S/f is 0/0 beyond z ~ 37
         assert d.virtual(d.virtual_inverse(y)) == pytest.approx(y, rel=1e-12)
 
+    @pytest.mark.parametrize("x", [20.0, 40.0, 1e3])
+    def test_truncated_normal_hazard_far_tail(self, x):
+        # f/S is 0/0 beyond z ~ 37; 1/mills through erfcx stays exact
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            z = mpmath.mpf(x) - 1
+            exact = mpmath.npdf(z) / mpmath.ncdf(-z)
+        assert TruncatedNormal(1, 1).hazard(x) == pytest.approx(float(exact), rel=1e-14)
+        h, phi = TruncatedNormal(1, 1).hazard_and_virtual(x)
+        assert h == TruncatedNormal(1, 1).hazard(x)
+        assert phi == TruncatedNormal(1, 1).virtual(x)
+
 
 class TestSampling:
     def test_same_seed_same_sequence(self):
@@ -373,6 +385,13 @@ class TestHazardRateDominance:
         # 1 - G_i = (1 - G_j)**theta with theta <= 1 means G_i dominates
         assert hr_dominates(Exponential(0.7), Exponential(1.0))  # theta = 0.7
         assert hr_dominates(PowerLaw(2.0), PowerLaw(2.6))  # theta = 2.0/2.6
+
+    def test_underflowed_tails_are_no_evidence(self):
+        # on Exp(0.1)'s grid Exp(10)'s density and tail underflow together
+        # past x ~ 75; its hazard is 10 wherever it is defined
+        assert hr_dominates(Exponential(0.1), Exponential(10.0)) is True
+        x, h1, h2 = hr_crossing(Exponential(10.0), Exponential(0.1))
+        assert (h1, h2) == (pytest.approx(10.0), pytest.approx(0.1))
 
     def test_crossing_location(self):
         crossing = hr_crossing(Uniform(0, 1), Exponential(2.0))

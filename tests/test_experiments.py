@@ -1,11 +1,18 @@
 """Built-in experiments and the sweep market generators."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auction_lab import (
+    BUILTIN_EXPERIMENTS,
+    SecondPriceAnonymousReserve,
     build_market,
+    estimate_mc,
     hr_dominates,
     hr_ordered_markets,
     plan_hr_dominant,
@@ -15,6 +22,9 @@ from auction_lab import (
     run_experiment,
 )
 from auction_lab import Uniform
+from auction_lab import experiments
+from auction_lab.errors import AssumptionUnverified
+from auction_lab.planner import Assumption
 from auction_lab.reports import ExperimentReport, ReportRow
 
 
@@ -80,6 +90,50 @@ class TestPlannerExperimentAgreement:
         h = plan_hr_dominant(m)
         assert t.guarantee_factor == h.guarantee_factor == 2.0
         assert t.extras == h.extras
+
+
+SWEEP_BUILDERS = [
+    ("thm1-sweep", "plan_targeted", "sp_plus_\\d_extras"),
+    ("hr-lemma-sweep", "plan_hr_dominant", "sp_plus_dominant_extra"),
+    ("reserve-4k-sweep", "select_anonymous_reserve", "sp_reserve_0.123"),
+]
+
+
+class TestSweepsRunThePlan:
+    """Each sweep prices the auction its plan builder returns, at the plan's factor."""
+
+    def spy(self, monkeypatch, builder, **changes):
+        real = getattr(experiments, builder)
+        plans = []
+
+        def spy(market, *args):
+            plan = replace(real(market, *args), **changes)
+            plans.append((market, plan))
+            return plan
+
+        monkeypatch.setattr(experiments, builder, spy)
+        return plans
+
+    @pytest.mark.parametrize("name, builder, label", SWEEP_BUILDERS)
+    def test_auction_and_factor_come_from_the_plan(self, monkeypatch, name, builder, label):
+        mech = SecondPriceAnonymousReserve(0.123)
+        plans = self.spy(monkeypatch, builder, guarantee_factor=7.5, mechanism=mech)
+        seed, n_samples, n_streams = 4, 2_000, 2
+        rows = BUILTIN_EXPERIMENTS[name](seed, n_samples, n_streams, 1e6, count=2)
+        assert len(plans) == 2
+        recipe = [r for r in rows if r.bound_tested.startswith("benchmark <=")]
+        assert [r.bound_tested for r in recipe] == ["benchmark <= 7.5*mean + 4se"] * 2
+        for idx, ((market, plan), row) in enumerate(zip(plans, recipe)):
+            assert re.fullmatch(f"m{idx:02d}:{label}", row.mechanism)
+            if name != "reserve-4k-sweep":  # that sweep reports the plan's own evidence
+                cfg = experiments._market_cfg(seed, idx, n_samples, n_streams)
+                assert row.mean == estimate_mc(market, mech, plan.extras, cfg).mean
+
+    @pytest.mark.parametrize("name, builder, label", SWEEP_BUILDERS)
+    def test_unverified_premise_raises(self, monkeypatch, name, builder, label):
+        self.spy(monkeypatch, builder, assumptions=(Assumption("premise", False, "spy"),))
+        with pytest.raises(AssumptionUnverified, match="premise"):
+            BUILTIN_EXPERIMENTS[name](4, 2_000, 2, 1e6, count=1)
 
 
 def test_report_passed_property_and_exit_semantics():

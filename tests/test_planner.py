@@ -9,18 +9,26 @@ from auction_lab import (
     EqualRevenue,
     EstimatorConfig,
     Exponential,
+    MixtureDistribution,
+    SecondPrice,
+    SecondPriceAnonymousReserve,
+    SecondPriceSampleReserve,
+    SecondPriceSubsetReserve,
     TwoPoint,
     Uniform,
     build_market,
     coverage_probability,
+    estimate_mc,
     evaluate_plan,
     guarantee_factor,
     nontargeted_counts,
     plan_hr_dominant,
+    plan_no_reserve,
     plan_nontargeted,
     plan_nontargeted_hr,
+    plan_random_subset,
+    plan_sample_reserve,
     plan_targeted,
-    sample_based_plans,
     select_anonymous_reserve,
 )
 from auction_lab.errors import (
@@ -28,9 +36,19 @@ from auction_lab.errors import (
     GroupTooSmall,
     InvalidDelta,
     IrregularComponent,
+    IrregularComponentWarning,
     NoDominantComponent,
 )
-from auction_lab.planner import NO_RESERVE, RANDOM_SUBSET, SAMPLE_RESERVE
+from auction_lab.planner import (
+    ANON_RESERVE,
+    HR_DOMINANT,
+    NO_RESERVE,
+    NONTARGETED,
+    NONTARGETED_HR,
+    RANDOM_SUBSET,
+    SAMPLE_RESERVE,
+    TARGETED,
+)
 
 
 class TestPlanTargeted:
@@ -71,6 +89,14 @@ class TestPlanHrDominant:
         crossing = err.value.crossing
         assert crossing is not None
         assert crossing[2] == pytest.approx(0.5, abs=2e-3)  # hazards cross at 1/2
+
+    def test_dominant_found_past_the_rival_tail_underflow(self):
+        # Exp(10)'s tail underflows near x = 75 on Exp(0.1)'s grid; its
+        # hazard stays 10 there, so component 1 (hazard 0.1) dominates
+        m = build_market((Exponential(10.0), Exponential(0.1)), [[0.5, 0.5]] * 2)
+        plan = plan_hr_dominant(m)
+        assert plan.reserve_component == 1
+        assert plan.extras == (ComponentExtra(1),)
 
 
 class TestNontargetedCounts:
@@ -134,14 +160,18 @@ class TestAnonymousReserve:
         cfg = EstimatorConfig(seed=3, n_samples=50_000)
         plan = select_anonymous_reserve(m, cfg)
         assert plan.guarantee_factor == 8.0  # 4k with k=2
-        assert plan.reserve in (pytest.approx(0.5, rel=1e-6), pytest.approx(1.0, rel=1e-6))
+        assert plan.mechanism.reserve in (
+            pytest.approx(0.5, rel=1e-6),
+            pytest.approx(1.0, rel=1e-6),
+        )
 
     def test_single_component(self):
         m = build_market((Uniform(0, 1),), [[1.0]] * 2)
         cfg = EstimatorConfig(seed=3, n_samples=20_000)
         plan = select_anonymous_reserve(m, cfg)
         assert plan.guarantee_factor == 4.0
-        assert plan.reserve == pytest.approx(0.5, rel=1e-6)
+        assert isinstance(plan.mechanism, SecondPriceAnonymousReserve)
+        assert plan.mechanism.reserve == pytest.approx(0.5, rel=1e-6)
 
     def test_plan_carries_the_evidence_estimate(self):
         m = build_market((Uniform(0, 1), Exponential(1.0)), [[0.3, 0.7]] * 3)
@@ -157,6 +187,26 @@ class TestAnonymousReserve:
         assert plan.reserve_component == 0
         flagged = {a.name: a.verified for a in plan.assumptions}
         assert flagged["all_candidates_attained"] is False
+        # phi of the equal-revenue law is -1 everywhere: regular on the grid
+        assert flagged["components_regular_mixture"] is True
+
+    def test_irregular_component_leaves_the_factor_unverified(self):
+        bimodal = MixtureDistribution((Exponential(10.0), Exponential(0.1)), (0.9, 0.1))
+        with pytest.warns(IrregularComponentWarning):
+            m = build_market((bimodal, Uniform(0, 1)), [[0.5, 0.5]] * 3)
+        cfg = EstimatorConfig(seed=3, n_samples=5_000)
+        plan = select_anonymous_reserve(m, cfg)
+        flagged = {a.name: a for a in plan.assumptions}
+        assert flagged["components_regular_mixture"].verified is False
+        assert "component 0" in flagged["components_regular_mixture"].detail
+        with pytest.raises(AssumptionUnverified):
+            guarantee_factor(plan)
+
+    def test_atomic_component_leaves_the_factor_unverified(self):
+        m = build_market((TwoPoint(1, 4, 0.2), Uniform(0, 1)), [[0.5, 0.5]] * 3)
+        plan = select_anonymous_reserve(m, EstimatorConfig(seed=3, n_samples=5_000))
+        with pytest.raises(AssumptionUnverified):
+            guarantee_factor(plan)
 
 
 class TestSampleBasedPlans:
@@ -166,33 +216,40 @@ class TestSampleBasedPlans:
         )
 
     def test_three_plans_with_factors(self):
-        plans = sample_based_plans(self.market(), group_sizes=(4, 4))
-        by = {p.strategy: p for p in plans}
-        assert by[SAMPLE_RESERVE].guarantee_factor == pytest.approx(2 * 5 / 4)
-        assert by[NO_RESERVE].guarantee_factor == pytest.approx(2 * 4 / 3)
-        assert by[RANDOM_SUBSET].subset == (0, 1)
+        m = self.market()
+        assert plan_sample_reserve(m, (4, 4)).guarantee_factor == pytest.approx(2 * 5 / 4)
+        assert plan_no_reserve(m, (4, 4)).guarantee_factor == pytest.approx(2 * 4 / 3)
+        assert plan_random_subset(m).mechanism == SecondPriceSubsetReserve((0, 1))
+        assert plan_sample_reserve(m).mechanism == SecondPriceSampleReserve((0, 1))
+        assert plan_no_reserve(m).mechanism == SecondPrice()
 
     def test_t_two_gives_factor_four(self):
-        plans = sample_based_plans(self.market(), group_sizes=(2, 2))
-        by = {p.strategy: p for p in plans}
-        assert by[NO_RESERVE].guarantee_factor == pytest.approx(4.0)
+        assert plan_no_reserve(self.market(), (2, 2)).guarantee_factor == pytest.approx(4.0)
 
     def test_sample_reserve_near_two_for_single_group(self):
         m = build_market((Uniform(0, 1),), [[1.0]] * 8)
-        plans = sample_based_plans(m, group_sizes=(8,), include=(SAMPLE_RESERVE,))
-        assert plans[0].guarantee_factor == pytest.approx(2 * 9 / 8)
+        assert plan_sample_reserve(m, (8,)).guarantee_factor == pytest.approx(2 * 9 / 8)
 
-    def test_no_reserve_needs_t_at_least_two(self):
-        with pytest.raises(GroupTooSmall):
-            sample_based_plans(self.market(), group_sizes=(1, 5))
+    def test_each_recipe_raises_its_own_group_too_small(self):
+        m = self.market()
+        with pytest.raises(GroupTooSmall, match="no-reserve guarantee needs t >= 2"):
+            plan_no_reserve(m, (1, 5))
+        assert plan_sample_reserve(m, (1, 5)).guarantee_factor == pytest.approx(4.0)
+        with pytest.raises(GroupTooSmall, match="sample reserve needs t >= 1"):
+            plan_sample_reserve(m, (0, 5))
+        with pytest.raises(GroupTooSmall, match="subset reserve needs more bidders"):
+            plan_random_subset(build_market((Uniform(0, 1), Exponential(1.0)), [[0.5, 0.5]] * 2))
+
+    def test_one_group_size_per_component(self):
+        with pytest.raises(ValueError):
+            plan_sample_reserve(self.market(), (4,))
 
     def test_heuristic_group_sizes_flagged(self):
-        plans = sample_based_plans(self.market())
-        by = {p.strategy: p for p in plans}
-        flags = {a.name: a.verified for a in by[SAMPLE_RESERVE].assumptions}
-        assert flags["group_sizes_known"] is False
-        with pytest.raises(AssumptionUnverified):
-            guarantee_factor(by[SAMPLE_RESERVE])
+        for plan in (plan_sample_reserve(self.market()), plan_no_reserve(self.market())):
+            flags = {a.name: a.verified for a in plan.assumptions}
+            assert flags["group_sizes_known"] is False
+            with pytest.raises(AssumptionUnverified):
+                guarantee_factor(plan)
 
     def test_guarantee_factor_on_verified_plan(self):
         m = build_market((Uniform(0, 1), Exponential(1.0)), [[0.5, 0.5]] * 2)
@@ -239,9 +296,8 @@ class TestEvaluatePlan:
 
     def test_subset_reserve_plan_runs(self):
         m = build_market((Uniform(0, 1),), [[1.0]] * 6)
-        plans = sample_based_plans(m, group_sizes=(6,), include=(RANDOM_SUBSET,))
         cfg = EstimatorConfig(seed=19, n_samples=50_000)
-        rev = evaluate_plan(m, plans[0], cfg)
+        rev = evaluate_plan(m, plan_random_subset(m), cfg)
         assert rev.mean > 0.0
 
     def test_sample_based_bounds_on_grouped_regular_market(self):
@@ -252,10 +308,59 @@ class TestEvaluatePlan:
         m = build_market((Uniform(0, 1), Exponential(1.0)), rows)
         cfg = EstimatorConfig(seed=23, n_samples=200_000)
         bench = discriminating_benchmark(m, cfg)  # the single realized profile
-        plans = sample_based_plans(
-            m, group_sizes=(4, 4), include=(SAMPLE_RESERVE, NO_RESERVE)
-        )
-        for plan in plans:
+        for plan in (plan_sample_reserve(m, (4, 4)), plan_no_reserve(m, (4, 4))):
             rev = evaluate_plan(m, plan, cfg)
             se = math.hypot(bench.std_err, plan.guarantee_factor * rev.std_err)
             assert bench.mean <= plan.guarantee_factor * rev.mean + 4 * se, plan.strategy
+
+
+def _oracle_auction(market, plan):
+    """The strategy -> (market, mechanism, extras) table evaluate_plan once held."""
+    if plan.strategy in (TARGETED, HR_DOMINANT):
+        return market, SecondPrice(), plan.extras
+    if plan.strategy in (NONTARGETED, NONTARGETED_HR):
+        return market.extended(plan.count), SecondPrice(), ()
+    if plan.strategy == ANON_RESERVE:
+        reserve = market.components[plan.reserve_component].monopoly_reserve()
+        return market, SecondPriceAnonymousReserve(reserve), ()
+    if plan.strategy == SAMPLE_RESERVE:
+        return market, SecondPriceSampleReserve(tuple(range(market.k))), ()
+    if plan.strategy == RANDOM_SUBSET:
+        return market, SecondPriceSubsetReserve(tuple(range(market.k))), ()
+    if plan.strategy == NO_RESERVE:
+        return market, SecondPrice(), ()
+    raise AssertionError(plan.strategy)
+
+
+class TestPlanCarriesItsAuction:
+    # i.i.d., regular, U(0, 2) hazard-rate dominant, delta = 1/k, groups of 3
+    MARKET = build_market((Uniform(0, 2), Uniform(0, 1)), [[0.5, 0.5]] * 6)
+
+    def plans(self, cfg):
+        m = self.MARKET
+        return [
+            plan_targeted(m),
+            plan_hr_dominant(m),
+            plan_nontargeted(m),
+            plan_nontargeted_hr(m),
+            select_anonymous_reserve(m, cfg),
+            plan_sample_reserve(m),
+            plan_random_subset(m),
+            plan_no_reserve(m),
+        ]
+
+    def test_every_recipe_applies(self):
+        plans = self.plans(EstimatorConfig(seed=1, n_samples=2_000))
+        strategies = {p.strategy for p in plans}
+        assert strategies == {
+            TARGETED, HR_DOMINANT, NONTARGETED, NONTARGETED_HR,
+            ANON_RESERVE, SAMPLE_RESERVE, RANDOM_SUBSET, NO_RESERVE,
+        }
+
+    def test_evaluate_plan_bit_identical_to_the_strategy_table(self):
+        cfg = EstimatorConfig(seed=31, n_samples=20_000, n_streams=3)
+        for plan in self.plans(cfg):
+            market, mech, extras = _oracle_auction(self.MARKET, plan)
+            assert evaluate_plan(self.MARKET, plan, cfg) == estimate_mc(
+                market, mech, extras, cfg
+            ), plan.strategy

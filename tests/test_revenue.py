@@ -177,24 +177,32 @@ DRAW_MARKETS = {
 }
 
 
+DRAW_BIDDERS = [
+    pytest.param(case, j, i, id=f"{case}-{j}-{i}")
+    for case in sorted(DRAW_MARKETS)
+    for j, market in enumerate(DRAW_MARKETS[case])
+    for i in range(market.n)
+]
+
+
 class TestDrawMarket:
     @pytest.mark.parametrize("case", sorted(DRAW_MARKETS))
     def test_bit_identical_to_per_bidder_oracle(self, case):
         for j, market in enumerate(DRAW_MARKETS[case]):
             rng, ref_rng = stream(101, j), stream(101, j)
-            coins, values = _draw_market(market, rng, 4_000)
-            ref_coins, ref_values = _reference_draw_market(market, ref_rng, 4_000)
+            values = _draw_market(market, rng, 4_000)
+            _, ref_values = _reference_draw_market(market, ref_rng, 4_000)
             assert values.flags.f_contiguous, "the kernels sweep contiguous columns"
-            assert np.array_equal(coins, ref_coins), f"market {j}"
             assert values.tobytes() == ref_values.tobytes(), f"market {j}"
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_sample_with_coin_matches_oracle(self):
-        market = DRAW_MARKETS["mixtures"][0]
-        rng, ref_rng = stream(5, 0), stream(5, 0)
-        coin, value = market.bidder_mixture(0).sample_with_coin(rng, 1_000)
+    @pytest.mark.parametrize("case, j, i", DRAW_BIDDERS)
+    def test_sample_with_coin_matches_oracle(self, case, j, i):
+        market = DRAW_MARKETS[case][j]
+        rng, ref_rng = stream(5, i), stream(5, i)
+        coin, value = market.bidder_mixture(i).sample_with_coin(rng, 1_000)
         ref_coins, ref_values = _reference_draw_market(
-            build_market(market.components, market.weights[:1]), ref_rng, 1_000
+            build_market(market.components, market.weights[i : i + 1]), ref_rng, 1_000
         )
         assert np.array_equal(coin, ref_coins[:, 0])
         assert value.tobytes() == ref_values[:, 0].tobytes()
@@ -213,7 +221,7 @@ class TestDrawMarket:
         market = DRAW_MARKETS["mixtures"][1]
         extras = (ComponentExtra(0), DeterministicExtra(2.5))
         rng, ref_rng = stream(9, 0), stream(9, 0)
-        _, values = _draw_market(market, rng, 500, extras)
+        values = _draw_market(market, rng, 500, extras)
         _, ref_values = _reference_draw_market(market, ref_rng, 500)
         extra = market.components[0]._quantile(ref_rng.random(500))
         assert values[:, : market.n].tobytes() == ref_values.tobytes()
