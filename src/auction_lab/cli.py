@@ -178,9 +178,7 @@ def _cmd_plan(args) -> int:
             records.append({"strategy": strategy, "skipped": f"{type(exc).__name__}: {exc}"})
     for plan in plans:
         # plans chosen on MC evidence carry it, computed with this same cfg
-        evidence = plan.estimate
-        if evidence is None:
-            evidence = evaluate_plan(market, plan, cfg)
+        evidence = plan.estimate or evaluate_plan(market, plan, cfg)
         subset = getattr(plan.mechanism, "subset", None)
         records.append(
             {

@@ -372,6 +372,12 @@ class Exponential(Distribution):
     def _survival_quantile(self, q):
         return -np.log(q) / self.lam
 
+    def _mills(self, x):
+        # S/f for its bits, but 1/lam where subnormal or 0/0 floats lose the ratio
+        s, f = self._survival(x), self._pdf(x)
+        exact = np.full(np.shape(s), 1.0 / self.lam)
+        return np.divide(s, f, out=exact, where=np.minimum(s, f) >= np.finfo(float).tiny)
+
     def _virtual_inverse(self, y):
         return np.maximum(y + 1.0 / self.lam, 0.0)
 
@@ -672,19 +678,18 @@ def _intersection_grid(d1: Distribution, d2: Distribution, grid_size: int):
 
 
 def hr_crossing(d1: Distribution, d2: Distribution, grid_size: int = 10_001):
-    """First grid point where h_{d1} > h_{d2} + tol, or None if dominated.
+    """First grid point where h_{d1} > h_{d2} + tol or a hazard is nan, else None.
 
     None means d1 hazard-rate dominates d2 on the grid certificate.
     """
     if not (d1.is_continuous and d2.is_continuous):
         raise AtomicDistribution("hazard-rate dominance needs continuous distributions")
     x = _intersection_grid(d1, d2, grid_size)
-    # where a law's density and tail both underflow its hazard is 0/0 = nan,
-    # and a nan comparison is False: such a point is no evidence either way
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h1 = 1.0 / d1._mills(x)
         h2 = 1.0 / d2._mills(x)
-    bad = h1 > h2 + MONOTONE_TOL
+    # a nan hazard (0/0: density and tail underflowed) is no evidence: a crossing
+    bad = ~(h1 <= h2 + MONOTONE_TOL)
     if not np.any(bad):
         return None
     j = int(np.argmax(bad))

@@ -386,12 +386,25 @@ class TestHazardRateDominance:
         assert hr_dominates(Exponential(0.7), Exponential(1.0))  # theta = 0.7
         assert hr_dominates(PowerLaw(2.0), PowerLaw(2.6))  # theta = 2.0/2.6
 
-    def test_underflowed_tails_are_no_evidence(self):
+    def test_exponential_hazard_past_tail_underflow(self):
         # on Exp(0.1)'s grid Exp(10)'s density and tail underflow together
-        # past x ~ 75; its hazard is 10 wherever it is defined
+        # past x ~ 75, where its hazard is still exactly 10
+        assert Exponential(10.0).hazard(80.0) == 10.0
         assert hr_dominates(Exponential(0.1), Exponential(10.0)) is True
         x, h1, h2 = hr_crossing(Exponential(10.0), Exponential(0.1))
         assert (h1, h2) == (pytest.approx(10.0), pytest.approx(0.1))
+
+    def test_uniform_crosses_exponential_near_its_top(self):
+        # 1/(80 - x) exceeds 10 on (79.9, 80), past Exp(10)'s tail underflow
+        assert hr_dominates(Uniform(0, 80), Exponential(10.0)) is False
+        x, h1, h2 = hr_crossing(Uniform(0, 80), Exponential(10.0))
+        assert 79.9 < x < 80.0 and h1 > h2 == 10.0
+
+    def test_nan_hazard_counts_as_crossing(self):
+        # the mixture's density and tail are 0/0 past x ~ 75: no evidence
+        mix = MixtureDistribution((Exponential(10.0), Exponential(20.0)), (0.5, 0.5))
+        x, h1, h2 = hr_crossing(Exponential(0.1), mix)
+        assert 70.0 < x < 80.0 and h1 == pytest.approx(0.1) and math.isnan(h2)
 
     def test_crossing_location(self):
         crossing = hr_crossing(Uniform(0, 1), Exponential(2.0))

@@ -98,6 +98,14 @@ class TestPlanHrDominant:
         assert plan.reserve_component == 1
         assert plan.extras == (ComponentExtra(1),)
 
+    def test_no_dominant_past_the_rival_tail_underflow(self):
+        # Uniform(0, 80)'s hazard passes 10 only on (79.9, 80), where
+        # Exp(10)'s density and tail have underflowed
+        m = build_market((Uniform(0, 80), Exponential(10.0)), [[0.5, 0.5]] * 2)
+        with pytest.raises(NoDominantComponent) as err:
+            plan_hr_dominant(m)
+        assert 79.9 < err.value.crossing[2] < 80.0
+
 
 class TestNontargetedCounts:
     def test_worked_example(self):
