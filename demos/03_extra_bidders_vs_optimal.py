@@ -44,7 +44,7 @@ NO_DOMINANT = build_market(
 
 def main():
     cfg = EstimatorConfig(seed=11, n_samples=400_000)
-    bench = discriminating_benchmark(MARKET, cfg)
+    bench = discriminating_benchmark(MARKET)
     plain = estimate_mc(MARKET, SecondPrice(), (), cfg)
     targeted = plan_targeted(MARKET)
     augmented = evaluate_plan(MARKET, targeted, cfg)

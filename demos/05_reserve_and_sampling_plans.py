@@ -33,7 +33,7 @@ MARKET = build_market(
 
 def main():
     cfg = EstimatorConfig(seed=29, n_samples=300_000)
-    bench = discriminating_benchmark(MARKET, cfg)
+    bench = discriminating_benchmark(MARKET)
     print(f"market: n={MARKET.n}, k={MARKET.k}, delta={MARKET.delta:.2f}, iid={MARKET.iid}")
     print(f"coin-observing benchmark: {bench.mean:.4f} +- {bench.std_err:.4f}\n")
 
@@ -44,7 +44,7 @@ def main():
         plan_targeted(MARKET),
         plan_hr_dominant(MARKET),
         plan_nontargeted(MARKET),
-        select_anonymous_reserve(MARKET, cfg),
+        select_anonymous_reserve(MARKET),
         plan_sample_reserve(MARKET, group_sizes=(4, 2)),
         plan_random_subset(MARKET),
         plan_no_reserve(MARKET, group_sizes=(4, 2)),

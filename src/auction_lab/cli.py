@@ -144,7 +144,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_ratio(args) -> int:
     config = _load_scenario(args)
-    bench = discriminating_benchmark(config.market, config.estimator)
+    bench = discriminating_benchmark(config.market)
     simple, row = _mechanism_estimate(config)
     ratio = approximation_ratio(bench, simple)
     rows = (
@@ -162,23 +162,22 @@ def _cmd_plan(args) -> int:
     records = []
     # each recipe is skipped on its own preconditions only
     builders = (
-        (TARGETED, plan_targeted, (market,)),
-        (HR_DOMINANT, plan_hr_dominant, (market,)),
-        (NONTARGETED, plan_nontargeted, (market,)),
-        (ANON_RESERVE, select_anonymous_reserve, (market, cfg)),
-        (SAMPLE_RESERVE, plan_sample_reserve, (market,)),
-        (RANDOM_SUBSET, plan_random_subset, (market,)),
-        (NO_RESERVE, plan_no_reserve, (market,)),
+        (TARGETED, plan_targeted),
+        (HR_DOMINANT, plan_hr_dominant),
+        (NONTARGETED, plan_nontargeted),
+        (ANON_RESERVE, select_anonymous_reserve),
+        (SAMPLE_RESERVE, plan_sample_reserve),
+        (RANDOM_SUBSET, plan_random_subset),
+        (NO_RESERVE, plan_no_reserve),
     )
     plans = []
-    for strategy, fn, fn_args in builders:
+    for strategy, fn in builders:
         try:
-            plans.append(fn(*fn_args))
+            plans.append(fn(market))
         except AuctionLabError as exc:
             records.append({"strategy": strategy, "skipped": f"{type(exc).__name__}: {exc}"})
     for plan in plans:
-        # plans chosen on MC evidence carry it, computed with this same cfg
-        evidence = plan.estimate or evaluate_plan(market, plan, cfg)
+        evidence = evaluate_plan(market, plan, cfg)
         subset = getattr(plan.mechanism, "subset", None)
         records.append(
             {

@@ -68,13 +68,6 @@ class IndexOutOfRange(AuctionLabError):
     """A bidder index in a posted-price order does not exist."""
 
 
-class NonMonotoneAllocation(AuctionLabError):
-    """Allocation probe found a win that turns into a loss at a higher bid.
-
-    This signals an implementation bug in the allocation rule, not bad data.
-    """
-
-
 # --- revenue estimation ----------------------------------------------------
 
 class DivergentTail(AuctionLabError):

@@ -11,12 +11,14 @@ ceilinged to an integer.
 Hazard-rate dominance between components is certified numerically on a
 10 001-point grid; a NoDominantComponent verdict carries the first crossing
 point found, since the theory assumes dominance rather than testing it.
+The anonymous-reserve recipe ranks its candidate reserves by their exact
+(quadrature) revenue, so planning draws nothing: only `evaluate_plan`, the
+Monte Carlo price of a plan, takes an EstimatorConfig.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,13 @@ from .mechanisms import (
     SecondPriceSubsetReserve,
 )
 from .mixtures import MarketModel, _coin_rule
-from .revenue import ComponentExtra, EstimatorConfig, RevenueEstimate, _estimate_each, estimate_mc
+from .revenue import (
+    ComponentExtra,
+    EstimatorConfig,
+    RevenueEstimate,
+    estimate_mc,
+    expected_revenue_quadrature,
+)
 from .streams import substream
 
 __all__ = [
@@ -92,8 +100,6 @@ class AugmentationPlan:
     reserve_component: int | None = None
     count: int | None = None  # bidders added from the marginal mixture
     assumptions: tuple = ()
-    notes: str = ""
-    estimate: RevenueEstimate | None = None  # MC evidence the plan was chosen on
 
     def __post_init__(self):
         if self.guarantee_factor < 1.0:
@@ -199,7 +205,6 @@ def plan_nontargeted(market: MarketModel) -> AugmentationPlan:
             _iid_assumption(market),
             Assumption("delta_positive", True, f"delta={market.delta:g}"),
         ),
-        notes="extras drawn from the marginal mixture, not from a component",
     )
 
 
@@ -221,33 +226,33 @@ def plan_nontargeted_hr(market: MarketModel) -> AugmentationPlan:
             Assumption("hr_dominant_exists", True, f"component {dom}"),
             _iid_assumption(market),
         ),
-        notes="extras drawn from the marginal mixture",
     )
 
 
-def select_anonymous_reserve(market: MarketModel, cfg: EstimatorConfig) -> AugmentationPlan:
-    """Best of the k component monopoly reserves, by MC comparison; factor 4k.
+def select_anonymous_reserve(market: MarketModel) -> AugmentationPlan:
+    """Best of the k component monopoly reserves, by exact revenue; factor 4k.
 
-    Candidates whose monopoly price is an unattained supremum are skipped
-    with a warning.  All candidates are evaluated on one set of draws, so the
-    argmax is deterministic; the winner's estimate rides on the plan.  The
-    factor's premise, a mixture of regular components, is verified by the
-    grid check of every component.
+    The coins are independent across bidders, so second price with an
+    anonymous reserve earns the same on the market as on its bidders'
+    marginal mixtures, and each candidate is ranked by the quadrature
+    revenue of those; the first maximum wins.  A candidate whose monopoly
+    price is an unattained supremum is skipped, and the
+    all_candidates_attained detail names it.  The factor's premise, a
+    mixture of regular components, is verified by the grid check of every
+    component.
     """
-    candidates = []
+    candidates, unattained = [], []
     for t, comp in enumerate(market.components):
         try:
             candidates.append((t, SecondPriceAnonymousReserve(comp.monopoly_reserve())))
         except SupremumNotAttained:
-            warnings.warn(
-                f"component {t} ({comp}): monopoly price unattained; skipped",
-                stacklevel=2,
-            )
+            unattained.append(f"component {t} ({comp}) unattained")
     if not candidates:
         raise SupremumNotAttained("no component has an attainable monopoly price")
-    ests = _estimate_each(market, tuple(mech for _, mech in candidates), (), cfg)
-    best = max(range(len(candidates)), key=lambda j: ests[j].mean)
-    t, mech = candidates[best]
+    mixtures = [market.bidder_mixture(i) for i in range(market.n)]
+    t, mech = max(
+        candidates, key=lambda c: expected_revenue_quadrature(mixtures, c[1].reserve).mean
+    )
     try:
         _require_regular(market.components)
         regular = Assumption("components_regular_mixture", True)
@@ -262,12 +267,10 @@ def select_anonymous_reserve(market: MarketModel, cfg: EstimatorConfig) -> Augme
             regular,
             Assumption(
                 "all_candidates_attained",
-                len(candidates) == market.k,
-                f"{len(candidates)}/{market.k} candidates",
+                not unattained,
+                "; ".join([f"{len(candidates)}/{market.k} candidates"] + unattained),
             ),
         ),
-        notes=f"candidate means compared at seed {cfg.seed}",
-        estimate=ests[best],
     )
 
 
@@ -303,7 +306,6 @@ def plan_sample_reserve(market: MarketModel, group_sizes=None) -> AugmentationPl
         guarantee_factor=2.0 * (t_min + 1) / t_min,
         mechanism=SecondPriceSampleReserve(tuple(range(market.k))),
         assumptions=(known,),
-        notes="reserve = max of one fresh draw per distinct component",
     )
 
 
@@ -333,7 +335,6 @@ def plan_random_subset(market: MarketModel) -> AugmentationPlan:
             _iid_assumption(market),
             Assumption("subset_covers_components", covers, detail),
         ),
-        notes="reserve = max value of the subset, applied to the others",
     )
 
 

@@ -231,19 +231,6 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure):
     return [_as_estimate(st) for st in merged]
 
 
-def _estimate_each(market: MarketModel, mechs, extras, cfg: EstimatorConfig):
-    """estimate_mc of every mechanism in `mechs`, all on one set of draws.
-
-    Each mechanism starts from the generator state right after the draws,
-    so each result is bit-identical to its own estimate_mc call.
-    """
-
-    def prices(values, outcomes):
-        return [price for _, price in outcomes]
-
-    return _run_streams(market, extras, cfg, [(m, None) for m in mechs], prices)
-
-
 def estimate_mc(
     market: MarketModel,
     mech,
@@ -255,7 +242,11 @@ def estimate_mc(
     Mechanism errors abort the whole estimate, annotated with the sample
     range (stream and offsets) that was being evaluated.
     """
-    return _estimate_each(market, (mech,), extras, cfg)[0]
+
+    def prices(values, outcomes):
+        return [price for _, price in outcomes]
+
+    return _run_streams(market, extras, cfg, [(mech, None)], prices)[0]
 
 
 def _column_dists(market, extras):
@@ -489,9 +480,7 @@ def expected_revenue_quadrature(dists, reserve: float | None = None, tol: float 
 _BENCHMARK_TOL = 1e-9
 
 
-def discriminating_benchmark(
-    market: MarketModel, cfg: EstimatorConfig, policies=None
-) -> RevenueEstimate:
+def discriminating_benchmark(market: MarketModel, policies=None) -> RevenueEstimate:
     """sum_q p(q) * OPT(G(q)): optimal revenue given the coins are observed.
 
     With `policies` (a mapping or callable from a profile tuple to a
@@ -500,8 +489,7 @@ def discriminating_benchmark(
     benchmarked.  Without policies every component must be regular with a
     tail index above 1, and the benchmark is Myerson's expected virtual
     surplus, the integral over y >= 0 of P(max_i phi_i(v_i) > y), as one
-    `_integrate` call: method "quadrature" for any n and k.  `cfg` is not
-    read; it keeps the call shape of the Monte Carlo estimators.
+    `_integrate` call: method "quadrature" for any n and k.
     """
     if policies is None:
         _require_regular(market.components)

@@ -3,7 +3,8 @@
 Each test prints one ACCEPTANCE line (pass/fail) and then asserts, so
 `pytest -s tests/test_acceptance.py` doubles as the certification run.
 The heavy randomized sweeps (criteria 2-4, 7) share module-scoped results
-computed at 10^6 Monte Carlo samples.
+computed at 10^6 Monte Carlo samples; criterion 9 checks their recipe rows
+against the exact revenue of the same plans, with no new draws.
 """
 
 import math
@@ -26,11 +27,15 @@ from auction_lab import (
     TruncatedNormal,
     Uniform,
     coverage_probability,
+    expected_revenue_quadrature,
     hr_ordered_markets,
     iron_distribution,
     nontargeted_counts,
     plan_hr_dominant,
+    plan_targeted,
+    random_mixture_markets,
     run_experiment,
+    select_anonymous_reserve,
     virtual_surplus_gap,
 )
 
@@ -268,5 +273,47 @@ def test_criterion_8_ironing_properties():
         ok,
         f"hull/concavity/monotonicity over {len(IRONING_MATRIX)} family-matrix "
         f"entries; worst regular phi mismatch = {worst_phi_err:.2e} (tol 1e-3)"
+        + (f"; failures: {failures}" if failures else ""),
+    )
+
+
+# each sweep fixture with the markets and the plan builder it ran
+SWEEP_PLANS = [
+    ("thm1_sweep", random_mixture_markets, 20, plan_targeted),
+    ("hr_sweep", hr_ordered_markets, 10, plan_hr_dominant),
+    ("reserve_sweep", random_mixture_markets, 20, select_anonymous_reserve),
+]
+
+
+def plan_quadrature(market, plan):
+    """Exact revenue of a second-price plan: the coins are independent across
+    bidders, so each bidder's column has its marginal mixture as its law."""
+    assert plan.count is None
+    laws = [market.bidder_mixture(i) for i in range(market.n)]
+    laws += [market.components[e.index] for e in plan.extras]
+    return expected_revenue_quadrature(laws, getattr(plan.mechanism, "reserve", None))
+
+
+@pytest.mark.parametrize(
+    "fixture, markets, count, builder", SWEEP_PLANS, ids=[p[0] for p in SWEEP_PLANS]
+)
+def test_criterion_9_recipe_rows_match_quadrature(request, fixture, markets, count, builder):
+    sweep = request.getfixturevalue(fixture)
+    rows = [r for r in sweep.rows if r.bound_tested.startswith("benchmark <=")]
+    assert len(rows) == count
+    worst = 0.0
+    failures = []
+    for idx, (market, row) in enumerate(zip(markets(SEED, count), rows)):
+        exact = plan_quadrature(market, builder(market)).mean
+        z = (row.mean - exact) / row.std_err
+        worst = max(worst, abs(z))
+        if abs(z) > 4.0:
+            failures.append((row.mechanism, row.mean, exact, z))
+    ok = not failures
+    assert report(
+        9,
+        ok,
+        f"{fixture}: |MC recipe row - quadrature of its plan| <= 4se on "
+        f"{count - len(failures)}/{count} markets; worst |z| = {worst:.2f}"
         + (f"; failures: {failures}" if failures else ""),
     )

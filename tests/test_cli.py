@@ -11,10 +11,15 @@ from auction_lab import (
     evaluate_plan,
     parse_report_jsonl,
     parse_scenario,
+    plan_hr_dominant,
+    plan_no_reserve,
+    plan_nontargeted,
+    plan_random_subset,
+    plan_sample_reserve,
+    plan_targeted,
     run_experiment,
     select_anonymous_reserve,
 )
-from auction_lab import cli
 from auction_lab.cli import main
 from auction_lab.errors import SchemaError, UnknownExperiment
 from auction_lab.reports import CSV_COLUMNS
@@ -57,6 +62,17 @@ MECHANISMS = [
         id="second_price_sample_reserve",
     ),
 ]
+
+# the recipes `plan` runs, in its record order
+PLAN_BUILDERS = (
+    plan_targeted,
+    plan_hr_dominant,
+    plan_nontargeted,
+    select_anonymous_reserve,
+    plan_sample_reserve,
+    plan_random_subset,
+    plan_no_reserve,
+)
 
 IID_TRUE_N = {
     "components": [{"family": "uniform", "a": 0, "b": 1}],
@@ -312,26 +328,38 @@ class TestCliCommands:
         strategies = {r.get("strategy") for r in lines}
         assert "targeted_per_component" in strategies
 
-    def test_plan_reuses_anonymous_reserve_evidence(self, tmp_path, capsys, monkeypatch):
-        path = self.write_scenario(tmp_path)
-        evaluated = []
-
-        def spy(market, plan, cfg):
-            evaluated.append(plan.strategy)
-            return evaluate_plan(market, plan, cfg)
-
-        monkeypatch.setattr(cli, "evaluate_plan", spy)
-        assert main(["plan", path, "--samples", "4000"]) == 0
+    def test_plan_evidence_is_evaluate_plan(self, tmp_path, capsys):
+        assert main(["plan", self.write_scenario(tmp_path), "--samples", "4000"]) == 0
         records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert evaluated and "anonymous_reserve" not in evaluated
-        (record,) = [r for r in records if r.get("strategy") == "anonymous_reserve"]
-        # the evidence equals a separate evaluate_plan run with the same cfg
         config = parse_scenario(scenario_text(estimator={"seed": 7, "n_samples": 4000}))
-        plan = select_anonymous_reserve(config.market, config.estimator)
-        evidence = evaluate_plan(config.market, plan, config.estimator)
-        assert record["evidence_mean"] == evidence.mean
-        assert record["evidence_std_err"] == evidence.std_err
-        assert record["evidence_n_samples"] == evidence.n_samples
+        # every recipe applies to MINIMAL's two uniform bidders
+        plans = [builder(config.market) for builder in PLAN_BUILDERS]
+        assert [r["strategy"] for r in records] == [p.strategy for p in plans]
+        for record, plan in zip(records, plans):
+            evidence = evaluate_plan(config.market, plan, config.estimator)
+            assert record["evidence_mean"] == evidence.mean
+            assert record["evidence_std_err"] == evidence.std_err
+            assert record["evidence_n_samples"] == evidence.n_samples
+
+    def test_plan_unattained_reserve_leaves_stderr_empty(self, tmp_path, capsys):
+        doc = json.loads(scenario_text())
+        doc["market"] = {
+            "components": [{"family": "point_mass", "value": 1.0}, {"family": "equal_revenue"}],
+            "weights": [[0.5, 0.5], [0.5, 0.5]],
+        }
+        path = tmp_path / "appendix.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", str(path), "--samples", "4000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        records = [json.loads(l) for l in captured.out.splitlines()]
+        (record,) = [r for r in records if r["strategy"] == "anonymous_reserve"]
+        attained = {a["name"]: a for a in record["assumptions"]}["all_candidates_attained"]
+        assert attained == {
+            "name": "all_candidates_attained",
+            "verified": False,
+            "detail": "1/2 candidates; component 1 (EqualRevenue) unattained",
+        }
 
     @pytest.mark.parametrize(
         "mechanism, message",

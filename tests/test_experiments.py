@@ -106,8 +106,8 @@ class TestSweepsRunThePlan:
         real = getattr(experiments, builder)
         plans = []
 
-        def spy(market, *args):
-            plan = replace(real(market, *args), **changes)
+        def spy(market):
+            plan = replace(real(market), **changes)
             plans.append((market, plan))
             return plan
 
@@ -125,9 +125,8 @@ class TestSweepsRunThePlan:
         assert [r.bound_tested for r in recipe] == ["benchmark <= 7.5*mean + 4se"] * 2
         for idx, ((market, plan), row) in enumerate(zip(plans, recipe)):
             assert re.fullmatch(f"m{idx:02d}:{label}", row.mechanism)
-            if name != "reserve-4k-sweep":  # that sweep reports the plan's own evidence
-                cfg = experiments._market_cfg(seed, idx, n_samples, n_streams)
-                assert row.mean == estimate_mc(market, mech, plan.extras, cfg).mean
+            cfg = experiments._market_cfg(seed, idx, n_samples, n_streams)
+            assert row.mean == estimate_mc(market, mech, plan.extras, cfg).mean
 
     @pytest.mark.parametrize("name, builder, label", SWEEP_BUILDERS)
     def test_unverified_premise_raises(self, monkeypatch, name, builder, label):

@@ -34,7 +34,6 @@ from auction_lab.errors import (
     IndexOutOfRange,
     IrregularComponent,
     NegativeReserve,
-    NonMonotoneAllocation,
     ValueOutsideSupport,
 )
 from auction_lab.mechanisms import _top_two
@@ -58,6 +57,13 @@ def _bisect_allocation(allocation, lo: float, hi: float) -> float:
         else:
             a = mid
     return b
+
+
+class NonMonotoneAllocation(AssertionError):
+    """Allocation probe found a win that turns into a loss at a higher bid.
+
+    This signals an implementation bug in the allocation rule, not bad data.
+    """
 
 
 def critical_payment(profile: ValuationProfile, winner: int, allocation, lo: float = 0.0) -> float:

@@ -1,6 +1,7 @@
 """Augmentation recipes: factors, counts, preconditions, coverage."""
 
 import math
+import warnings
 
 import pytest
 
@@ -20,6 +21,7 @@ from auction_lab import (
     coverage_probability,
     estimate_mc,
     evaluate_plan,
+    expected_revenue_quadrature,
     guarantee_factor,
     nontargeted_counts,
     plan_hr_dominant,
@@ -165,8 +167,7 @@ class TestIidPlans:
 class TestAnonymousReserve:
     def test_candidates_and_factor(self):
         m = build_market((Uniform(0, 1), Uniform(0, 2)), [[0.5, 0.5]] * 2)
-        cfg = EstimatorConfig(seed=3, n_samples=50_000)
-        plan = select_anonymous_reserve(m, cfg)
+        plan = select_anonymous_reserve(m)
         assert plan.guarantee_factor == 8.0  # 4k with k=2
         assert plan.mechanism.reserve in (
             pytest.approx(0.5, rel=1e-6),
@@ -175,35 +176,44 @@ class TestAnonymousReserve:
 
     def test_single_component(self):
         m = build_market((Uniform(0, 1),), [[1.0]] * 2)
-        cfg = EstimatorConfig(seed=3, n_samples=20_000)
-        plan = select_anonymous_reserve(m, cfg)
+        plan = select_anonymous_reserve(m)
         assert plan.guarantee_factor == 4.0
         assert isinstance(plan.mechanism, SecondPriceAnonymousReserve)
         assert plan.mechanism.reserve == pytest.approx(0.5, rel=1e-6)
 
-    def test_plan_carries_the_evidence_estimate(self):
+    def test_ranks_candidates_by_exact_revenue(self):
         m = build_market((Uniform(0, 1), Exponential(1.0)), [[0.3, 0.7]] * 3)
-        cfg = EstimatorConfig(seed=7, n_samples=30_000)
-        plan = select_anonymous_reserve(m, cfg)
-        assert plan.estimate == evaluate_plan(m, plan, cfg)
+        plan = select_anonymous_reserve(m)
+        mixtures = [m.bidder_mixture(i) for i in range(m.n)]
+        revenues = [
+            expected_revenue_quadrature(mixtures, c.monopoly_reserve()).mean
+            for c in m.components
+        ]
+        assert plan.reserve_component == revenues.index(max(revenues))
+        assert plan.mechanism == SecondPriceAnonymousReserve(
+            m.components[plan.reserve_component].monopoly_reserve()
+        )
 
-    def test_equal_revenue_candidate_skipped_with_warning(self):
+    def test_equal_revenue_candidate_skipped_and_named(self):
         m = build_market((Uniform(0, 1), EqualRevenue()), [[0.5, 0.5]] * 2)
-        cfg = EstimatorConfig(seed=3, n_samples=20_000)
-        with pytest.warns(UserWarning):
-            plan = select_anonymous_reserve(m, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = select_anonymous_reserve(m)
         assert plan.reserve_component == 0
-        flagged = {a.name: a.verified for a in plan.assumptions}
-        assert flagged["all_candidates_attained"] is False
+        flagged = {a.name: a for a in plan.assumptions}
+        attained = flagged["all_candidates_attained"]
+        assert attained.verified is False
+        assert attained.detail == "1/2 candidates; component 1 (EqualRevenue) unattained"
         # phi of the equal-revenue law is -1 everywhere: regular on the grid
-        assert flagged["components_regular_mixture"] is True
+        assert flagged["components_regular_mixture"].verified is True
+        with pytest.raises(AssumptionUnverified, match="all_candidates_attained"):
+            guarantee_factor(plan)
 
     def test_irregular_component_leaves_the_factor_unverified(self):
         bimodal = MixtureDistribution((Exponential(10.0), Exponential(0.1)), (0.9, 0.1))
         with pytest.warns(IrregularComponentWarning):
             m = build_market((bimodal, Uniform(0, 1)), [[0.5, 0.5]] * 3)
-        cfg = EstimatorConfig(seed=3, n_samples=5_000)
-        plan = select_anonymous_reserve(m, cfg)
+        plan = select_anonymous_reserve(m)
         flagged = {a.name: a for a in plan.assumptions}
         assert flagged["components_regular_mixture"].verified is False
         assert "component 0" in flagged["components_regular_mixture"].detail
@@ -212,7 +222,7 @@ class TestAnonymousReserve:
 
     def test_atomic_component_leaves_the_factor_unverified(self):
         m = build_market((TwoPoint(1, 4, 0.2), Uniform(0, 1)), [[0.5, 0.5]] * 3)
-        plan = select_anonymous_reserve(m, EstimatorConfig(seed=3, n_samples=5_000))
+        plan = select_anonymous_reserve(m)
         with pytest.raises(AssumptionUnverified):
             guarantee_factor(plan)
 
@@ -288,7 +298,7 @@ class TestEvaluatePlan:
         cfg = EstimatorConfig(seed=13, n_samples=150_000)
         plan = plan_targeted(m)
         rev = evaluate_plan(m, plan, cfg)
-        bench = discriminating_benchmark(m, cfg)
+        bench = discriminating_benchmark(m)
         se = math.hypot(bench.std_err, 2 * rev.std_err)
         assert bench.mean <= plan.guarantee_factor * rev.mean + 4 * se
 
@@ -315,7 +325,7 @@ class TestEvaluatePlan:
         rows = [[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4
         m = build_market((Uniform(0, 1), Exponential(1.0)), rows)
         cfg = EstimatorConfig(seed=23, n_samples=200_000)
-        bench = discriminating_benchmark(m, cfg)  # the single realized profile
+        bench = discriminating_benchmark(m)  # the single realized profile
         for plan in (plan_sample_reserve(m, (4, 4)), plan_no_reserve(m, (4, 4))):
             rev = evaluate_plan(m, plan, cfg)
             se = math.hypot(bench.std_err, plan.guarantee_factor * rev.std_err)
@@ -344,21 +354,21 @@ class TestPlanCarriesItsAuction:
     # i.i.d., regular, U(0, 2) hazard-rate dominant, delta = 1/k, groups of 3
     MARKET = build_market((Uniform(0, 2), Uniform(0, 1)), [[0.5, 0.5]] * 6)
 
-    def plans(self, cfg):
+    def plans(self):
         m = self.MARKET
         return [
             plan_targeted(m),
             plan_hr_dominant(m),
             plan_nontargeted(m),
             plan_nontargeted_hr(m),
-            select_anonymous_reserve(m, cfg),
+            select_anonymous_reserve(m),
             plan_sample_reserve(m),
             plan_random_subset(m),
             plan_no_reserve(m),
         ]
 
     def test_every_recipe_applies(self):
-        plans = self.plans(EstimatorConfig(seed=1, n_samples=2_000))
+        plans = self.plans()
         strategies = {p.strategy for p in plans}
         assert strategies == {
             TARGETED, HR_DOMINANT, NONTARGETED, NONTARGETED_HR,
@@ -367,7 +377,7 @@ class TestPlanCarriesItsAuction:
 
     def test_evaluate_plan_bit_identical_to_the_strategy_table(self):
         cfg = EstimatorConfig(seed=31, n_samples=20_000, n_streams=3)
-        for plan in self.plans(cfg):
+        for plan in self.plans():
             market, mech, extras = _oracle_auction(self.MARKET, plan)
             assert evaluate_plan(self.MARKET, plan, cfg) == estimate_mc(
                 market, mech, extras, cfg

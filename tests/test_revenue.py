@@ -62,7 +62,6 @@ from auction_lab.revenue import (
     _as_estimate,
     _atom_breakpoints,
     _draw_market,
-    _estimate_each,
     _integrate,
     _merge_stats,
     _second_highest_law,
@@ -116,31 +115,6 @@ class TestEstimateMC:
         with pytest.raises(TypeError) as err:
             estimate_mc(market, "not a mechanism", (), cfg)
         assert err.value.sample_range == (0, 13)  # first non-empty chunk
-        assert err.value.stream_index == 0
-
-
-class TestEstimateEach:
-    """Several mechanisms on one set of draws equal their separate estimates."""
-
-    def test_matches_separate_estimate_mc_calls(self):
-        market = build_market((Uniform(0, 1), Exponential(1.0)), [[0.4, 0.6]] * 3)
-        cfg = EstimatorConfig(seed=17, n_samples=40_000)
-        extras = (ComponentExtra(0),)
-        # the sample-reserve mechanisms consume the stream after the draws
-        mechs = (
-            SecondPriceSampleReserve((0, 1)),
-            SecondPrice(),
-            SecondPriceAnonymousReserve(0.6),
-            SecondPriceSampleReserve((1,)),
-        )
-        shared = _estimate_each(market, mechs, extras, cfg)
-        assert shared == [estimate_mc(market, m, extras, cfg) for m in mechs]
-
-    def test_failing_mechanism_carries_sample_range(self):
-        cfg = EstimatorConfig(seed=3, n_samples=100)
-        with pytest.raises(TypeError) as err:
-            _estimate_each(two_uniform_market(), (SecondPrice(), "not a mechanism"), (), cfg)
-        assert err.value.sample_range == (0, 13)
         assert err.value.stream_index == 0
 
 
@@ -625,7 +599,7 @@ class TestDiscriminatingBenchmark:
     def test_single_component_equals_plain_myerson(self):
         market = two_uniform_market()
         cfg = EstimatorConfig(seed=31, n_samples=200_000)
-        bench = discriminating_benchmark(market, cfg)
+        bench = discriminating_benchmark(market)
         mech = MyersonRegular((Uniform(0, 1), Uniform(0, 1)))
         direct = estimate_mc(market, mech, (), cfg)
         se = math.hypot(bench.std_err, direct.std_err)
@@ -635,8 +609,7 @@ class TestDiscriminatingBenchmark:
         from auction_lab.experiments import appendix_market, _appendix_policies
 
         market = appendix_market()
-        cfg = EstimatorConfig(seed=1, n_samples=1)
-        bench = discriminating_benchmark(market, cfg, policies=_appendix_policies(1e6))
+        bench = discriminating_benchmark(market, policies=_appendix_policies(1e6))
         assert 1.74 <= bench.mean <= 1.7501
         assert bench.method == "exact"
 
@@ -654,7 +627,7 @@ class TestDiscriminatingBenchmark:
         + [f"truncated_normal{j}" for j in range(3)],
     )
     def test_agrees_with_pinned_profile_mc(self, market):
-        bench = discriminating_benchmark(market, EstimatorConfig(seed=1))
+        bench = discriminating_benchmark(market)
         assert bench.method == "quadrature" and bench.std_err == 0.0
         mean, se = pinned_profile_benchmark(market, seed=83, n_samples=200_000)
         assert abs(bench.mean - mean) <= 4 * se
@@ -666,7 +639,7 @@ class TestDiscriminatingBenchmark:
         )
         weights = rng.random((60, 5)) + 0.1
         market = build_market(components, weights / weights.sum(axis=1, keepdims=True))
-        bench = discriminating_benchmark(market, EstimatorConfig(seed=1))
+        bench = discriminating_benchmark(market)
         assert bench.method == "quadrature"
         assert bench.std_err == 0.0 and bench.n_samples == 0
         # sixty bidders push the top virtual value near the largest supports
@@ -677,12 +650,12 @@ class TestDiscriminatingBenchmark:
         # Myerson values these at zero virtual surplus, far below the supremum
         market = build_market((heavy, Uniform(0, 1)), [[0.5, 0.5]] * 2)
         with pytest.raises(SupremumNotAttained, match="supply policies"):
-            discriminating_benchmark(market, EstimatorConfig(seed=1))
+            discriminating_benchmark(market)
 
     def test_irregular_component_needs_policy(self):
         market = build_market((PM, ER), [[0.5, 0.5]] * 2)
         with pytest.raises(IrregularComponent):
-            discriminating_benchmark(market, EstimatorConfig(seed=1, n_samples=100))
+            discriminating_benchmark(market)
 
     def test_benchmark_dominates_ironed_myerson(self):
         # the coin-observing optimum can only beat the non-discriminating one
@@ -693,7 +666,7 @@ class TestDiscriminatingBenchmark:
         ] + random_mixture_markets(seed=97, count=3)
         for j, market in enumerate(markets):
             cfg = EstimatorConfig(seed=41 + j, n_samples=150_000)
-            bench = discriminating_benchmark(market, cfg)
+            bench = discriminating_benchmark(market)
             mech = MyersonIroned(tuple(iron(market, i) for i in range(market.n)))
             ironed = estimate_mc(market, mech, (), cfg)
             se = math.hypot(bench.std_err, ironed.std_err)
