@@ -40,7 +40,6 @@ from .mechanisms import (
     SecondPrice,
     SecondPriceAnonymousReserve,
     SecondPriceBidderReserves,
-    SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
     ValuationProfile,
     allocate,

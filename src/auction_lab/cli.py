@@ -8,11 +8,13 @@ Subcommands:
     ratio <scenario>      coin-observing benchmark vs the scenario mechanism
     reproduce <name>      run a built-in experiment
 
-Common flags: --seed, --samples, --streams, --horizon, --out PATH,
---format {csv,json-lines,text-table}.  The seed comes from --seed, then the
-scenario file, then the AUCTION_LAB_SEED environment variable; there is no
-wall-clock fallback.  A negative seed, a count below 1 or a horizon that is
-not a finite positive number is an error.
+Flags: --seed, --samples, --streams, --out PATH; simulate, ratio and
+reproduce add --format {csv,json-lines,text-table}, reproduce --horizon.
+The seed comes from --seed, then the scenario file, then the
+AUCTION_LAB_SEED environment variable; there is no wall-clock fallback.
+A negative seed, a count below 1 or a horizon that is not a finite
+positive number is an error, as is a command line that does not parse.
+A warning prints as one `warning: <category>: <message>` line.
 
 Exit codes: 0 when every verdict passes, 2 when a verdict fails, 1 on any
 error.
@@ -25,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from .distributions import hr_crossing
@@ -56,33 +59,32 @@ __all__ = ["main"]
 SEED_ENV_VAR = "AUCTION_LAB_SEED"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises SchemaError where argparse would exit 2, the failed-verdict code."""
+
+    def error(self, message):
+        raise SchemaError(self.prog, message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="auction-lab",
         description="revenue simulation for auctions with mixture-of-regular bidders",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "plan", "check-hr", "ratio"):
+    for name in ("simulate", "plan", "check-hr", "ratio", "reproduce"):
         p = sub.add_parser(name)
-        p.add_argument("scenario", help="path to a scenario JSON file")
-        _common_flags(p)
-    p = sub.add_parser("reproduce")
-    p.add_argument("name", help="built-in experiment name")
-    _common_flags(p)
+        if name == "reproduce":
+            p.add_argument("name", help="built-in experiment name")
+            p.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
+        else:
+            p.add_argument("scenario", help="path to a scenario JSON file")
+        for flag in ("--seed", "--samples", "--streams"):
+            p.add_argument(flag, type=int, default=None)
+        p.add_argument("--out", default=None)
+        if name in ("simulate", "ratio", "reproduce"):
+            p.add_argument("--format", choices=("csv", "json-lines", "text-table"), default="csv")
     return parser
-
-
-def _common_flags(p):
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--streams", type=int, default=None)
-    p.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
-    p.add_argument("--out", default=None)
-    p.add_argument(
-        "--format",
-        choices=("csv", "json-lines", "text-table"),
-        default="csv",
-    )
 
 
 def _check_flags(args):
@@ -90,8 +92,6 @@ def _check_flags(args):
         value = getattr(args, flag)
         if value is not None and value < minimum:
             raise SchemaError(f"--{flag}", f"expected an integer >= {minimum}")
-    if not (math.isfinite(args.horizon) and args.horizon > 0.0):
-        raise SchemaError("--horizon", "expected a finite number > 0")
 
 
 def _env_seed():
@@ -232,6 +232,8 @@ def _cmd_check_hr(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    if not (math.isfinite(args.horizon) and args.horizon > 0.0):
+        raise SchemaError("--horizon", "expected a finite number > 0")
     seed = args.seed if args.seed is not None else _env_seed()
     report = run_experiment(
         args.name,
@@ -252,17 +254,23 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        _check_flags(args)
-        return _COMMANDS[args.command](args)
-    except AuctionLabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = _build_parser().parse_args(argv)
+            _check_flags(args)
+            return _COMMANDS[args.command](args)
+        except AuctionLabError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

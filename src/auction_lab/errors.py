@@ -65,7 +65,7 @@ class ValueOutsideSupport(AuctionLabError):
 
 
 class IndexOutOfRange(AuctionLabError):
-    """A bidder index in a posted-price order does not exist."""
+    """A bidder, subset or component index does not exist."""
 
 
 # --- revenue estimation ----------------------------------------------------
@@ -117,7 +117,7 @@ class AssumptionUnverified(AuctionLabError):
 # --- scenario / cli --------------------------------------------------------
 
 class SchemaError(AuctionLabError):
-    """Scenario text violates the schema; names the offending field path."""
+    """Scenario text or a command line violates the schema; names the field path or flag."""
 
     def __init__(self, path, reason):
         super().__init__(f"{path}: {reason}")

@@ -2,6 +2,9 @@
 
 Every mechanism has one implementation: `allocate` evaluates a spec on each
 row of a (size, m) value matrix at once, and `run` is a one-row call of it.
+Mechanisms draw nothing; every random input is a value column.  A reserve
+set by fresh draws, such as the sample-based reserve, is a subset of extra
+columns under `SecondPriceSubsetReserve`.
 Ties are broken by lowest bidder index everywhere; this is measure-zero for
 continuous value draws and is the documented convention for atomic inputs.
 
@@ -38,7 +41,6 @@ __all__ = [
     "SecondPriceAnonymousReserve",
     "SecondPriceBidderReserves",
     "SecondPriceSubsetReserve",
-    "SecondPriceSampleReserve",
     "MyersonRegular",
     "MyersonIroned",
     "PostedSequence",
@@ -104,24 +106,12 @@ class SecondPriceBidderReserves:
 class SecondPriceSubsetReserve:
     """Vickrey among the non-subset bidders with reserve = max subset value.
 
-    The subset members only set the price; they never win.  This is the
-    sample-based single-reserve auction whose halving inequality against
-    the augmented Vickrey auction is directly testable.
+    The subset members only set the price; they never win.  A subset of
+    market bidders is the random-subset reserve; a subset of extra columns,
+    one drawn from each component, is the sample-based reserve.
     """
 
     subset: tuple
-
-
-@dataclass(frozen=True)
-class SecondPriceSampleReserve:
-    """Vickrey with a random anonymous reserve drawn per run.
-
-    The reserve is the maximum of one fresh draw from each listed component.
-    The draw needs a stream and the market's components, so this spec is
-    evaluated by the revenue estimator rather than by `run`.
-    """
-
-    component_indices: tuple
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,6 @@ MechanismSpec = (
     | SecondPriceAnonymousReserve
     | SecondPriceBidderReserves
     | SecondPriceSubsetReserve
-    | SecondPriceSampleReserve
     | MyersonRegular
     | MyersonIroned
     | PostedSequence
@@ -319,12 +308,11 @@ def _one_per_column(rules, m, what):
     return rules
 
 
-def allocate(mech: MechanismSpec, values, rng=None, market=None):
+def allocate(mech: MechanismSpec, values):
     """Winners and prices of `mech` on every row of a (size, m) value matrix.
 
     Returns (winner, price) arrays of length size; winner == -1 means no
-    sale at price 0.  SecondPriceSampleReserve draws its reserves from `rng`
-    through `market`'s components.
+    sale at price 0.
     """
     size, m = values.shape
     if isinstance(mech, SecondPrice):
@@ -334,25 +322,16 @@ def allocate(mech: MechanismSpec, values, rng=None, market=None):
     if isinstance(mech, SecondPriceBidderReserves):
         return _sp_batch(values, _one_per_column(mech.reserves, m, "reserve"))
     if isinstance(mech, SecondPriceSubsetReserve):
-        subset = list(mech.subset)
-        _check_indices(subset, m, "subset index")
-        if not subset:
+        _check_indices(mech.subset, m, "subset index")
+        if not mech.subset:
             return _sp_batch(values)
-        # the subset sets everyone's reserve and never qualifies itself
-        reserves = np.repeat(values[:, subset].max(axis=1, keepdims=True), m, axis=1)
-        reserves[:, subset] = np.inf
-        return _sp_batch(values, reserves)
-    if isinstance(mech, SecondPriceSampleReserve):
-        if market is None:
-            raise ValueError("SecondPriceSampleReserve needs the market for its draws")
-        _check_indices(mech.component_indices, market.k, "component index")
-        draws = np.column_stack(
-            [
-                market.components[t]._quantile(rng.random(size))
-                for t in mech.component_indices
-            ]
-        )
-        return _sp_batch(values, draws.max(axis=1, keepdims=True))
+        # the others face one shared reserve, the subset's max
+        others = np.setdiff1d(np.arange(m), mech.subset)
+        if others.size == 0:
+            return np.full(size, -1), np.zeros(size)
+        reserve = values[:, list(mech.subset)].max(axis=1, keepdims=True)
+        winner, price = _sp_batch(values[:, others], reserve)
+        return np.where(winner >= 0, others[winner], -1), price
     if isinstance(mech, MyersonRegular):
         return _myerson_batch(values, _one_per_column(mech.dists, m, "distribution"))
     if isinstance(mech, MyersonIroned):
@@ -369,8 +348,7 @@ def run(mech: MechanismSpec, profile: ValuationProfile) -> AuctionOutcome:
     """Run a mechanism spec on one valuation profile (a one-row `allocate`).
 
     Under Myerson every value must lie in its rule's support, else
-    ValueOutsideSupport; SecondPriceSampleReserve needs a market and a
-    stream, so it raises ValueError here.
+    ValueOutsideSupport.
     """
     n = len(profile)
     if n == 0:

@@ -36,7 +36,6 @@ from .mechanisms import (
     MechanismSpec,
     SecondPrice,
     SecondPriceAnonymousReserve,
-    SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
 )
 from .mixtures import MarketModel, _coin_rule
@@ -294,8 +293,10 @@ def _group_sizes(market: MarketModel, group_sizes):
 def plan_sample_reserve(market: MarketModel, group_sizes=None) -> AugmentationPlan:
     """Vickrey with a random reserve, the max of one fresh draw per component.
 
-    With k distinct components and at least t bidders per group it keeps a
-    1/2 * t/(t+1) fraction of the optimal revenue: factor 2(t+1)/t.
+    The draws are k component extras that form the reserve subset: they set
+    the price and never win.  With k distinct components and at least t
+    bidders per group it keeps a 1/2 * t/(t+1) fraction of the optimal
+    revenue: factor 2(t+1)/t.
     """
     sizes, known = _group_sizes(market, group_sizes)
     t_min = min(sizes)
@@ -304,7 +305,8 @@ def plan_sample_reserve(market: MarketModel, group_sizes=None) -> AugmentationPl
     return AugmentationPlan(
         strategy=SAMPLE_RESERVE,
         guarantee_factor=2.0 * (t_min + 1) / t_min,
-        mechanism=SecondPriceSampleReserve(tuple(range(market.k))),
+        mechanism=SecondPriceSubsetReserve(tuple(range(market.n, market.n + market.k))),
+        extras=tuple(ComponentExtra(t) for t in range(market.k)),
         assumptions=(known,),
     )
 

@@ -4,11 +4,11 @@ Three estimation routes:
 
 * Monte Carlo over seeded streams, by one evaluator (`_run_streams`).  It
   partitions the samples across n_streams independent streams, draws each
-  stream once, runs every requested mechanism on the draws from the
-  generator state right after them, and reduces the sample arrays of a
-  per-draw measure.  `estimate_mc` measures prices, `virtual_surplus_gap`
-  price minus the winner's virtual value and `commensurateness_check` the
-  two commensurateness inequalities plus the price of M'.  A stream
+  stream once, runs every requested mechanism on the draws (mechanisms
+  draw nothing), and reduces the sample arrays of a per-draw measure.
+  `estimate_mc` measures prices, `virtual_surplus_gap` price minus the
+  winner's virtual value and `commensurateness_check` the two
+  commensurateness inequalities plus the price of M'.  A stream
   reduces to (n, mean, M2) by a shifted two-pass, and streams merge in
   index order with the Chan-Golub-LeVeque pairwise update, so a result is
   bit-identical for a fixed (seed, n_samples, n_streams) whatever else
@@ -43,6 +43,7 @@ from .distributions import PointMass, TwoPoint, _match, _require_regular
 from .errors import (
     AtomicDistribution,
     DivergentTail,
+    IndexOutOfRange,
     InsufficientDivergenceSamples,
     SupremumNotAttained,
     ToleranceNotMet,
@@ -130,8 +131,17 @@ class DeterministicExtra:
 # ---------------------------------------------------------------------------
 
 
+def _check_extras(market: MarketModel, extras):
+    """Refuse an unknown extra spec or a component index outside [0, k)."""
+    for spec in extras:
+        if not isinstance(spec, (ComponentExtra, DeterministicExtra)):
+            raise TypeError(f"unknown extra spec {spec!r}")
+        if isinstance(spec, ComponentExtra) and not 0 <= spec.index < market.k:
+            raise IndexOutOfRange(f"component index {spec.index} out of range for k={market.k}")
+
+
 def _draw_market(market: MarketModel, rng, size: int, extras=()):
-    """Values (size, n + len(extras)) for one stream.
+    """Values (size, n + len(extras)) for one stream; `extras` are checked.
 
     Each bidder draws in turn through `MixtureDistribution.sample_with_coin`
     (`size` coin uniforms, then `size` value uniforms), and the extra
@@ -146,10 +156,8 @@ def _draw_market(market: MarketModel, rng, size: int, extras=()):
     for j, spec in enumerate(extras, start=n):
         if isinstance(spec, ComponentExtra):
             values[:, j] = market.components[spec.index]._quantile(rng.random(size))
-        elif isinstance(spec, DeterministicExtra):
-            values[:, j] = float(spec.value)
         else:
-            raise TypeError(f"unknown extra spec {spec!r}")
+            values[:, j] = float(spec.value)
     return values
 
 
@@ -192,14 +200,14 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure):
 
     Stream s draws its share of the bidders, then the extras, once from
     substream(cfg.seed, s).  Each (mechanism, columns) pair of `mechs` runs
-    through `allocate` on the first `columns` value columns (None: all),
-    from the generator state right after the draws.  `measure(values,
-    outcomes)` maps the draws and every (winner, price) to sample arrays,
-    reduced per stream and merged across streams.  Errors are annotated
-    with the sample range and stream being evaluated.
+    through `allocate` on the first `columns` value columns (None: all).
+    `measure(values, outcomes)` maps the draws and every (winner, price) to
+    sample arrays, reduced per stream and merged across streams.  Errors
+    are annotated with the sample range and stream being evaluated.
     """
     if cfg is None:
         raise ValueError("an EstimatorConfig with an explicit seed is required")
+    _check_extras(market, extras)
     merged = None
     offset = 0
     base, rem = divmod(cfg.n_samples, cfg.n_streams)
@@ -209,12 +217,10 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure):
             continue
         rng = substream(cfg.seed, s)
         values = _draw_market(market, rng, size, extras)
-        after_draws = rng.bit_generator.state
         try:
-            outcomes = []
+            outcomes = []  # drops the last stream's before this one's are made
             for mech, columns in mechs:
-                rng.bit_generator.state = after_draws
-                outcomes.append(allocate(mech, values[:, :columns], rng, market=market))
+                outcomes.append(allocate(mech, values[:, :columns]))
             outputs = measure(values, outcomes)
         except Exception as exc:
             exc.sample_range = (offset, offset + size)
@@ -253,6 +259,7 @@ def _column_dists(market, extras):
     """The distribution behind each value column, a deterministic extra being
     a PointMass; virtual values need a density, so a column with atoms
     raises AtomicDistribution (before any draw, as callers run this first)."""
+    _check_extras(market, extras)
     dists = [market.bidder_mixture(i) for i in range(market.n)] + [
         market.components[s.index] if isinstance(s, ComponentExtra) else PointMass(s.value)
         for s in extras

@@ -57,7 +57,6 @@ from .mechanisms import (
     SecondPrice,
     SecondPriceAnonymousReserve,
     SecondPriceBidderReserves,
-    SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
 )
 from .mixtures import DEFAULT_IRONING_GRID, MarketModel, build_market, iron
@@ -180,15 +179,17 @@ def _parse_extras(doc, k):
     return _list(doc, "extras", "$", extra) if "extras" in doc else ()
 
 
-def _parse_mechanism(raw, market: MarketModel, extras) -> MechanismSpec:
-    """Build the spec of mechanism section `raw` against the parsed market."""
+def _parse_mechanism(raw, market: MarketModel, extras):
+    """(spec, extras) of mechanism section `raw` against the parsed market: a
+    sample reserve is a subset reserve over one extra per listed component,
+    placed after the scenario's own extras."""
     path = "mechanism"
     kind = _need(raw, "kind", path)
     if kind == "second_price":
         if "reserve" in raw and "bidder_reserves" in raw:
             raise SchemaError(path, "set at most one reserve mode")
         if "reserve" in raw:
-            return SecondPriceAnonymousReserve(_number(raw, "reserve", path))
+            return SecondPriceAnonymousReserve(_number(raw, "reserve", path)), extras
         if "bidder_reserves" in raw:
             reserves = _number_row(raw, "bidder_reserves", path)
             total_columns = market.n + len(extras)
@@ -197,8 +198,8 @@ def _parse_mechanism(raw, market: MarketModel, extras) -> MechanismSpec:
                     "mechanism.bidder_reserves",
                     f"need one reserve per column ({total_columns})",
                 )
-            return SecondPriceBidderReserves(reserves)
-        return SecondPrice()
+            return SecondPriceBidderReserves(reserves), extras
+        return SecondPrice(), extras
     if kind == "myerson_regular":
         dists = []
         for i in range(market.n):
@@ -212,22 +213,23 @@ def _parse_mechanism(raw, market: MarketModel, extras) -> MechanismSpec:
             if not isinstance(spec, ComponentExtra):
                 raise SchemaError("extras", "myerson_regular extras must be component draws")
             dists.append(market.components[spec.index])
-        return MyersonRegular(tuple(dists))
+        return MyersonRegular(tuple(dists)), extras
     if kind == "myerson_ironed":
         if extras:
             raise SchemaError("extras", "myerson_ironed does not take extras")
         grid = DEFAULT_IRONING_GRID
         if "grid_size" in raw:
             grid = _integer(raw, "grid_size", path)
-        return MyersonIroned(tuple(iron(market, i, grid) for i in range(market.n)))
+        return MyersonIroned(tuple(iron(market, i, grid) for i in range(market.n))), extras
     if kind == "posted_sequence":
-        return PostedSequence(
-            _number_row(raw, "prices", path), _list(raw, "order", path, _integer)
-        )
+        prices = _number_row(raw, "prices", path)
+        return PostedSequence(prices, _list(raw, "order", path, _integer)), extras
     if kind == "second_price_subset_reserve":
-        return SecondPriceSubsetReserve(_list(raw, "subset", path, _integer))
+        return SecondPriceSubsetReserve(_list(raw, "subset", path, _integer)), extras
     if kind == "second_price_sample_reserve":
-        return SecondPriceSampleReserve(_list(raw, "components", path, _integer))
+        draws = tuple(ComponentExtra(t) for t in _list(raw, "components", path, _integer))
+        first = market.n + len(extras)
+        return SecondPriceSubsetReserve(tuple(range(first, first + len(draws)))), extras + draws
     raise SchemaError("mechanism.kind", f"unknown kind {kind!r}")
 
 
@@ -235,7 +237,8 @@ def _parse_mechanism(raw, market: MarketModel, extras) -> MechanismSpec:
 class ScenarioConfig:
     """Validated scenario: market, built mechanism spec, extras and estimator.
 
-    `kind` is the scenario's mechanism kind, the label of its report row.
+    `kind` is the scenario's mechanism kind, the label of its report row;
+    `extras` include a sample reserve's draws, last.
     """
 
     scenario_id: str
@@ -262,7 +265,7 @@ def parse_scenario(text: str, default_seed: int | None = None) -> ScenarioConfig
     extras = _parse_extras(doc, market.k)
     mech_raw = _need(doc, "mechanism", "$", dict)
     try:
-        mechanism = _parse_mechanism(mech_raw, market, extras)
+        mechanism, extras = _parse_mechanism(mech_raw, market, extras)
     except ValueError as exc:  # a spec constructor refused the parsed values
         raise SchemaError("mechanism", str(exc)) from exc
 

@@ -406,6 +406,67 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err.startswith(f"error: SchemaError: {argv[1]}: expected an integer >= ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--samples", "abc"],
+            ["simulate", "--bogus"],
+            # each subcommand takes only the flags it reads
+            ["simulate", "--horizon", "3"],
+            ["plan", "--horizon", "3"],
+            ["check-hr", "--horizon", "3"],
+            ["ratio", "--horizon", "3"],
+            ["plan", "--format", "text-table"],
+            ["check-hr", "--format", "csv"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_error_exit_one(self, tmp_path, capsys, argv):
+        assert main([argv[0], self.write_scenario(tmp_path), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SchemaError: auction-lab")
+        assert captured.err.count("\n") == 1
+
+    def test_irregular_component_warns_in_one_line(self, tmp_path, capsys):
+        doc = json.loads(scenario_text())
+        doc["market"] = {
+            "components": [
+                {"family": "uniform", "a": 0, "b": 1},
+                {"family": "power_law", "alpha": 0.4},
+            ],
+            "weights": [[0.5, 0.5], [0.5, 0.5]],
+        }
+        assert main(["plan", self.write_scenario(tmp_path, json.dumps(doc)), "--samples", "4000"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: IrregularComponentWarning: component 1 (PowerLaw(0.4)) "
+            "fails the regularity grid check\n"
+        )
+
+    def test_sample_reserve_report_pinned(self, tmp_path, capsys):
+        # the reserve's two draws follow a component extra and a value extra;
+        # these bytes were produced when the mechanism drew its reserve from
+        # the stream, and its component extras draw the same uniforms
+        doc = {
+            "version": 1,
+            "id": "sr",
+            "market": {
+                "components": [
+                    {"family": "uniform", "a": 0, "b": 2},
+                    {"family": "exponential", "rate": 1.0},
+                ],
+                "weights": [[0.5, 0.5], [0.3, 0.7], [0.8, 0.2]],
+            },
+            "mechanism": {"kind": "second_price_sample_reserve", "components": [1, 0]},
+            "extras": [{"component": 1}, {"value": 0.7}],
+            "estimator": {"seed": 7, "n_samples": 40000, "n_streams": 3},
+        }
+        assert main(["simulate", self.write_scenario(tmp_path, json.dumps(doc))]) == 0
+        assert capsys.readouterr().out == (
+            "scenario_id,mechanism,mean,std_err,n_samples,method,bound_tested,verdict\n"
+            "sr,second_price_sample_reserve,0.9642403149421536,0.003940202089014806,40000,mc,,\n"
+        )
+
     @pytest.mark.parametrize("horizon", ["-1", "0", "nan", "inf"])
     def test_horizon_not_finite_positive_exit_one(self, capsys, horizon):
         assert main(["reproduce", "appendix-lb", f"--horizon={horizon}"]) == 1

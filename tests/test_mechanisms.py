@@ -22,7 +22,6 @@ from auction_lab import (
     SecondPrice,
     SecondPriceAnonymousReserve,
     SecondPriceBidderReserves,
-    SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
     Uniform,
     ValuationProfile,
@@ -391,8 +390,6 @@ class TestDispatcherAndProfiles:
         assert run(PostedSequence((0.7,), (1,)), p) == AuctionOutcome(None, (0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
             run(SecondPrice(), ValuationProfile(()))
-        with pytest.raises(ValueError):
-            run(SecondPriceSampleReserve((0,)), p)
         with pytest.raises(TypeError):
             run("not a mechanism", p)
 

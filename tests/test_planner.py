@@ -11,9 +11,9 @@ from auction_lab import (
     EstimatorConfig,
     Exponential,
     MixtureDistribution,
+    RevenueEstimate,
     SecondPrice,
     SecondPriceAnonymousReserve,
-    SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
     TwoPoint,
     Uniform,
@@ -238,7 +238,9 @@ class TestSampleBasedPlans:
         assert plan_sample_reserve(m, (4, 4)).guarantee_factor == pytest.approx(2 * 5 / 4)
         assert plan_no_reserve(m, (4, 4)).guarantee_factor == pytest.approx(2 * 4 / 3)
         assert plan_random_subset(m).mechanism == SecondPriceSubsetReserve((0, 1))
-        assert plan_sample_reserve(m).mechanism == SecondPriceSampleReserve((0, 1))
+        sample = plan_sample_reserve(m)
+        assert sample.mechanism == SecondPriceSubsetReserve((8, 9))
+        assert sample.extras == (ComponentExtra(0), ComponentExtra(1))
         assert plan_no_reserve(m).mechanism == SecondPrice()
 
     def test_t_two_gives_factor_four(self):
@@ -333,7 +335,11 @@ class TestEvaluatePlan:
 
 
 def _oracle_auction(market, plan):
-    """The strategy -> (market, mechanism, extras) table evaluate_plan once held."""
+    """The strategy -> (market, mechanism, extras) table evaluate_plan once held.
+
+    The sample reserve has no entry: its auction is its plan's mechanism and
+    extras, pinned by SAMPLE_RESERVE_ESTIMATE instead.
+    """
     if plan.strategy in (TARGETED, HR_DOMINANT):
         return market, SecondPrice(), plan.extras
     if plan.strategy in (NONTARGETED, NONTARGETED_HR):
@@ -341,13 +347,23 @@ def _oracle_auction(market, plan):
     if plan.strategy == ANON_RESERVE:
         reserve = market.components[plan.reserve_component].monopoly_reserve()
         return market, SecondPriceAnonymousReserve(reserve), ()
-    if plan.strategy == SAMPLE_RESERVE:
-        return market, SecondPriceSampleReserve(tuple(range(market.k))), ()
     if plan.strategy == RANDOM_SUBSET:
         return market, SecondPriceSubsetReserve(tuple(range(market.k))), ()
     if plan.strategy == NO_RESERVE:
         return market, SecondPrice(), ()
     raise AssertionError(plan.strategy)
+
+
+# evaluate_plan of plan_sample_reserve on TestPlanCarriesItsAuction.MARKET at
+# seed 31, 20 000 samples, 3 streams, as computed when the mechanism drew its
+# reserve from the stream after the bidders: the component extras draw the
+# same uniforms in the same order, so the bits must not move
+SAMPLE_RESERVE_ESTIMATE = RevenueEstimate(
+    mean=float.fromhex("0x1.cc7f85890b972p-1"),  # 0.8994104127685161
+    std_err=float.fromhex("0x1.24043aa9312a8p-8"),  # 0.004455818482885711
+    n_samples=20_000,
+    method="mc",
+)
 
 
 class TestPlanCarriesItsAuction:
@@ -378,7 +394,14 @@ class TestPlanCarriesItsAuction:
     def test_evaluate_plan_bit_identical_to_the_strategy_table(self):
         cfg = EstimatorConfig(seed=31, n_samples=20_000, n_streams=3)
         for plan in self.plans():
+            if plan.strategy == SAMPLE_RESERVE:
+                continue
             market, mech, extras = _oracle_auction(self.MARKET, plan)
             assert evaluate_plan(self.MARKET, plan, cfg) == estimate_mc(
                 market, mech, extras, cfg
             ), plan.strategy
+
+    def test_sample_reserve_estimate_pinned(self):
+        cfg = EstimatorConfig(seed=31, n_samples=20_000, n_streams=3)
+        plan = plan_sample_reserve(self.MARKET)
+        assert evaluate_plan(self.MARKET, plan, cfg) == SAMPLE_RESERVE_ESTIMATE

@@ -25,7 +25,6 @@ from auction_lab import (
     SecondPrice,
     SecondPriceAnonymousReserve,
     SecondPriceBidderReserves,
-    SecondPriceSampleReserve,
     SecondPriceSubsetReserve,
     TruncatedNormal,
     TwoPoint,
@@ -51,6 +50,7 @@ from auction_lab import (
 from auction_lab.errors import (
     AtomicDistribution,
     DivergentTail,
+    IndexOutOfRange,
     InsufficientDivergenceSamples,
     IrregularComponent,
     SupremumNotAttained,
@@ -101,6 +101,21 @@ class TestEstimateMC:
         a = estimate_mc(market, SecondPrice(), (ComponentExtra(0),), cfg)
         b = estimate_mc(market, SecondPrice(), (ComponentExtra(0),), cfg)
         assert a == b
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_component_index_checked_before_any_draw(self, index):
+        market = build_market((Uniform(0, 1), Exponential(1.0)), [[0.5, 0.5]] * 2)
+        cfg = EstimatorConfig(seed=11, n_samples=1_000)
+        extras = (ComponentExtra(index),)
+        calls = [
+            lambda: estimate_mc(market, SecondPrice(), extras, cfg),
+            lambda: virtual_surplus_gap(market, [SecondPrice()], extras, cfg),
+            lambda: commensurateness_check(market, SecondPrice(), SecondPrice(), extras, cfg),
+        ]
+        for call in calls:
+            with pytest.raises(IndexOutOfRange, match=f"component index {index} ") as err:
+                call()
+            assert not hasattr(err.value, "stream_index")
 
     def test_deterministic_extras_column(self):
         market = two_uniform_market()
@@ -318,7 +333,7 @@ class TestBatchScalarEquivalence:
         rng = stream(123, 0)
         n = 500
         values = np.asarray(np.column_stack([d.sample(rng, n) for d in columns]), order=layout)
-        winner, price = allocate(mech, values, rng)
+        winner, price = allocate(mech, values)
         for i in range(n):
             expect_w, expect_p = row_reference(mech, values[i].tolist())
             assert winner[i] == expect_w, f"row {i}"
@@ -328,17 +343,18 @@ class TestBatchScalarEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_tied_values_match_row_reference(self, m, data, fortran):
         # integer levels make ties, and values at a reserve, frequent: one
-        # reserve per row sweeps the raw values, per-bidder reserves a copy
+        # reserve per row sweeps the raw values, per-bidder reserves a copy;
+        # a subset reserve gathers the other columns, none for the whole row
         levels = st.sampled_from([0.0, 1.0, 2.0, 3.0])
         rows = data.draw(st.lists(st.lists(levels, min_size=m, max_size=m), min_size=1, max_size=30))
         values = np.asarray(rows, order="F" if fortran else "C")
+        subset = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
         mechs = [
             SecondPrice(),
             SecondPriceAnonymousReserve(data.draw(st.sampled_from([0.0, 1.0, 1.5, 3.0]))),
             SecondPriceBidderReserves(tuple(data.draw(st.lists(levels, min_size=m, max_size=m)))),
+            SecondPriceSubsetReserve(tuple(subset)),
         ]
-        if m >= 2:
-            mechs.append(SecondPriceSubsetReserve((data.draw(st.integers(0, m - 1)),)))
         for mech in mechs:
             winner, price = allocate(mech, values)
             for i, row in enumerate(rows):
@@ -354,7 +370,7 @@ class TestBatchScalarEquivalence:
         rng = stream(77, 0)
         n = 300
         values = np.asarray(np.column_stack([3 * rng.random(n), 3 * rng.random(n)]), order=layout)
-        winner, price = allocate(mech, values, rng)
+        winner, price = allocate(mech, values)
         for i in range(n):
             expect_w, expect_p = row_reference(mech, values[i].tolist())
             assert winner[i] == expect_w, f"row {i}"
@@ -755,16 +771,13 @@ class TestCommensurateness:
         assert rep.divergence_count == 0
         assert rep.eq5_within_noise and rep.eq6_pointwise
 
-    @pytest.mark.parametrize("stream_consuming", [False, True])
-    def test_report_estimate_equals_estimate_mc(self, stream_consuming):
+    def test_report_estimate_equals_estimate_mc(self):
         market = hr_ordered_markets(seed=20130, count=1)[0]
         dists = tuple(
             market.components[int(np.flatnonzero(market.weights[i])[0])]
             for i in range(market.n)
         )
         mech_m, mech_p = MyersonRegular(dists), SecondPrice()
-        if stream_consuming:
-            mech_m, mech_p = SecondPriceSampleReserve((0,)), SecondPriceSampleReserve((1,))
         extras = (ComponentExtra(0),)
         cfg = EstimatorConfig(seed=71, n_samples=30_000, n_streams=3)
         rep = commensurateness_check(market, mech_m, mech_p, extras, cfg)
@@ -801,13 +814,13 @@ class TestVirtualSurplusGap:
     def test_shared_draws_equal_single_calls(self):
         market = build_market((Uniform(0, 1), Exponential(1.0)), [[0.4, 0.6]] * 3)
         cfg = EstimatorConfig(seed=19, n_samples=30_000, n_streams=3)
-        extras = (ComponentExtra(1),)
-        # the sample-reserve mechanisms consume the stream after the draws
+        extras = (ComponentExtra(1), ComponentExtra(0))
+        # the last two mechanisms read a sample reserve off the extras
         mechs = [
-            SecondPriceSampleReserve((0, 1)),
             SecondPrice(),
             SecondPriceAnonymousReserve(0.6),
-            SecondPriceSampleReserve((1,)),
+            SecondPriceSubsetReserve((3, 4)),
+            SecondPriceSubsetReserve((3,)),
         ]
         shared = virtual_surplus_gap(market, mechs, extras, cfg)
         for j, mech in enumerate(mechs):
@@ -828,8 +841,9 @@ class TestVirtualSurplusGap:
     def test_sample_reserve_mechanism_runs(self):
         market = two_uniform_market()
         cfg = EstimatorConfig(seed=71, n_samples=50_000)
-        mech = SecondPriceSampleReserve((0,))
-        est = estimate_mc(market, mech, (), cfg)
+        # the reserve is a third bidder's draw from component 0 that never wins
+        mech = SecondPriceSubsetReserve((market.n,))
+        est = estimate_mc(market, mech, (ComponentExtra(0),), cfg)
         # reserve ~ a third uniform: revenue strictly above plain SP
         plain = estimate_mc(market, SecondPrice(), (), cfg)
         assert est.mean > plain.mean
