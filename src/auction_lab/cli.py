@@ -8,10 +8,11 @@ Subcommands:
     ratio <scenario>      coin-observing benchmark vs the scenario mechanism
     reproduce <name>      run a built-in experiment
 
-Flags: --seed, --samples, --streams, --out PATH; simulate, ratio and
-reproduce add --format {csv,json-lines,text-table}, reproduce --horizon.
-The seed comes from --seed, then the scenario file, then the
-AUCTION_LAB_SEED environment variable; there is no wall-clock fallback.
+Flags: --out PATH; all but check-hr add --seed, --samples and --streams;
+simulate, ratio and reproduce add --format {csv,json-lines,text-table},
+reproduce --horizon.  The seed comes from --seed, then the scenario file,
+then the AUCTION_LAB_SEED environment variable; there is no wall-clock
+fallback.  check-hr draws nothing and needs no seed.
 A negative seed, a count below 1 or a horizon that is not a finite
 positive number is an error, as is a command line that does not parse.
 A warning prints as one `warning: <category>: <message>` line.
@@ -79,8 +80,9 @@ def _build_parser():
             p.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
         else:
             p.add_argument("scenario", help="path to a scenario JSON file")
-        for flag in ("--seed", "--samples", "--streams"):
-            p.add_argument(flag, type=int, default=None)
+        if name != "check-hr":
+            for flag in ("--seed", "--samples", "--streams"):
+                p.add_argument(flag, type=int, default=None)
         p.add_argument("--out", default=None)
         if name in ("simulate", "ratio", "reproduce"):
             p.add_argument("--format", choices=("csv", "json-lines", "text-table"), default="csv")
@@ -89,7 +91,7 @@ def _build_parser():
 
 def _check_flags(args):
     for flag, minimum in (("seed", 0), ("samples", 1), ("streams", 1)):
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)
         if value is not None and value < minimum:
             raise SchemaError(f"--{flag}", f"expected an integer >= {minimum}")
 
@@ -101,11 +103,14 @@ def _env_seed():
     return int(raw) if raw else None
 
 
-def _load_scenario(args):
+def _read_scenario(args):
     with open(args.scenario, encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def _load_scenario(args):
     default_seed = args.seed if args.seed is not None else _env_seed()
-    config = parse_scenario(text, default_seed=default_seed)
+    config = parse_scenario(_read_scenario(args), default_seed=default_seed)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -206,7 +211,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_check_hr(args) -> int:
-    config = _load_scenario(args)
+    # the certificate draws nothing, so a missing seed is no error: 0 stands in
+    config = parse_scenario(_read_scenario(args), default_seed=0)
     comps = config.market.components
     matrix = []
     for i in range(len(comps)):

@@ -64,16 +64,18 @@ def _coin_rule(cum, u):
     return coin
 
 
-def _values_given_coins(components, coin, u):
-    """Each uniform through its coin's component quantile; one component takes the
-    whole array.  Stream uniforms lie in [0, 1), so no level check is needed."""
-    if coin.size and np.all(coin == coin[0]):
-        return np.asarray(components[coin[0]]._quantile(u), dtype=float)
-    values = np.empty(u.shape, dtype=float)
-    for t, comp in enumerate(components):
-        mask = coin == t
-        if np.any(mask):
-            values[mask] = comp._quantile(u[mask])
+def _values_given_coins(components, active, coin, u):
+    """Each active component's quantile of the whole array, selected by coin.
+
+    `active` lists the components of weight > 0, the only ones a coin names;
+    a lone one needs no selection.  Quantiles are elementwise, so each value
+    keeps the bits of its own component's quantile.  Stream uniforms lie in
+    [0, 1), so no level check is needed.
+    """
+    *rest, last = active
+    values = np.asarray(components[last]._quantile(u), dtype=float)
+    for t in rest:
+        values = np.where(coin == t, components[t]._quantile(u), values)
     return values
 
 
@@ -155,13 +157,18 @@ class MixtureDistribution(Distribution):
     def sample_with_coin(self, stream, size=None):
         """Return (component-index, value); the coin stays observable.
 
-        Draws `size` coin uniforms, then `size` value uniforms.
+        Draws `size` coin uniforms, then `size` value uniforms; each value is
+        its coin's entry of the active components' quantiles of the whole
+        value-uniform array.  The coin rule stops at the last active
+        component, so no coin names a zero weight even where the cumulative
+        weights fall short of 1.
         """
-        coin = _coin_rule(np.cumsum(self.weights), stream.random(size))
+        active = [t for t, _ in self._active]
+        coin = _coin_rule(np.cumsum(self.weights[: active[-1] + 1]), stream.random(size))
         u_val = stream.random(size)
         if size is None:
             return int(coin), self.components[int(coin)].quantile(u_val)
-        return coin, _values_given_coins(self.components, coin, u_val)
+        return coin, _values_given_coins(self.components, active, coin, u_val)
 
     def __str__(self):
         parts = " + ".join(f"{w:g}*{self.components[t]}" for t, w in self._active)

@@ -163,15 +163,20 @@ def _parse_market(section) -> MarketModel:
     return build_market(components, rows)
 
 
+def _component(obj, key, path, k):
+    """A component draw whose index must lie in [0, k)."""
+    idx = _integer(obj, key, path, minimum=0)
+    if idx >= k:
+        raise SchemaError(_at(path, key), f"index {idx} >= k={k}")
+    return ComponentExtra(idx)
+
+
 def _parse_extras(doc, k):
     def extra(raw, j, path):
         spec = _need(raw, j, path, dict)
         path = _at(path, j)
         if "component" in spec:
-            idx = _integer(spec, "component", path, minimum=0)
-            if idx >= k:
-                raise SchemaError(f"{path}.component", f"index {idx} >= k={k}")
-            return ComponentExtra(idx)
+            return _component(spec, "component", path, k)
         if "value" in spec:
             return DeterministicExtra(_number(spec, "value", path))
         raise SchemaError(path, "needs 'component' or 'value'")
@@ -227,7 +232,7 @@ def _parse_mechanism(raw, market: MarketModel, extras):
     if kind == "second_price_subset_reserve":
         return SecondPriceSubsetReserve(_list(raw, "subset", path, _integer)), extras
     if kind == "second_price_sample_reserve":
-        draws = tuple(ComponentExtra(t) for t in _list(raw, "components", path, _integer))
+        draws = _list(raw, "components", path, lambda obj, j, at: _component(obj, j, at, market.k))
         first = market.n + len(extras)
         return SecondPriceSubsetReserve(tuple(range(first, first + len(draws)))), extras + draws
     raise SchemaError("mechanism.kind", f"unknown kind {kind!r}")

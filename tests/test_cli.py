@@ -322,6 +322,16 @@ class TestCliCommands:
         assert record["dominant_component"] == 0
         assert record["dominates"][0][1] is True
 
+    def test_check_hr_needs_no_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("AUCTION_LAB_SEED", raising=False)
+        path = self.write_scenario(tmp_path, scenario_text(estimator={}))
+        assert main(["simulate", path]) == 1
+        assert "estimator.seed: required" in capsys.readouterr().err
+        assert main(["check-hr", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["dominant_component"] == 0
+
     def test_plan_emits_records(self, tmp_path, capsys):
         assert main(["plan", self.write_scenario(tmp_path), "--samples", "4000"]) == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
@@ -366,7 +376,6 @@ class TestCliCommands:
         [
             ({"kind": "second_price_subset_reserve", "subset": [-1]}, "subset index -1"),
             ({"kind": "second_price_subset_reserve", "subset": [5]}, "subset index 5"),
-            ({"kind": "second_price_sample_reserve", "components": [-1]}, "component index -1"),
         ],
     )
     def test_mechanism_index_out_of_range_exit_one(self, tmp_path, capsys, mechanism, message):
@@ -378,6 +387,25 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: IndexOutOfRange: {message}" in captured.err
+
+    @pytest.mark.parametrize(
+        "components, message",
+        [([5], "index 5 >= k=2"), ([0, -1], "expected an integer >= 0")],
+        ids=["5", "-1"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "plan", "check-hr", "ratio"])
+    def test_sample_reserve_component_checked_at_parse(
+        self, tmp_path, capsys, command, components, message
+    ):
+        doc = json.loads(scenario_text())
+        doc["market"]["components"].append({"family": "exponential", "rate": 1.0})
+        doc["market"]["weights"] = [[0.5, 0.5], [0.5, 0.5]]
+        doc["mechanism"] = {"kind": "second_price_sample_reserve", "components": components}
+        assert main([command, self.write_scenario(tmp_path, json.dumps(doc))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        where = f"mechanism.components[{len(components) - 1}]"
+        assert captured.err == f"error: SchemaError: {where}: {message}\n"
 
     @pytest.mark.parametrize("key, value, path", MALFORMED, ids=[m[2] for m in MALFORMED])
     def test_malformed_field_exit_one(self, tmp_path, capsys, key, value, path):
@@ -418,6 +446,10 @@ class TestCliCommands:
             ["ratio", "--horizon", "3"],
             ["plan", "--format", "text-table"],
             ["check-hr", "--format", "csv"],
+            # check-hr draws nothing: it takes no seed and no counts
+            ["check-hr", "--seed", "1"],
+            ["check-hr", "--samples", "5"],
+            ["check-hr", "--streams", "3"],
         ],
         ids=" ".join,
     )
@@ -507,7 +539,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("command", ["simulate", "plan", "check-hr"])
     def test_unwritable_out_exit_one(self, tmp_path, capsys, command):
         out = tmp_path / "missing" / "report.txt"
-        argv = [command, self.write_scenario(tmp_path), "--samples", "2000", "--out", str(out)]
+        counts = [] if command == "check-hr" else ["--samples", "2000"]
+        argv = [command, self.write_scenario(tmp_path), *counts, "--out", str(out)]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -30,6 +30,7 @@ from auction_lab import (
     TwoPoint,
     Uniform,
     allocate,
+    appendix_market,
     approximation_ratio,
     best_posted_ladder_two_point,
     build_market,
@@ -57,7 +58,7 @@ from auction_lab.errors import (
     ToleranceNotMet,
     ZeroDenominator,
 )
-from auction_lab.mixtures import _coin_rule
+from auction_lab.mixtures import _coin_rule, _values_given_coins
 from auction_lab.revenue import (
     _as_estimate,
     _atom_breakpoints,
@@ -133,6 +134,16 @@ class TestEstimateMC:
         assert err.value.stream_index == 0
 
 
+def _masked_quantiles(components, coin, u):
+    """Independent oracle: gather each coin's uniforms by mask, transform, scatter back."""
+    values = np.empty(u.shape)
+    for t, comp in enumerate(components):
+        mask = coin == t
+        if np.any(mask):
+            values[mask] = comp._quantile(u[mask])
+    return values
+
+
 def _reference_draw_market(market, rng, size):
     """Independent oracle: per bidder, searchsorted coins then masked transforms."""
     coins = np.empty((size, market.n), dtype=np.int64)
@@ -140,14 +151,12 @@ def _reference_draw_market(market, rng, size):
     for i in range(market.n):
         cum = np.cumsum(market.weights[i])
         coin = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), market.k - 1)
-        u_val = rng.random(size)
-        for t, comp in enumerate(market.components):
-            mask = coin == t
-            if np.any(mask):
-                values[mask, i] = comp._quantile(u_val[mask])
+        values[:, i] = _masked_quantiles(market.components, coin, rng.random(size))
         coins[:, i] = coin
     return coins, values
 
+
+NESTED = MixtureDistribution((TruncatedNormal(-0.5, 1.0), Exponential(1.0)), (0.5, 0.5))
 
 DRAW_MARKETS = {
     "mixtures": random_mixture_markets(seed=20130, count=6),
@@ -157,12 +166,40 @@ DRAW_MARKETS = {
         build_market(
             (Uniform(0, 1), Exponential(1.0), PowerLaw(2.5)),
             [[0.5, 0.0, 0.5], [0.25, 0.0, 0.75], [0.0, 0.0, 1.0]],
-        )
+        ),
+        build_market(
+            (TruncatedNormal(1.0, 0.5), TwoPoint(1.0, 3.0, 0.4), ER),
+            [[0.3, 0.0, 0.7], [0.6, 0.0, 0.4]],
+        ),
     ],
     # 0.7 + 0.2 + 0.1 accumulates to 0.9999999999999999
     "cum_below_one": [
         build_market((Uniform(0, 2), Exponential(0.8), PowerLaw(3.0)), [[0.7, 0.2, 0.1]] * 2)
     ],
+    # mu <= 0 takes the Newton polish below the median, mu > 0 does not
+    "truncated_normal": [
+        build_market((TruncatedNormal(-0.5, 1.0), Uniform(0, 2)), [[0.6, 0.4], [0.3, 0.7]]),
+        build_market((TruncatedNormal(1.0, 0.5), Exponential(1.0)), [[0.5, 0.5]] * 2),
+    ],
+    "equal_revenue": [build_market((ER, Exponential(1.0)), [[0.5, 0.5], [0.2, 0.8]])],
+    "atomic": [
+        appendix_market(),
+        build_market((TwoPoint(1.0, 3.0, 0.4), Uniform(0, 1)), [[0.5, 0.5], [0.7, 0.3]]),
+    ],
+    "nested_mixture": [build_market((NESTED, PowerLaw(2.5)), [[0.5, 0.5], [0.3, 0.7]])],
+}
+
+# one component of each family; it shares the draw with a uniform
+DRAW_FAMILIES = {
+    "uniform": Uniform(0.5, 2.0),
+    "exponential": Exponential(1.3),
+    "power_law": PowerLaw(0.4),
+    "equal_revenue": ER,
+    "truncated_normal_mu_le_0": TruncatedNormal(-3.0, 1.0),
+    "truncated_normal_mu_gt_0": TruncatedNormal(1.0, 0.5),
+    "point_mass": PM,
+    "two_point": TwoPoint(1.0, 3.0, 0.4),
+    "mixture": NESTED,
 }
 
 
@@ -174,6 +211,8 @@ DRAW_BIDDERS = [
 ]
 
 
+# each quantile sees the uniforms of the other components too: none may warn
+@pytest.mark.filterwarnings("error")
 class TestDrawMarket:
     @pytest.mark.parametrize("case", sorted(DRAW_MARKETS))
     def test_bit_identical_to_per_bidder_oracle(self, case):
@@ -195,6 +234,31 @@ class TestDrawMarket:
         )
         assert np.array_equal(coin, ref_coins[:, 0])
         assert value.tobytes() == ref_values[:, 0].tobytes()
+
+    def test_no_coin_names_a_zero_weight(self):
+        # 0.7 + 0.2 + 0.1 stops below 1, so the top uniform passes every sum
+        top = np.nextafter(1.0, 0.0)
+
+        class TopUniform:
+            def random(self, size=None):
+                return top if size is None else np.full(size, top)
+
+        comps = (Uniform(0, 2), Exponential(0.8), PowerLaw(3.0), PM)
+        mixture = MixtureDistribution(comps, (0.7, 0.2, 0.1, 0.0))
+        coin, value = mixture.sample_with_coin(TopUniform(), 3)
+        assert np.all(coin == 2)
+        assert value.tobytes() == comps[2]._quantile(np.full(3, top)).tobytes()
+        assert mixture.sample_with_coin(TopUniform()) == (2, comps[2].quantile(top))
+
+    @pytest.mark.parametrize("family", sorted(DRAW_FAMILIES))
+    def test_values_given_coins_per_family(self, family):
+        # both stream extremes reach both components, which take turns
+        u = np.repeat([0.0, np.nextafter(1.0, 0.0), *stream(3, 0).random(200)], 2)
+        coin = np.tile([0, 1], u.size // 2)
+        dist = DRAW_FAMILIES[family]
+        for components in ((dist, Uniform(0, 1)), (Uniform(0, 1), dist)):
+            values = _values_given_coins(components, [0, 1], coin, u)
+            assert values.tobytes() == _masked_quantiles(components, coin, u).tobytes()
 
     def test_coin_rule_at_cumulative_edges(self):
         for row in ([0.7, 0.2, 0.1], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [1.0]):
