@@ -243,43 +243,41 @@ def _ironed_inverse(curve: IronedCurve, y, strict):
     return curve.values[idx]
 
 
-def _myerson_batch(values, rules):
+def _myerson_batch(values, rules, phi=None):
     """Myerson winners and critical prices.
 
     The winner has the highest (ironed) virtual value if it is non-negative
     and pays the lowest value whose virtual value still meets
     max(0, highest rival virtual value).  rules[j] prices column j (a
     Distribution or IronedCurve).  The winner and that rival value come
-    from one `_top_two` sweep over the columns of the column-major phi.
+    from one `_top_two` sweep over the columns of the column-major phi,
+    which is `_virtual_matrix(values, rules)` unless the caller passes the
+    stream's shared one.  Each column's winners are priced by row index,
+    so a bisecting `virtual_inverse` runs on that column's winners only.
     """
-    size = values.shape[0]
-    rows = np.arange(size)
-    phi = _virtual_matrix(values, rules)
-    winner, top, max_others = _top_two(phi)
-    sale = top >= 0.0
-    strict = np.zeros(size, dtype=bool)
+    if phi is None:
+        phi = _virtual_matrix(values, rules)
+    best, top, max_others = _top_two(phi)
     if any(isinstance(rule, IronedCurve) for rule in rules):
         phi_masked = phi.copy()
-        phi_masked[rows, winner] = -np.inf
+        phi_masked[np.arange(values.shape[0]), best] = -np.inf
         rival = np.argmax(phi_masked, axis=1)
         # a tie at the threshold goes to the rival only when the rival has
         # the lower index and actually sits at the threshold (not when the
         # phi >= 0 gate is what binds)
-        strict = (rival < winner) & (max_others >= 0.0)
+        strict = (rival < best) & (max_others >= 0.0)
+    winner = np.where(top >= 0.0, best, -1)
     thr = np.maximum(max_others, 0.0)
-    w_value = values[rows, winner]
-    price = np.zeros(size)
+    price = np.zeros(values.shape[0])
     for j, rule in enumerate(rules):
-        mask = sale & (winner == j)
-        if not np.any(mask):
-            continue
+        idx = np.flatnonzero(winner == j)
         if isinstance(rule, IronedCurve):
-            crit = _ironed_inverse(rule, thr[mask], strict[mask])
+            crit = _ironed_inverse(rule, thr[idx], strict[idx])
         else:
             # exact float ties are measure-zero for continuous families
-            crit = rule.virtual_inverse(thr[mask])
-        price[mask] = np.minimum(np.asarray(crit, dtype=float), w_value[mask])
-    return np.where(sale, winner, -1), price
+            crit = rule.virtual_inverse(thr[idx])
+        price[idx] = np.minimum(np.asarray(crit, dtype=float), values[idx, j])
+    return winner, price
 
 
 def _posted_batch(values, prices, order):

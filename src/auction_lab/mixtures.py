@@ -137,6 +137,13 @@ class MixtureDistribution(Distribution):
     def _survival(self, x):
         return self._blend("_survival", x)
 
+    def _mills(self, x):
+        # a lone active component's own ratio keeps its tail and its phi bits
+        single = self._delegate()
+        if single is not None:
+            return single._mills(x)
+        return super()._mills(x)
+
     def _survival_quantile(self, q):
         single = self._delegate()
         if single is not None:

@@ -8,7 +8,10 @@ Three estimation routes:
   draw nothing), and reduces the sample arrays of a per-draw measure.
   `estimate_mc` measures prices, `virtual_surplus_gap` price minus the
   winner's virtual value and `commensurateness_check` the two
-  commensurateness inequalities plus the price of M'.  A stream
+  commensurateness inequalities plus the price of M'.  The two virtual
+  value measures compute each stream's phi matrix once and share it with
+  every MyersonRegular over the column laws (a pinned bidder's mixture
+  counting as its component), which then skips building its own.  A stream
   reduces to (n, mean, M2) by a shifted two-pass, and streams merge in
   index order with the Chan-Golub-LeVeque pairwise update, so a result is
   bit-identical for a fixed (seed, n_samples, n_streams) whatever else
@@ -49,7 +52,7 @@ from .errors import (
     ToleranceNotMet,
     ZeroDenominator,
 )
-from .mechanisms import _virtual_matrix, allocate
+from .mechanisms import MyersonRegular, _myerson_batch, _virtual_matrix, allocate
 from .mixtures import (
     MarketModel,
     MixtureDistribution,
@@ -195,19 +198,42 @@ def _as_estimate(stats) -> RevenueEstimate:
     return RevenueEstimate(mean=mean, std_err=math.sqrt(var / max(n, 1)), n_samples=n, method="mc")
 
 
-def _run_streams(market: MarketModel, extras, cfg, mechs, measure):
+def _lone(d):
+    """A mixture with one active component stands for that component."""
+    while isinstance(d, MixtureDistribution) and d._delegate() is not None:
+        d = d._delegate()
+    return d
+
+
+def _prices_on_laws(mech, laws):
+    """True when `mech` is a MyersonRegular over exactly these column laws,
+    so the phi matrix of the laws is the one it would build itself (a lone
+    mixture's phi has the bits of its component's)."""
+    return (
+        isinstance(mech, MyersonRegular)
+        and len(mech.dists) == len(laws)
+        and all(_lone(d) == _lone(law) for d, law in zip(mech.dists, laws))
+    )
+
+
+def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
     """One "mc" RevenueEstimate per output of `measure` over cfg.n_samples draws.
 
     Stream s draws its share of the bidders, then the extras, once from
     substream(cfg.seed, s).  Each (mechanism, columns) pair of `mechs` runs
     through `allocate` on the first `columns` value columns (None: all).
-    `measure(values, outcomes)` maps the draws and every (winner, price) to
-    sample arrays, reduced per stream and merged across streams.  Errors
-    are annotated with the sample range and stream being evaluated.
+    With `laws`, one Distribution per value column, each stream's phi
+    matrix is computed once: every MyersonRegular over those columns' laws
+    is priced on it, and the measure reads it.
+    `measure(values, outcomes, phi)` maps the draws, every (winner, price)
+    and phi (None without `laws`) to sample arrays, reduced per stream and
+    merged across streams.  Errors are annotated with the sample range and
+    stream being evaluated.
     """
     if cfg is None:
         raise ValueError("an EstimatorConfig with an explicit seed is required")
     _check_extras(market, extras)
+    shares = [laws is not None and _prices_on_laws(m, laws[:columns]) for m, columns in mechs]
     merged = None
     offset = 0
     base, rem = divmod(cfg.n_samples, cfg.n_streams)
@@ -219,9 +245,13 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure):
         values = _draw_market(market, rng, size, extras)
         try:
             outcomes = []  # drops the last stream's before this one's are made
-            for mech, columns in mechs:
-                outcomes.append(allocate(mech, values[:, :columns]))
-            outputs = measure(values, outcomes)
+            phi = None if laws is None else _virtual_matrix(values, laws)
+            for (mech, columns), shared in zip(mechs, shares):
+                if shared:
+                    outcomes.append(_myerson_batch(values[:, :columns], mech.dists, phi[:, :columns]))
+                else:
+                    outcomes.append(allocate(mech, values[:, :columns]))
+            outputs = measure(values, outcomes, phi)
         except Exception as exc:
             exc.sample_range = (offset, offset + size)
             exc.stream_index = s
@@ -232,6 +262,7 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure):
                 )
             raise
         stats = [_stream_stats(x) for x in outputs]
+        del phi  # the next stream draws without this one's phi alive
         merged = stats if merged is None else list(map(_merge_stats, merged, stats))
         offset += size
     return [_as_estimate(st) for st in merged]
@@ -249,7 +280,7 @@ def estimate_mc(
     range (stream and offsets) that was being evaluated.
     """
 
-    def prices(values, outcomes):
+    def prices(values, outcomes, phi):
         return [price for _, price in outcomes]
 
     return _run_streams(market, extras, cfg, [(mech, None)], prices)[0]
@@ -270,10 +301,13 @@ def _column_dists(market, extras):
     return dists
 
 
-def _winner_virtual(phi, winner):
-    """phi of each row's winner; 0 where nothing sells."""
-    rows = np.arange(phi.shape[0])
-    return np.where(winner >= 0, phi[rows, np.maximum(winner, 0)], 0.0)
+def _winner_virtual(phi, winner, rows):
+    """phi[rows[i], winner[i]], or 0 where winner[i] is -1 (no sale).
+
+    phi is column-major, so entry (r, j) is flat entry j * size + r.
+    """
+    flat = np.maximum(winner, 0) * phi.shape[0] + rows
+    return np.where(winner >= 0, np.take(phi.ravel(order="F"), flat), 0.0)
 
 
 def virtual_surplus_gap(
@@ -281,19 +315,20 @@ def virtual_surplus_gap(
 ) -> list[RevenueEstimate]:
     """Paired MC estimate of E[revenue - phi_winner(v_winner)] per mechanism.
 
-    All mechanisms share one set of draws and one phi matrix per stream,
-    and each gap is bit-identical to a call with that mechanism alone.  A
+    All mechanisms share one set of draws and one phi matrix per stream, a
+    MyersonRegular over the column laws included, and each gap is
+    bit-identical to a call with that mechanism alone.  A
     standard error is that of the per-draw difference; a truthful mechanism
     gives a mean within noise of zero.  A column with atoms (a
     DeterministicExtra included) raises AtomicDistribution before any draw.
     """
     col_dists = _column_dists(market, extras)
 
-    def measure(values, outcomes):
-        phi = _virtual_matrix(values, col_dists)
-        return [price - _winner_virtual(phi, winner) for winner, price in outcomes]
+    def measure(values, outcomes, phi):
+        rows = np.arange(values.shape[0])
+        return [price - _winner_virtual(phi, winner, rows) for winner, price in outcomes]
 
-    return _run_streams(market, extras, cfg, [(m, None) for m in mechs], measure)
+    return _run_streams(market, extras, cfg, [(m, None) for m in mechs], measure, col_dists)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +502,19 @@ def expected_revenue_quadrature(dists, reserve: float | None = None, tol: float 
     """E[second-price revenue] = reserve * P(sale) + integral of P(second-highest > z).
 
     The integrand comes from `_second_highest_law`, so any number of bidders
-    is allowed; `_integrate` splits at atoms and support ends and raises
-    DivergentTail when the revenue has no finite mean at this tolerance.
+    is allowed; `_integrate` splits at atoms and support ends.  The
+    second-highest of independent values has tail index a_(1) + a_(2), the
+    two smallest bidder tail indices, so the revenue has no finite mean
+    when that sum is at most 1: DivergentTail names them before any
+    integration.  `_integrate` raises it too where the tail outlasts tol.
     """
+    if len(dists) >= 2:
+        (a1, i1), (a2, i2) = sorted((d.tail_index, i) for i, d in enumerate(dists))[:2]
+        if a1 + a2 <= 1.0:
+            raise DivergentTail(
+                f"bidders {i1} and {i2} have tail indices {a1:g} and {a2:g}, summing to "
+                f"{a1 + a2:g} <= 1: the second-highest value has no finite mean"
+            )
     lo = float(reserve) if reserve is not None else 0.0
     head = 0.0
     if reserve is not None:
@@ -617,16 +662,16 @@ def commensurateness_check(
     """
     col_dists = _column_dists(market, extras_for_m_prime)
 
-    def measure(values, outcomes):
+    def measure(values, outcomes, phi):
         (w_m, _), (w_p, price_p) = outcomes
-        phi = _virtual_matrix(values, col_dists)
-        diverged = w_p != w_m
-        holds = price_p[diverged] >= _winner_virtual(phi, w_m)[diverged] - _EQ6_TOL
+        d = np.flatnonzero(w_p != w_m)
+        price_d = price_p[d]
+        holds = price_d >= _winner_virtual(phi, w_m[d], d) - _EQ6_TOL
         # eq6 is a count: its output has one sample per divergence where it holds
-        return _winner_virtual(phi, w_p)[diverged], price_p[diverged][holds], price_p
+        return _winner_virtual(phi, w_p[d], d), price_d[holds], price_p
 
     mechs = [(mech_m, market.n), (mech_m_prime, None)]
-    eq5, eq6, estimate = _run_streams(market, extras_for_m_prime, cfg, mechs, measure)
+    eq5, eq6, estimate = _run_streams(market, extras_for_m_prime, cfg, mechs, measure, col_dists)
     div_count = eq5.n_samples
     if 0 < div_count < _MIN_DIVERGENCE:
         raise InsufficientDivergenceSamples(

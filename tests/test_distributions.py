@@ -245,6 +245,21 @@ class TestHazardVirtual:
         # y here, and phi as x - S/f is 0/0 beyond z ~ 37
         assert d.virtual(d.virtual_inverse(y)) == pytest.approx(y, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "d", CONTINUOUS_FAMILIES + [TruncatedNormal(-5.0, 1.0), TruncatedNormal(0.0, 0.3)], ids=str
+    )
+    def test_lone_component_mixture_phi_bits(self, d):
+        # a shared phi matrix is read for a pinned bidder's mixture and for
+        # its component interchangeably, so the two must agree bit for bit
+        x = np.asarray(d.quantile(np.linspace(1e-9, 1.0 - 1e-12, 2001)))
+        lone = MixtureDistribution((Uniform(0, 1), d, Exponential(2.0)), (0.0, 1.0, 0.0))
+        nested = MixtureDistribution((lone,), (1.0,))
+        with np.errstate(all="ignore"):
+            want = d._virtual_unchecked(x)
+            for mix in (lone, nested):
+                assert np.array_equal(mix._virtual_unchecked(x), want, equal_nan=True)
+                assert np.array_equal(mix._mills(x), d._mills(x), equal_nan=True)
+
     @pytest.mark.parametrize("x", [20.0, 40.0, 1e3])
     def test_truncated_normal_hazard_far_tail(self, x):
         # f/S is 0/0 beyond z ~ 37; 1/mills through erfcx stays exact
@@ -399,6 +414,11 @@ class TestHazardRateDominance:
         assert hr_dominates(Uniform(0, 80), Exponential(10.0)) is False
         x, h1, h2 = hr_crossing(Uniform(0, 80), Exponential(10.0))
         assert 79.9 < x < 80.0 and h1 > h2 == 10.0
+
+    def test_lone_component_mixture_keeps_its_tail(self):
+        # S/f of a lone Exp(10) mixture is 0/0 past x ~ 75; its own ratio is 0.1
+        lone = MixtureDistribution((Exponential(10.0),), (1.0,))
+        assert hr_crossing(Exponential(0.1), lone) is None
 
     def test_nan_hazard_counts_as_crossing(self):
         # the mixture's density and tail are 0/0 past x ~ 75: no evidence

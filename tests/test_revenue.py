@@ -2,10 +2,11 @@
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -48,6 +49,8 @@ from auction_lab import (
     virtual_surplus_gap,
     stream,
 )
+import auction_lab.mechanisms as mechanisms_mod
+import auction_lab.revenue as revenue_mod
 from auction_lab.errors import (
     AtomicDistribution,
     DivergentTail,
@@ -58,6 +61,7 @@ from auction_lab.errors import (
     ToleranceNotMet,
     ZeroDenominator,
 )
+from auction_lab.mechanisms import _myerson_batch, _virtual_matrix
 from auction_lab.mixtures import _coin_rule, _values_given_coins
 from auction_lab.revenue import (
     _as_estimate,
@@ -441,6 +445,25 @@ class TestBatchScalarEquivalence:
             assert price[i] == pytest.approx(expect_p, abs=1e-6), f"row {i}"
 
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_given_phi_keeps_every_bit(self, layout):
+        # the inputs of the tests above: regular columns, the wide set with a
+        # truncated normal (bisected prices), and ironed curves
+        rng = stream(123, 0)
+        mix = build_market((Uniform(0, 1), Uniform(0, 3)), [[0.6, 0.4], [0.6, 0.4]])
+        cases = [
+            (COLUMNS, np.column_stack([d.sample(rng, 500) for d in COLUMNS])),
+            (WIDE, np.column_stack([d.sample(rng, 500) for d in WIDE])),
+            ((iron(mix, 0), iron(mix, 1)), 3 * stream(77, 0).random((300, 2))),
+        ]
+        for rules, values in cases:
+            values = np.asarray(values, order=layout)
+            own = _myerson_batch(values, rules)
+            given_phi = _myerson_batch(values, rules, _virtual_matrix(values, rules))
+            for a, b in zip(own, given_phi):
+                assert a.dtype == b.dtype and np.array_equal(a, b), rules
+
+
 class TestVickreyRevenueCdf:
     def test_appendix_formula_above_one(self):
         for z in (1.0, 2.0, 7.5):
@@ -609,6 +632,33 @@ class TestQuadrature:
     def test_divergent_tail(self):
         with pytest.raises(DivergentTail):
             expected_revenue_quadrature([PowerLaw(0.4), PowerLaw(0.4)], tol=1e-6)
+
+    @given(
+        a=st.floats(0.01, 0.99),
+        frac=st.floats(0.01, 1.0),
+        others=st.lists(st.floats(1.0, 5.0), max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_tail_index_guard_before_integration(self, a, frac, others, data):
+        # the two thinnest-tailed of any bidders sum to beta = a + b <= 1
+        b = (1.0 - a) * frac
+        assume(a + b <= 1.0)
+        dists = data.draw(st.permutations([PowerLaw(a), PowerLaw(b)] + [PowerLaw(c) for c in others]))
+        with mock.patch.object(revenue_mod, "_integrate", side_effect=AssertionError("integrated")):
+            with pytest.raises(DivergentTail, match="tail indices") as err:
+                expected_revenue_quadrature(dists, reserve=data.draw(st.sampled_from([None, 2.0])))
+        low, high = sorted((a, b))
+        assert f"{low:g} and {high:g}" in str(err.value)
+
+    @given(tails=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_tail_index_guard_passes_finite_means(self, tails):
+        low, second = sorted(tails)[:2]
+        assume(low + second > 1.0)
+        with mock.patch.object(revenue_mod, "_integrate", return_value=0.0) as integrate:
+            expected_revenue_quadrature([PowerLaw(c) for c in tails])
+        integrate.assert_called_once()
 
     def test_tolerance_is_enforced(self):
         def step(z):
@@ -911,3 +961,73 @@ class TestVirtualSurplusGap:
         # reserve ~ a third uniform: revenue strictly above plain SP
         plain = estimate_mc(market, SecondPrice(), (), cfg)
         assert est.mean > plain.mean
+
+
+@pytest.fixture
+def phi_calls(monkeypatch):
+    """The rules of every `_virtual_matrix` call, by a measure or a mechanism."""
+    calls = []
+
+    def counted(values, rules):
+        calls.append(tuple(rules))
+        return _virtual_matrix(values, rules)
+
+    monkeypatch.setattr(revenue_mod, "_virtual_matrix", counted)
+    monkeypatch.setattr(mechanisms_mod, "_virtual_matrix", counted)
+    return calls
+
+
+class TestSharedPhi:
+    """Each stream's phi matrix is computed once for the measure and every
+    MyersonRegular over the column laws, with the bits of separate ones."""
+
+    CFG = EstimatorConfig(seed=71, n_samples=30_000, n_streams=3)
+    LAWS = (Uniform(0, 1), Uniform(0, 2), Uniform(0, 1))
+
+    def pinned_market(self):
+        # bidders pinned (lone-component mixtures) to U(0,1), U(0,2), U(0,1)
+        return build_market((Uniform(0, 2), Uniform(0, 1)), [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def test_commensurateness_check_once_per_stream(self, phi_calls):
+        market = self.pinned_market()
+        commensurateness_check(
+            market, MyersonRegular(self.LAWS), SecondPrice(), (ComponentExtra(0),), self.CFG
+        )
+        assert len(phi_calls) == self.CFG.n_streams
+
+    def test_virtual_surplus_gap_once_per_stream(self, phi_calls):
+        mechs = [SecondPrice(), MyersonRegular(self.LAWS), SecondPriceAnonymousReserve(0.5)]
+        virtual_surplus_gap(self.pinned_market(), mechs, (), self.CFG)
+        assert len(phi_calls) == self.CFG.n_streams
+
+    def test_other_myerson_builds_its_own(self, phi_calls):
+        market = self.pinned_market()
+        other = (Uniform(0, 2), Uniform(0, 2), Uniform(0, 1))
+        virtual_surplus_gap(market, [MyersonRegular(self.LAWS), MyersonRegular(other)], (), self.CFG)
+        assert phi_calls.count(other) == self.CFG.n_streams
+        measured = [c for c in phi_calls if c != other]
+        assert len(measured) == self.CFG.n_streams
+        for rules in measured:  # the market's laws, not the mechanism's
+            assert [r.components[int(np.flatnonzero(r.weights)[0])] for r in rules] == list(self.LAWS)
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            (Uniform(0, 2), Uniform(0, 1)),
+            (Exponential(0.7), Exponential(1.9)),
+            (PowerLaw(2.4), PowerLaw(3.1)),
+            (TruncatedNormal(1.0, 1.0), TruncatedNormal(-0.5, 0.5)),
+        ],
+        ids=lambda c: type(c[0]).__name__,
+    )
+    def test_sharing_keeps_every_bit(self, monkeypatch, components):
+        market = build_market(components, [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        mech_m = MyersonRegular((components[1], components[0], components[1]))
+        extras = (ComponentExtra(0),)
+        cfg = EstimatorConfig(seed=83, n_samples=30_000, n_streams=3)
+        args = (market, [mech_m, SecondPrice()], (), cfg)
+        gaps = virtual_surplus_gap(*args)
+        rep = commensurateness_check(market, mech_m, SecondPrice(), extras, cfg)
+        monkeypatch.setattr(revenue_mod, "_prices_on_laws", lambda mech, laws: False)
+        assert virtual_surplus_gap(*args) == gaps
+        assert commensurateness_check(market, mech_m, SecondPrice(), extras, cfg) == rep
