@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, ndtr, ndtri
 
 from .errors import (
     AtomicDistribution,
@@ -479,7 +478,10 @@ class TruncatedNormal(Distribution):
     """Normal(mu, sigma) conditioned on [0, inf).
 
     Quantiles invert ndtr in closed form with ndtri; the virtual value uses
-    the Mills ratio through erfcx, and its inverse is a bisection.
+    the Mills ratio through erfcx, and its inverse is a bisection.  The
+    methods import those from scipy.special when they run, so importing the
+    package does not pay for scipy.special (about 0.3 s and 25 MB) unless a
+    TruncatedNormal is evaluated.
     """
 
     mu: float
@@ -496,9 +498,13 @@ class TruncatedNormal(Distribution):
 
     @property
     def _mass_above_zero(self):
+        from scipy.special import ndtr
+
         return float(ndtr(self.mu / self.sigma))
 
     def _cdf(self, x):
+        from scipy.special import ndtr
+
         z = (x - self.mu) / self.sigma
         z0 = -self.mu / self.sigma
         # for mu <= 0 both lower tails sit near 1; the upper tails keep the digits
@@ -512,14 +518,20 @@ class TruncatedNormal(Distribution):
         return np.where(x < 0.0, 0.0, dens / self._mass_above_zero)
 
     def _survival(self, x):
+        from scipy.special import ndtr
+
         # Phi((mu - x)/sigma) stays accurate where 1 - cdf would round away
         out = ndtr((self.mu - x) / self.sigma) / self._mass_above_zero
         return np.where(x <= 0.0, 1.0, np.clip(out, 0.0, 1.0))
 
     def _survival_quantile(self, q):
+        from scipy.special import ndtri
+
         return np.maximum(self.mu - self.sigma * ndtri(q * self._mass_above_zero), 0.0)
 
     def _quantile(self, q):
+        from scipy.special import ndtr, ndtri
+
         # invert ndtr on the side where its argument is at most 1/2: past
         # that, the cdf side keeps too few digits of the gap to 1
         lower = ndtr(-self.mu / self.sigma) + q * self._mass_above_zero
@@ -536,6 +548,8 @@ class TruncatedNormal(Distribution):
         return np.where(q <= 0.5, polished, x)
 
     def _mills(self, x):
+        from scipy.special import erfcx
+
         # S/f is sigma times the normal Mills ratio Q(z)/pdf(z) = sqrt(pi/2)
         # erfcx(z/sqrt 2); formed as a ratio it is 0/0 beyond z ~ 37
         z = (x - self.mu) / self.sigma

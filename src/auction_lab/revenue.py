@@ -15,7 +15,8 @@ Three estimation routes:
   reduces to (n, mean, M2) by a shifted two-pass, and streams merge in
   index order with the Chan-Golub-LeVeque pairwise update, so a result is
   bit-identical for a fixed (seed, n_samples, n_streams) whatever else
-  shares the draws.
+  shares the draws.  The streams run at once on one thread per CPU the
+  process may use, which changes the time and no bit of the result.
 * Exact order-statistic formulas (`vickrey_revenue_cdf`,
   `posted_sequence_revenue_exact`, the two-point evaluators).  The law of
   the second-highest value comes from one O(m) pass over the bidders
@@ -37,7 +38,10 @@ posted-price policies are valued exactly over all k**n profiles instead.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +220,14 @@ def _prices_on_laws(mech, laws):
     )
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on, which bounds `_run_streams`' workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
     """One "mc" RevenueEstimate per output of `measure` over cfg.n_samples draws.
 
@@ -227,44 +239,74 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
     is priced on it, and the measure reads it.
     `measure(values, outcomes, phi)` maps the draws, every (winner, price)
     and phi (None without `laws`) to sample arrays, reduced per stream and
-    merged across streams.  Errors are annotated with the sample range and
-    stream being evaluated.
+    merged across streams.
+
+    The non-empty streams run on w workers, one per CPU this process may
+    use but no more than there are streams: the calling thread plus w - 1
+    helper threads, each under a copy of the caller's context (so
+    `np.errstate` holds there too), all joined before this returns or
+    raises.  Stream s goes to worker s mod w.  Streams share nothing and
+    their (n, mean, M2) triples merge in stream order, so the result does
+    not depend on w.  An error is annotated with the sample range and the
+    stream being evaluated, and the one raised is that of the lowest
+    failing stream, as a sequential loop would raise it.
     """
     if cfg is None:
         raise ValueError("an EstimatorConfig with an explicit seed is required")
     _check_extras(market, extras)
     shares = [laws is not None and _prices_on_laws(m, laws[:columns]) for m, columns in mechs]
-    merged = None
-    offset = 0
     base, rem = divmod(cfg.n_samples, cfg.n_streams)
-    for s in range(cfg.n_streams):
-        size = base + (1 if s < rem else 0)
-        if size == 0:
-            continue
-        rng = substream(cfg.seed, s)
-        values = _draw_market(market, rng, size, extras)
-        try:
-            outcomes = []  # drops the last stream's before this one's are made
-            phi = None if laws is None else _virtual_matrix(values, laws)
-            for (mech, columns), shared in zip(mechs, shares):
-                if shared:
-                    outcomes.append(_myerson_batch(values[:, :columns], mech.dists, phi[:, :columns]))
-                else:
-                    outcomes.append(allocate(mech, values[:, :columns]))
-            outputs = measure(values, outcomes, phi)
-        except Exception as exc:
-            exc.sample_range = (offset, offset + size)
-            exc.stream_index = s
-            if hasattr(exc, "add_note"):  # 3.11+
-                exc.add_note(
-                    f"while evaluating samples [{offset}, {offset + size}) "
-                    f"on stream {s}"
-                )
-            raise
-        stats = [_stream_stats(x) for x in outputs]
-        del phi  # the next stream draws without this one's phi alive
-        merged = stats if merged is None else list(map(_merge_stats, merged, stats))
-        offset += size
+    nonempty = min(cfg.n_streams, cfg.n_samples)  # streams 0 .. nonempty - 1 have samples
+    w = min(_cpu_count(), nonempty)
+    stats = [None] * nonempty  # per stream, the (n, mean, M2) of each output
+    errors = [None] * nonempty  # per stream, the exception it raised
+
+    def work(k):
+        # the sequential loop over worker k's streams.  A stream's values and
+        # outputs stay bound while the next one draws: freed earlier, the heap
+        # is trimmed and faulted back in (50k minor faults on one core, not 30k)
+        for s in range(k, nonempty, w):
+            if any(e is not None for e in errors[:s]):
+                return  # a lower stream failed; the sequential loop stops there
+            size = base + (1 if s < rem else 0)
+            offset = s * base + min(s, rem)
+            try:
+                values = _draw_market(market, substream(cfg.seed, s), size, extras)
+                outcomes = []  # drops the last stream's before this one's are made
+                phi = None if laws is None else _virtual_matrix(values, laws)
+                for (mech, columns), shared in zip(mechs, shares):
+                    if shared:
+                        outcomes.append(_myerson_batch(values[:, :columns], mech.dists, phi[:, :columns]))
+                    else:
+                        outcomes.append(allocate(mech, values[:, :columns]))
+                outputs = measure(values, outcomes, phi)
+                stats[s] = [_stream_stats(x) for x in outputs]
+                del phi  # the next stream draws without this one's phi alive
+            except BaseException as exc:  # raised again below, by the calling thread
+                if isinstance(exc, Exception):
+                    exc.sample_range = (offset, offset + size)
+                    exc.stream_index = s
+                    if hasattr(exc, "add_note"):  # 3.11+
+                        exc.add_note(f"while evaluating samples [{offset}, {offset + size}) on stream {s}")
+                errors[s] = exc
+                return
+
+    helpers = []
+    try:
+        for k in range(1, w):
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(work, k))
+            helper.start()
+            helpers.append(helper)
+        work(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    merged = stats[0]
+    for st in stats[1:]:
+        merged = list(map(_merge_stats, merged, st))
     return [_as_estimate(st) for st in merged]
 
 

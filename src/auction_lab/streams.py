@@ -3,8 +3,10 @@
 Every stochastic routine in the package takes an explicit stream handle.
 Streams are derived from a (seed, stream-index) pair, so the same pair
 always yields the same draw sequence regardless of how many other streams
-exist or in which order they are consumed.  One stream per worker; streams
-are never shared.
+exist or in which order they are consumed.  That is what lets the Monte
+Carlo evaluator (`revenue._run_streams`) run an estimate's streams on
+several threads at once: each generator is built and used by the one
+worker that runs its stream, and is never shared.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
 """Distribution families: example values, derived quantities, grid certificates."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import auction_lab
 from auction_lab import (
     EqualRevenue,
     Exponential,
@@ -482,3 +487,18 @@ def test_parameter_validation():
         TwoPoint(1.0, 2.0, 1.5)
     with pytest.raises(ValueError):
         Uniform(-1.0, 1.0)
+
+
+def test_scipy_special_loads_only_for_a_truncated_normal():
+    code = (
+        "import sys, auction_lab\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "d = auction_lab.TruncatedNormal(1.0, 2.0)\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "d.cdf(0.5)\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    src = str(Path(auction_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

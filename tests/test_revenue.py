@@ -2,6 +2,9 @@
 
 import functools
 import math
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -1031,3 +1034,117 @@ class TestSharedPhi:
         monkeypatch.setattr(revenue_mod, "_prices_on_laws", lambda mech, laws: False)
         assert virtual_surplus_gap(*args) == gaps
         assert commensurateness_check(market, mech_m, SecondPrice(), extras, cfg) == rep
+
+
+class TestParallelStreams:
+    """Streams run on one worker per CPU, and nothing but time depends on it."""
+
+    MARKET = build_market((Uniform(0, 2), Uniform(0, 1)), [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    MYERSON = MyersonRegular((Uniform(0, 1), Uniform(0, 2), Uniform(0, 1)))
+    EXTRAS = (ComponentExtra(0), ComponentExtra(1))
+
+    def results(self, cfg):
+        return (
+            estimate_mc(self.MARKET, SecondPrice(), self.EXTRAS, cfg),
+            virtual_surplus_gap(self.MARKET, [self.MYERSON, SecondPrice()], (), cfg),
+            commensurateness_check(self.MARKET, self.MYERSON, SecondPrice(), self.EXTRAS, cfg),
+        )
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            EstimatorConfig(seed=71, n_samples=30_000, n_streams=8),
+            # fewer samples than streams: streams 300..399 are empty
+            EstimatorConfig(seed=72, n_samples=300, n_streams=400),
+            EstimatorConfig(seed=73, n_samples=2_000, n_streams=1),
+        ],
+        ids=["8-streams", "empty-streams", "1-stream"],
+    )
+    def test_every_worker_count_gives_the_same_bits(self, monkeypatch, cfg):
+        monkeypatch.setattr(revenue_mod, "_cpu_count", lambda: 1)
+        sequential = self.results(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so a race would show
+        try:
+            for workers in (2, 3, cfg.n_streams + 1):
+                monkeypatch.setattr(revenue_mod, "_cpu_count", lambda: workers)
+                assert self.results(cfg) == sequential, workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_stream_sees_the_callers_errstate(self, monkeypatch, workers):
+        monkeypatch.setattr(revenue_mod, "_cpu_count", lambda: workers)
+        cfg = EstimatorConfig(seed=5, n_samples=8_000, n_streams=8)
+        seen = []
+
+        def measure(values, outcomes, phi):
+            seen.append((threading.get_ident(), np.geterr()["divide"]))
+            return [outcomes[0][1]]
+
+        with np.errstate(divide="raise"):
+            revenue_mod._run_streams(self.MARKET, (), cfg, [(SecondPrice(), None)], measure)
+        assert len(seen) == cfg.n_streams
+        assert {divide for _, divide in seen} == {"raise"}
+        assert len({thread for thread, _ in seen}) == workers
+
+    # 8 streams on 2 workers (the caller runs 0, 2, 4, 6) of these sizes
+    FAIL_CFG = EstimatorConfig(seed=5, n_samples=803, n_streams=8)
+    SIZES = [101, 101, 101, 100, 100, 100, 100, 100]
+
+    @pytest.fixture
+    def running(self, monkeypatch):
+        """Two workers, and a thread-local whose `stream` is the stream its
+        thread is evaluating."""
+        monkeypatch.setattr(revenue_mod, "_cpu_count", lambda: 2)
+        running = threading.local()
+        substream = revenue_mod.substream
+
+        def recorded(seed, s):
+            running.stream = s
+            return substream(seed, s)
+
+        monkeypatch.setattr(revenue_mod, "substream", recorded)
+        return running
+
+    @pytest.mark.parametrize("low, high", [(3, 6), (2, 5)], ids=["helper-low", "caller-low"])
+    def test_lowest_failing_stream_raises(self, running, low, high):
+        """Streams `low` and `high` fail on different workers; `low` fails
+        last in time but is the one a sequential loop would raise."""
+
+        def measure(values, outcomes, phi):
+            if running.stream == low:
+                time.sleep(0.2)
+            if running.stream in (low, high):
+                raise ValueError(f"stream {running.stream}")
+            return [outcomes[0][1]]
+
+        mechs = [(SecondPrice(), None)]
+        baseline = threading.active_count()
+        revenue_mod._run_streams(self.MARKET, (), self.FAIL_CFG, mechs, lambda v, o, p: [o[0][1]])
+        assert threading.active_count() == baseline
+        with pytest.raises(ValueError) as err:
+            revenue_mod._run_streams(self.MARKET, (), self.FAIL_CFG, mechs, measure)
+        assert threading.active_count() == baseline
+        start, stop = sum(self.SIZES[:low]), sum(self.SIZES[: low + 1])
+        assert str(err.value) == f"stream {low}"
+        assert err.value.stream_index == low
+        assert err.value.sample_range == (start, stop)
+        assert err.value.__notes__ == [f"while evaluating samples [{start}, {stop}) on stream {low}"]
+
+    def test_streams_above_a_failure_are_skipped(self, running):
+        """Stream 1 fails on the helper while the caller is still on stream
+        0, so the caller stops there, as the sequential loop would."""
+        measured = []
+
+        def measure(values, outcomes, phi):
+            measured.append(running.stream)
+            if running.stream == 0:
+                time.sleep(0.2)
+            if running.stream == 1:
+                raise ValueError("stream 1")
+            return [outcomes[0][1]]
+
+        with pytest.raises(ValueError, match="stream 1"):
+            revenue_mod._run_streams(self.MARKET, (), self.FAIL_CFG, [(SecondPrice(), None)], measure)
+        assert sorted(measured) == [0, 1]
