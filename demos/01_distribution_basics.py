@@ -17,7 +17,7 @@ from auction_lab import (
     TwoPoint,
     Uniform,
     regularity_check,
-    stream,
+    substream,
 )
 from auction_lab.errors import SupremumNotAttained
 
@@ -53,9 +53,9 @@ def main():
 
     print("\nSampling is stream-addressed and reproducible:")
     d = Exponential(1.0)
-    a = d.sample(stream(seed=42, index=0), size=4)
-    b = d.sample(stream(seed=42, index=0), size=4)
-    print(f"  stream(42, 0): {np.round(a, 6)}")
+    a = d.sample(substream(42, 0), size=4)
+    b = d.sample(substream(42, 0), size=4)
+    print(f"  substream(42, 0): {np.round(a, 6)}")
     print(f"  again        : {np.round(b, 6)}  (identical)")
 
 

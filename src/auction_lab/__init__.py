@@ -54,7 +54,6 @@ from .mixtures import (
     enumerate_profiles,
     iron,
     iron_distribution,
-    sample_two_stage,
 )
 from .planner import (
     Assumption,
@@ -87,11 +86,9 @@ from .revenue import (
     estimate_mc,
     expected_revenue_quadrature,
     posted_sequence_revenue_exact,
-    second_price_two_point_exact,
-    vickrey_revenue_cdf,
     virtual_surplus_gap,
 )
 from .scenario import ScenarioConfig, parse_scenario
-from .streams import stream, substream
+from .streams import substream
 
 __version__ = "0.1.0"

@@ -83,9 +83,6 @@ class SupportInterval:
     def bounded(self) -> bool:
         return math.isfinite(self.hi)
 
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def _match(x, out):
     """Return float for scalar input, ndarray otherwise."""

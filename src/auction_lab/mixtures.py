@@ -43,7 +43,6 @@ __all__ = [
     "IndexProfile",
     "IronedCurve",
     "build_market",
-    "sample_two_stage",
     "enumerate_profiles",
     "iron",
     "iron_distribution",
@@ -213,12 +212,6 @@ class MarketModel:
     def bidder_mixture(self, i: int) -> MixtureDistribution:
         return MixtureDistribution(self.components, self.weights[i])
 
-    def mixture_cdf(self, i: int, x):
-        return self.bidder_mixture(i).cdf(x)
-
-    def mixture_pdf(self, i: int, x):
-        return self.bidder_mixture(i).pdf(x)
-
     def extended(self, extra_rows: int) -> "MarketModel":
         """Append i.i.d. bidders drawn from the (shared) marginal mixture.
 
@@ -263,13 +256,6 @@ def build_market(components, weights) -> MarketModel:
     return MarketModel(components, w)
 
 
-def sample_two_stage(market: MarketModel, i: int, stream, size=None):
-    """Draw (component-index, value) for bidder i."""
-    if not 0 <= i < market.n:
-        raise IndexError(f"bidder index {i} out of range for n={market.n}")
-    return market.bidder_mixture(i).sample_with_coin(stream, size)
-
-
 @dataclass(frozen=True)
 class IndexProfile:
     """One outcome of the n mixture coins with its probability."""
@@ -277,18 +263,13 @@ class IndexProfile:
     q: tuple
     weight: float
 
-    @property
-    def distinct_count(self) -> int:
-        """k(q): number of distinct components in the profile."""
-        return len(set(self.q))
 
-
-def enumerate_profiles(market: MarketModel, cap: int = PROFILE_CAP):
+def enumerate_profiles(market: MarketModel):
     """All k**n index profiles with exact weights (sum to 1 up to 1e-12)."""
     total = market.k**market.n
-    if total > cap:
+    if total > PROFILE_CAP:
         raise ProfileSpaceTooLarge(
-            f"k**n = {market.k}**{market.n} = {total} exceeds cap {cap}"
+            f"k**n = {market.k}**{market.n} = {total} exceeds cap {PROFILE_CAP}"
         )
     w = market.weights
     out = []

@@ -72,14 +72,6 @@ class ExperimentReport:
     seed: int
 
     @property
-    def estimates(self):
-        return [r for r in self.rows if r.method in ("mc", "exact", "quadrature")]
-
-    @property
-    def ratios(self):
-        return [r for r in self.rows if r.method == "ratio"]
-
-    @property
     def passed(self) -> bool:
         return all(r.verdict != "fail" for r in self.rows)
 

@@ -17,15 +17,16 @@ Three estimation routes:
   bit-identical for a fixed (seed, n_samples, n_streams) whatever else
   shares the draws.  The streams run at once on one thread per CPU the
   process may use, which changes the time and no bit of the result.
-* Exact order-statistic formulas (`vickrey_revenue_cdf`,
-  `posted_sequence_revenue_exact`, the two-point evaluators).  The law of
-  the second-highest value comes from one O(m) pass over the bidders
-  (`_second_highest_law`) with no cap on their number.
-* Quadrature (`expected_revenue_quadrature`) of P(second-highest > z) by
-  one integration helper (`_integrate`): composite 16/32-node
-  Gauss-Legendre on panels split at atoms and support ends plus geometric
-  tail panels, every node of a round in one vectorized integrand call, and
-  bisection of the panels that miss their share of `tol`.
+* Exact formulas for posted prices (`posted_sequence_revenue_exact`,
+  `best_posted_ladder_two_point`).
+* Quadrature (`expected_revenue_quadrature`) of P(second-highest > z), the
+  one route to second-price revenue.  The law of the second-highest value
+  comes from one O(m) pass over the bidders (`_second_highest_law`) with no
+  cap on their number, and one integration helper (`_integrate`) integrates
+  it: composite 16/32-node Gauss-Legendre on panels split at atoms and
+  support ends plus geometric tail panels, every node of a round in one
+  vectorized integrand call, and bisection of the panels that miss their
+  share of `tol`.
 
 `discriminating_benchmark` prices the seller who observes the mixture coins
 before choosing the auction: sum over index profiles q of p(q) * OPT(G(q)).
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import PointMass, TwoPoint, _match, _require_regular
+from .distributions import PointMass, TwoPoint, _require_regular
 from .errors import (
     AtomicDistribution,
     DivergentTail,
@@ -56,7 +57,7 @@ from .errors import (
     ToleranceNotMet,
     ZeroDenominator,
 )
-from .mechanisms import MyersonRegular, _myerson_batch, _virtual_matrix, allocate
+from .mechanisms import MyersonRegular, _check_indices, _myerson_batch, _virtual_matrix, allocate
 from .mixtures import (
     MarketModel,
     MixtureDistribution,
@@ -71,10 +72,8 @@ __all__ = [
     "ComponentExtra",
     "DeterministicExtra",
     "estimate_mc",
-    "vickrey_revenue_cdf",
     "expected_revenue_quadrature",
     "posted_sequence_revenue_exact",
-    "second_price_two_point_exact",
     "best_posted_ladder_two_point",
     "discriminating_benchmark",
     "approximation_ratio",
@@ -394,14 +393,6 @@ def _second_highest_law(dists, z):
     return none + one, two
 
 
-def vickrey_revenue_cdf(dists, z):
-    """P(second-highest of independent draws <= z): nobody or exactly one
-    bidder exceeds z."""
-    if len(dists) < 2:
-        raise ValueError("second-highest needs at least two bidders")
-    return _match(z, _second_highest_law(dists, z)[0])
-
-
 def posted_sequence_revenue_exact(dists, prices, order) -> RevenueEstimate:
     """Exact expected revenue of a sequential posted-price mechanism.
 
@@ -409,6 +400,7 @@ def posted_sequence_revenue_exact(dists, prices, order) -> RevenueEstimate:
     acceptance at equality follows the atom convention P(v >= p) = 1 - F(p-).
     """
     order = tuple(int(i) for i in order)
+    _check_indices(order, len(dists), "bidder")
     if len(set(order)) != len(order):
         raise ValueError("posted order must not repeat a bidder")
     if len(prices) != len(order):
@@ -420,28 +412,6 @@ def posted_sequence_revenue_exact(dists, prices, order) -> RevenueEstimate:
         total += price * survive * accept
         survive *= 1.0 - accept
     return RevenueEstimate(mean=total, std_err=0.0, n_samples=0, method="exact")
-
-
-def second_price_two_point_exact(
-    n_bidders: int, dist: TwoPoint, extra_values=()
-) -> RevenueEstimate:
-    """Exact Vickrey revenue for i.i.d. two-point bidders plus fixed extras.
-
-    Sums the binomial law of the high-value count; the second-order statistic
-    of the pooled profile is a deterministic function of that count.
-    """
-    extras = sorted(float(v) for v in extra_values)
-    total_bidders = n_bidders + len(extras)
-    if total_bidders < 2:
-        raise ValueError("need at least two bidders overall")
-    p = dist.p_hi
-    mean = 0.0
-    for h in range(n_bidders + 1):
-        pmf = math.comb(n_bidders, h) * p**h * (1.0 - p) ** (n_bidders - h)
-        pool = [dist.v_hi] * h + [dist.v_lo] * (n_bidders - h) + extras
-        pool.sort()
-        mean += pmf * pool[-2]
-    return RevenueEstimate(mean=mean, std_err=0.0, n_samples=0, method="exact")
 
 
 def best_posted_ladder_two_point(n_bidders: int, dist: TwoPoint):

@@ -253,8 +253,9 @@ class TestEmitReport:
 
     def test_appendix_report_row_count(self):
         report = run_experiment("appendix-lb", seed=1)
-        assert len(report.estimates) == 3
-        assert len(report.ratios) == 1
+        methods = [r.method for r in report.rows]
+        assert sum(m in ("mc", "exact", "quadrature") for m in methods) == 3
+        assert methods.count("ratio") == 1
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from auction_lab import (
     hr_crossing,
     hr_dominates,
     regularity_check,
-    stream,
+    substream,
 )
 from auction_lab.errors import (
     AtomicDistribution,
@@ -281,10 +281,10 @@ class TestHazardVirtual:
 class TestSampling:
     def test_same_seed_same_sequence(self):
         d = Exponential(1.0)
-        a = d.sample(stream(42, 3), size=100)
-        b = d.sample(stream(42, 3), size=100)
+        a = d.sample(substream(42, 3), size=100)
+        b = d.sample(substream(42, 3), size=100)
         assert np.array_equal(a, b)
-        c = d.sample(stream(42, 4), size=100)
+        c = d.sample(substream(42, 4), size=100)
         assert not np.array_equal(a, c)
 
     def test_inverse_transform_uniform(self):
@@ -303,7 +303,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("d", CONTINUOUS_FAMILIES, ids=str)
     def test_empirical_cdf_matches_within_ks(self, d):
-        x = d.sample(stream(7, 0), size=1_000_000)
+        x = d.sample(substream(7, 0), size=1_000_000)
         ks = stats.kstest(x, lambda v: np.asarray(d.cdf(v))).statistic
         assert ks < 0.003
 

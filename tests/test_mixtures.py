@@ -15,8 +15,7 @@ from auction_lab import (
     enumerate_profiles,
     iron,
     iron_distribution,
-    sample_two_stage,
-    stream,
+    substream,
 )
 from auction_lab.errors import (
     AtomicDistribution,
@@ -71,17 +70,17 @@ class TestBuildMarket:
 class TestMixtureCdf:
     def test_convex_combination(self):
         m = build_market(UU, [[0.5, 0.5]])
-        assert m.mixture_cdf(0, 1.0) == pytest.approx(0.75)
+        assert m.bidder_mixture(0).cdf(1.0) == pytest.approx(0.75)
 
     def test_atom_counted_right_continuously(self):
         m = build_market((PointMass(1.0), EqualRevenue()), [[0.5, 0.5]])
         # 0.5 * 1 + 0.5 * 0.5
-        assert m.mixture_cdf(0, 1.0) == pytest.approx(0.75)
+        assert m.bidder_mixture(0).cdf(1.0) == pytest.approx(0.75)
 
     def test_degenerate_weights_reduce_to_component(self):
         m = build_market(UU, [[1.0, 0.0]])
         x = np.linspace(-0.5, 2.5, 101)
-        assert np.asarray(m.mixture_cdf(0, x)) == pytest.approx(
+        assert np.asarray(m.bidder_mixture(0).cdf(x)) == pytest.approx(
             np.asarray(UU[0].cdf(x)), abs=0
         )
 
@@ -101,8 +100,8 @@ class TestMixtureCdf:
 class TestTwoStageSampling:
     def test_deterministic(self):
         m = build_market(UU, [[0.3, 0.7], [0.5, 0.5]])
-        t1, v1 = sample_two_stage(m, 0, stream(5, 1), size=50)
-        t2, v2 = sample_two_stage(m, 0, stream(5, 1), size=50)
+        t1, v1 = m.bidder_mixture(0).sample_with_coin(substream(5, 1), size=50)
+        t2, v2 = m.bidder_mixture(0).sample_with_coin(substream(5, 1), size=50)
         assert np.array_equal(t1, t2) and np.array_equal(v1, v2)
 
     def test_coin_frequencies_chi_square(self):
@@ -111,7 +110,7 @@ class TestTwoStageSampling:
             (Uniform(0, 1), Uniform(0, 2), Exponential(1.0)), [weights]
         )
         n = 1_000_000
-        t, _ = sample_two_stage(m, 0, stream(11, 0), size=n)
+        t, _ = m.bidder_mixture(0).sample_with_coin(substream(11, 0), size=n)
         counts = np.bincount(t, minlength=3)
         for j, p in enumerate(weights):
             se = np.sqrt(p * (1 - p) / n)
@@ -119,7 +118,7 @@ class TestTwoStageSampling:
 
     def test_conditional_values_match_component(self):
         m = build_market(UU, [[0.5, 0.5]])
-        t, v = sample_two_stage(m, 0, stream(13, 0), size=100_000)
+        t, v = m.bidder_mixture(0).sample_with_coin(substream(13, 0), size=100_000)
         sel = v[t == 1]
         ks = stats.kstest(sel, lambda x: np.asarray(UU[1].cdf(x))).statistic
         assert ks < 0.005
@@ -127,13 +126,13 @@ class TestTwoStageSampling:
     def test_marginal_law_is_the_mixture(self):
         m = build_market((Uniform(0, 1), Exponential(1.0)), [[0.4, 0.6]])
         mix = m.bidder_mixture(0)
-        _, v = sample_two_stage(m, 0, stream(17, 0), size=1_000_000)
+        _, v = mix.sample_with_coin(substream(17, 0), size=1_000_000)
         ks = stats.kstest(v, lambda x: np.asarray(mix.cdf(x))).statistic
         assert ks < 0.003
 
     def test_scalar_draw(self):
         m = build_market(UU, [[0.5, 0.5]])
-        t, v = sample_two_stage(m, 0, stream(1, 0))
+        t, v = m.bidder_mixture(0).sample_with_coin(substream(1, 0))
         assert t in (0, 1) and v >= 0.0
 
 
@@ -145,11 +144,9 @@ class TestEnumerateProfiles:
         assert all(p.weight == pytest.approx(0.25) for p in profs)
         assert sum(p.weight for p in profs) == pytest.approx(1.0, abs=1e-12)
 
-    def test_distinct_count(self):
+    def test_profiles_are_the_coin_product(self):
         m = build_market(UU, [[0.5, 0.5], [0.5, 0.5]])
-        by_q = {p.q: p for p in enumerate_profiles(m)}
-        assert by_q[(0, 0)].distinct_count == 1
-        assert by_q[(0, 1)].distinct_count == 2
+        assert [p.q for p in enumerate_profiles(m)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_weights_match_product(self):
         m = build_market(UU, [[0.9, 0.1], [0.2, 0.8]])
@@ -162,7 +159,7 @@ class TestEnumerateProfiles:
             [[1 / 3, 1 / 3, 1 / 3]] * 30,
         )
         with pytest.raises(ProfileSpaceTooLarge):
-            enumerate_profiles(m, cap=10**6)
+            enumerate_profiles(m)
 
     def test_expected_profile_mixture_matches_marginal(self):
         m = build_market(UU, [[0.3, 0.7], [0.6, 0.4]])
@@ -171,7 +168,7 @@ class TestEnumerateProfiles:
         mixed = sum(
             p.weight * float(m.components[p.q[0]].cdf(x)) for p in profs
         )
-        assert mixed == pytest.approx(float(m.mixture_cdf(0, x)), abs=1e-12)
+        assert mixed == pytest.approx(float(m.bidder_mixture(0).cdf(x)), abs=1e-12)
 
 
 class TestIroning:

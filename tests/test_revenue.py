@@ -47,10 +47,8 @@ from auction_lab import (
     iron,
     posted_sequence_revenue_exact,
     random_mixture_markets,
-    second_price_two_point_exact,
-    vickrey_revenue_cdf,
     virtual_surplus_gap,
-    stream,
+    substream,
 )
 import auction_lab.mechanisms as mechanisms_mod
 import auction_lab.revenue as revenue_mod
@@ -224,7 +222,7 @@ class TestDrawMarket:
     @pytest.mark.parametrize("case", sorted(DRAW_MARKETS))
     def test_bit_identical_to_per_bidder_oracle(self, case):
         for j, market in enumerate(DRAW_MARKETS[case]):
-            rng, ref_rng = stream(101, j), stream(101, j)
+            rng, ref_rng = substream(101, j), substream(101, j)
             values = _draw_market(market, rng, 4_000)
             _, ref_values = _reference_draw_market(market, ref_rng, 4_000)
             assert values.flags.f_contiguous, "the kernels sweep contiguous columns"
@@ -234,7 +232,7 @@ class TestDrawMarket:
     @pytest.mark.parametrize("case, j, i", DRAW_BIDDERS)
     def test_sample_with_coin_matches_oracle(self, case, j, i):
         market = DRAW_MARKETS[case][j]
-        rng, ref_rng = stream(5, i), stream(5, i)
+        rng, ref_rng = substream(5, i), substream(5, i)
         coin, value = market.bidder_mixture(i).sample_with_coin(rng, 1_000)
         ref_coins, ref_values = _reference_draw_market(
             build_market(market.components, market.weights[i : i + 1]), ref_rng, 1_000
@@ -260,7 +258,7 @@ class TestDrawMarket:
     @pytest.mark.parametrize("family", sorted(DRAW_FAMILIES))
     def test_values_given_coins_per_family(self, family):
         # both stream extremes reach both components, which take turns
-        u = np.repeat([0.0, np.nextafter(1.0, 0.0), *stream(3, 0).random(200)], 2)
+        u = np.repeat([0.0, np.nextafter(1.0, 0.0), *substream(3, 0).random(200)], 2)
         coin = np.tile([0, 1], u.size // 2)
         dist = DRAW_FAMILIES[family]
         for components in ((dist, Uniform(0, 1)), (Uniform(0, 1), dist)):
@@ -280,7 +278,7 @@ class TestDrawMarket:
     def test_extras_drawn_after_the_originals(self):
         market = DRAW_MARKETS["mixtures"][1]
         extras = (ComponentExtra(0), DeterministicExtra(2.5))
-        rng, ref_rng = stream(9, 0), stream(9, 0)
+        rng, ref_rng = substream(9, 0), substream(9, 0)
         values = _draw_market(market, rng, 500, extras)
         _, ref_values = _reference_draw_market(market, ref_rng, 500)
         extra = market.components[0]._quantile(ref_rng.random(500))
@@ -401,7 +399,7 @@ class TestBatchScalarEquivalence:
     )
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_winner_and_price_match(self, mech, columns, layout):
-        rng = stream(123, 0)
+        rng = substream(123, 0)
         n = 500
         values = np.asarray(np.column_stack([d.sample(rng, n) for d in columns]), order=layout)
         winner, price = allocate(mech, values)
@@ -438,7 +436,7 @@ class TestBatchScalarEquivalence:
         )
         curves = (iron(mix, 0), iron(mix, 1))
         mech = MyersonIroned(curves)
-        rng = stream(77, 0)
+        rng = substream(77, 0)
         n = 300
         values = np.asarray(np.column_stack([3 * rng.random(n), 3 * rng.random(n)]), order=layout)
         winner, price = allocate(mech, values)
@@ -452,12 +450,12 @@ class TestBatchScalarEquivalence:
     def test_given_phi_keeps_every_bit(self, layout):
         # the inputs of the tests above: regular columns, the wide set with a
         # truncated normal (bisected prices), and ironed curves
-        rng = stream(123, 0)
+        rng = substream(123, 0)
         mix = build_market((Uniform(0, 1), Uniform(0, 3)), [[0.6, 0.4], [0.6, 0.4]])
         cases = [
             (COLUMNS, np.column_stack([d.sample(rng, 500) for d in COLUMNS])),
             (WIDE, np.column_stack([d.sample(rng, 500) for d in WIDE])),
-            ((iron(mix, 0), iron(mix, 1)), 3 * stream(77, 0).random((300, 2))),
+            ((iron(mix, 0), iron(mix, 1)), 3 * substream(77, 0).random((300, 2))),
         ]
         for rules, values in cases:
             values = np.asarray(values, order=layout)
@@ -467,33 +465,31 @@ class TestBatchScalarEquivalence:
                 assert a.dtype == b.dtype and np.array_equal(a, b), rules
 
 
-class TestVickreyRevenueCdf:
+class TestSecondHighestCdf:
+    """P(second-highest <= z), the first half of `_second_highest_law`."""
+
     def test_appendix_formula_above_one(self):
         for z in (1.0, 2.0, 7.5):
-            got = vickrey_revenue_cdf([ER, ER, ER, PM], z)
+            got = _second_highest_law([ER, ER, ER, PM], z)[0]
             assert got == pytest.approx((z**3 + 3 * z**2) / (z + 1) ** 3, abs=1e-12)
 
     def test_appendix_formula_below_one(self):
         for z in (0.1, 0.5, 0.99):
-            got = vickrey_revenue_cdf([ER, ER, ER, PM], z)
+            got = _second_highest_law([ER, ER, ER, PM], z)[0]
             assert got == pytest.approx(z**3 / (z + 1) ** 3, abs=1e-12)
 
     def test_two_uniforms_order_statistic_oracle(self):
         # P(second <= z) = F^2 + 2F(1-F) = 2z - z^2 for U(0,1)
         z = 0.5
-        assert vickrey_revenue_cdf([Uniform(0, 1), Uniform(0, 1)], z) == pytest.approx(
+        assert _second_highest_law([Uniform(0, 1), Uniform(0, 1)], z)[0] == pytest.approx(
             0.75, abs=1e-12
         )
 
     def test_valid_cdf_in_z(self):
         z = np.linspace(0.0, 50.0, 400)
-        F = vickrey_revenue_cdf([ER, Exponential(0.7), Uniform(0, 2)], z)
+        F = _second_highest_law([ER, Exponential(0.7), Uniform(0, 2)], z)[0]
         assert np.all(np.diff(F) >= -1e-12)
         assert F[-1] > 0.99
-
-    def test_needs_two_bidders(self):
-        with pytest.raises(ValueError):
-            vickrey_revenue_cdf([ER], 1.0)
 
 
 def subset_sum_survival(dists, z):
@@ -691,28 +687,39 @@ class TestPostedAndTwoPointExact:
         with pytest.raises(ValueError):
             posted_sequence_revenue_exact([PM, ER], (1.0, 1.0), (0, 0))
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_posted_order_index_checked(self, index):
+        # as `allocate` checks a PostedSequence: no wrap-around, no raw IndexError
+        with pytest.raises(IndexOutOfRange):
+            posted_sequence_revenue_exact([PM, ER], (4.0,), (index,))
+        policy = PostedSequence((4.0,), (index,))
+        with pytest.raises(IndexOutOfRange):
+            discriminating_benchmark(appendix_market(), policies=lambda q: policy)
+
     def test_two_point_exact_against_full_enumeration(self):
-        # oracle: enumerate all 2^n outcomes explicitly
+        # oracle: enumerate all 2^n outcomes explicitly; n = 10 with extras
+        # (1, 100) is the tvsnt experiment's targeted shape
         import itertools
 
-        n, dist = 6, TwoPoint(1.0, 36.0, 1.0 / 36.0)
-        extras = (1.0, 36.0)
-        oracle = 0.0
-        for outcome in itertools.product((0, 1), repeat=n):
-            prob = math.prod(
-                dist.p_hi if o else 1 - dist.p_hi for o in outcome
-            )
-            pool = sorted([36.0 if o else 1.0 for o in outcome] + list(extras))
-            oracle += prob * pool[-2]
-        got = second_price_two_point_exact(n, dist, extras)
-        assert got.mean == pytest.approx(oracle, rel=1e-12)
+        for n in (6, 10):
+            dist = TwoPoint(1.0, float(n * n), 1.0 / (n * n))
+            extras = (1.0, float(n * n))
+            oracle = 0.0
+            for outcome in itertools.product((0, 1), repeat=n):
+                prob = math.prod(
+                    dist.p_hi if o else 1 - dist.p_hi for o in outcome
+                )
+                pool = sorted([dist.v_hi if o else 1.0 for o in outcome] + list(extras))
+                oracle += prob * pool[-2]
+            got = expected_revenue_quadrature([dist] * n + [PointMass(v) for v in extras])
+            assert got.mean == pytest.approx(oracle, rel=1e-12), n
 
     def test_two_point_exact_against_mc(self):
         dist = TwoPoint(1.0, 25.0, 0.04)
         market = build_market((dist,), [[1.0]] * 5)
         cfg = EstimatorConfig(seed=29, n_samples=400_000)
         mc = estimate_mc(market, SecondPrice(), (), cfg)
-        exact = second_price_two_point_exact(5, dist)
+        exact = expected_revenue_quadrature([dist] * 5)
         assert abs(mc.mean - exact.mean) <= 4 * mc.std_err
 
     def test_best_posted_ladder(self):
@@ -836,7 +843,7 @@ class TestApproximationRatio:
 
     def test_delta_method_against_simulation_oracle(self):
         m1, se1, m2, se2 = 2.0, 0.03, 1.0, 0.02
-        rng = stream(43, 0)
+        rng = substream(43, 0)
         x = m1 + se1 * rng.standard_normal(400_000)
         y = m2 + se2 * rng.standard_normal(400_000)
         empirical_sd = np.std(x / y)
