@@ -22,7 +22,6 @@ from .distributions import (
     TwoPoint,
     Uniform,
     hr_crossing,
-    hr_dominates,
     regularity_check,
 )
 from .experiments import (

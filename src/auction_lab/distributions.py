@@ -14,13 +14,13 @@ Conventions
   unbounded supports happens in quantile space q in (EPS_Q, 1 - EPS_Q) so no
   truncation point has to be chosen in value space.
 * All distribution objects are immutable and safe to share across workers.
-  Sampling requires an explicit stream (see streams.stream).
+  Sampling requires an explicit stream (see streams.substream).
 * Families implement array-in/array-out primitives (`_cdf`, `_quantile`,
   ...).  Only the public methods of the Distribution base convert the
   argument, check quantile and survival levels, and return float for a
   scalar argument.
 
-regularity_check and hr_dominates are grid certificates: numerical, not
+regularity_check and hr_crossing are grid certificates: numerical, not
 symbolic, verdicts on a quantile-spaced grid (default 10 001 points).
 """
 
@@ -51,7 +51,6 @@ __all__ = [
     "PointMass",
     "TwoPoint",
     "regularity_check",
-    "hr_dominates",
     "hr_crossing",
     "EPS_Q",
     "MONOTONE_TOL",
@@ -705,8 +704,3 @@ def hr_crossing(d1: Distribution, d2: Distribution, grid_size: int = 10_001):
         return None
     j = int(np.argmax(bad))
     return float(x[j]), float(h1[j]), float(h2[j])
-
-
-def hr_dominates(d1: Distribution, d2: Distribution, grid_size: int = 10_001) -> bool:
-    """True iff h_{d1}(x) <= h_{d2}(x) + tol on the support intersection grid."""
-    return hr_crossing(d1, d2, grid_size) is None

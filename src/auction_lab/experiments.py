@@ -42,7 +42,9 @@ from .planner import (
 )
 from .reports import ExperimentReport, ReportRow, estimate_row
 from .revenue import (
+    ComponentExtra,
     EstimatorConfig,
+    _column_laws,
     approximation_ratio,
     best_posted_ladder_two_point,
     commensurateness_check,
@@ -174,12 +176,11 @@ def _experiment_appendix_lb(seed, n_samples, n_streams, horizon):
     market = appendix_market()
     tol = 1e-4
     er = market.components[1]
-    extras_dists = [PointMass(1.0), EqualRevenue()]
+    # independent coins: Vickrey earns the same on the column laws
+    laws = _column_laws(market, (ComponentExtra(0), ComponentExtra(1)))
 
-    both_er = expected_revenue_quadrature([er, er] + extras_dists, tol=tol)
-    # independent coins: Vickrey earns the same on the bidders' marginal mixtures
-    mixtures = [market.bidder_mixture(i) for i in range(market.n)]
-    vickrey = expected_revenue_quadrature(mixtures + extras_dists, tol=tol)
+    both_er = expected_revenue_quadrature([er, er] + laws[market.n :], tol=tol)
+    vickrey = expected_revenue_quadrature(laws, tol=tol)
     bench = discriminating_benchmark(market, policies=_appendix_policies(horizon))
     ratio = approximation_ratio(bench, vickrey)
 
@@ -290,14 +291,9 @@ def _experiment_hr_lemma_sweep(seed, n_samples, n_streams, horizon, count: int =
         cfg = _market_cfg(seed, idx, n_samples, n_streams)
         plan = plan_hr_dominant(market)
         bench = discriminating_benchmark(market)
-        bidder_dists = tuple(
-            market.components[int(np.flatnonzero(market.weights[i])[0])]
-            for i in range(market.n)
-        )
+        myerson = MyersonRegular(tuple(_column_laws(market, ())))
         # one pass prices both: the planner's recipe is M' of the check
-        rep = commensurateness_check(
-            market, MyersonRegular(bidder_dists), plan.mechanism, plan.extras, cfg
-        )
+        rep = commensurateness_check(market, myerson, plan.mechanism, plan.extras, cfg)
         tag = f"m{idx:02d}"
         factor = guarantee_factor(plan)
         rows += _factor_rows(tag, bench, "sp_plus_dominant_extra", rep.estimate, factor)

@@ -133,7 +133,10 @@ class MyersonIroned:
 
 @dataclass(frozen=True)
 class PostedSequence:
-    """Sequential posted prices: first bidder in `order` meeting their price buys."""
+    """Sequential posted prices: first bidder in `order` meeting their price buys.
+
+    Each bidder is offered at most once, at a non-negative price.
+    """
 
     prices: tuple
     order: tuple
@@ -141,6 +144,10 @@ class PostedSequence:
     def __post_init__(self):
         if len(self.prices) != len(self.order):
             raise ValueError("prices and order must have equal length")
+        if len(set(self.order)) != len(self.order):
+            raise ValueError("posted order must not repeat a bidder")
+        if any(p < 0.0 for p in self.prices):
+            raise NegativeReserve("posted prices must be non-negative")
 
 
 MechanismSpec = (
@@ -336,8 +343,6 @@ def allocate(mech: MechanismSpec, values):
         return _myerson_batch(values, _one_per_column(mech.curves, m, "ironed curve"))
     if isinstance(mech, PostedSequence):
         _check_indices(mech.order, m, "bidder")
-        if len(mech.order) > m:
-            raise ValueError("cannot make more offers than there are bidders")
         return _posted_batch(values, mech.prices, mech.order)
     raise TypeError(f"unknown mechanism spec {mech!r}")
 

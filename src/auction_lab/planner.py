@@ -43,6 +43,7 @@ from .revenue import (
     ComponentExtra,
     EstimatorConfig,
     RevenueEstimate,
+    _column_laws,
     estimate_mc,
     expected_revenue_quadrature,
 )
@@ -232,13 +233,12 @@ def select_anonymous_reserve(market: MarketModel) -> AugmentationPlan:
     """Best of the k component monopoly reserves, by exact revenue; factor 4k.
 
     The coins are independent across bidders, so second price with an
-    anonymous reserve earns the same on the market as on its bidders'
-    marginal mixtures, and each candidate is ranked by the quadrature
-    revenue of those; the first maximum wins.  A candidate whose monopoly
-    price is an unattained supremum is skipped, and the
-    all_candidates_attained detail names it.  The factor's premise, a
-    mixture of regular components, is verified by the grid check of every
-    component.
+    anonymous reserve earns the same on the market as on its column laws,
+    and each candidate is ranked by the quadrature revenue of those; the
+    first maximum wins.  A candidate whose monopoly price is an unattained
+    supremum is skipped, and the all_candidates_attained detail names it.
+    The factor's premise, a mixture of regular components, is verified by
+    the grid check of every component.
     """
     candidates, unattained = [], []
     for t, comp in enumerate(market.components):
@@ -248,10 +248,8 @@ def select_anonymous_reserve(market: MarketModel) -> AugmentationPlan:
             unattained.append(f"component {t} ({comp}) unattained")
     if not candidates:
         raise SupremumNotAttained("no component has an attainable monopoly price")
-    mixtures = [market.bidder_mixture(i) for i in range(market.n)]
-    t, mech = max(
-        candidates, key=lambda c: expected_revenue_quadrature(mixtures, c[1].reserve).mean
-    )
+    laws = _column_laws(market, ())
+    t, mech = max(candidates, key=lambda c: expected_revenue_quadrature(laws, c[1].reserve).mean)
     try:
         _require_regular(market.components)
         regular = Assumption("components_regular_mixture", True)

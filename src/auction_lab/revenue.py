@@ -10,13 +10,14 @@ Three estimation routes:
   winner's virtual value and `commensurateness_check` the two
   commensurateness inequalities plus the price of M'.  The two virtual
   value measures compute each stream's phi matrix once and share it with
-  every MyersonRegular over the column laws (a pinned bidder's mixture
-  counting as its component), which then skips building its own.  A stream
-  reduces to (n, mean, M2) by a shifted two-pass, and streams merge in
-  index order with the Chan-Golub-LeVeque pairwise update, so a result is
-  bit-identical for a fixed (seed, n_samples, n_streams) whatever else
-  shares the draws.  The streams run at once on one thread per CPU the
-  process may use, which changes the time and no bit of the result.
+  every MyersonRegular over the column laws (`_column_laws`, where a pinned
+  bidder's column has its component's law), which then skips building its
+  own.  A stream reduces to (n, mean, M2) by a shifted two-pass, and
+  streams merge in index order with the Chan-Golub-LeVeque pairwise
+  update, so a result is bit-identical for a fixed (seed, n_samples,
+  n_streams) whatever else shares the draws.  The streams run at once on
+  one thread per CPU the process may use, which changes the time and no bit
+  of the result.
 * Exact formulas for posted prices (`posted_sequence_revenue_exact`,
   `best_posted_ladder_two_point`).
 * Quadrature (`expected_revenue_quadrature`) of P(second-highest > z), the
@@ -57,7 +58,14 @@ from .errors import (
     ToleranceNotMet,
     ZeroDenominator,
 )
-from .mechanisms import MyersonRegular, _check_indices, _myerson_batch, _virtual_matrix, allocate
+from .mechanisms import (
+    MyersonRegular,
+    PostedSequence,
+    _check_indices,
+    _myerson_batch,
+    _virtual_matrix,
+    allocate,
+)
 from .mixtures import (
     MarketModel,
     MixtureDistribution,
@@ -146,6 +154,22 @@ def _check_extras(market: MarketModel, extras):
             raise IndexOutOfRange(f"component index {spec.index} out of range for k={market.k}")
 
 
+def _column_laws(market: MarketModel, extras):
+    """The law of each value column; `extras` are checked first.
+
+    The coins are independent across bidders, so bidder i's column has its
+    marginal mixture as its law, or the one active component of a row with a
+    single positive weight.  An extra's column has its component's law, a
+    DeterministicExtra's a PointMass.
+    """
+    _check_extras(market, extras)
+    mixtures = [market.bidder_mixture(i) for i in range(market.n)]
+    return [m._delegate() or m for m in mixtures] + [
+        market.components[s.index] if isinstance(s, ComponentExtra) else PointMass(s.value)
+        for s in extras
+    ]
+
+
 def _draw_market(market: MarketModel, rng, size: int, extras=()):
     """Values (size, n + len(extras)) for one stream; `extras` are checked.
 
@@ -201,22 +225,10 @@ def _as_estimate(stats) -> RevenueEstimate:
     return RevenueEstimate(mean=mean, std_err=math.sqrt(var / max(n, 1)), n_samples=n, method="mc")
 
 
-def _lone(d):
-    """A mixture with one active component stands for that component."""
-    while isinstance(d, MixtureDistribution) and d._delegate() is not None:
-        d = d._delegate()
-    return d
-
-
 def _prices_on_laws(mech, laws):
     """True when `mech` is a MyersonRegular over exactly these column laws,
-    so the phi matrix of the laws is the one it would build itself (a lone
-    mixture's phi has the bits of its component's)."""
-    return (
-        isinstance(mech, MyersonRegular)
-        and len(mech.dists) == len(laws)
-        and all(_lone(d) == _lone(law) for d, law in zip(mech.dists, laws))
-    )
+    so the phi matrix of the laws is the one it would build itself."""
+    return isinstance(mech, MyersonRegular) and tuple(mech.dists) == tuple(laws)
 
 
 def _cpu_count() -> int:
@@ -328,14 +340,10 @@ def estimate_mc(
 
 
 def _column_dists(market, extras):
-    """The distribution behind each value column, a deterministic extra being
-    a PointMass; virtual values need a density, so a column with atoms
-    raises AtomicDistribution (before any draw, as callers run this first)."""
-    _check_extras(market, extras)
-    dists = [market.bidder_mixture(i) for i in range(market.n)] + [
-        market.components[s.index] if isinstance(s, ComponentExtra) else PointMass(s.value)
-        for s in extras
-    ]
+    """`_column_laws`, checked for a density: virtual values need one, so a
+    column with atoms raises AtomicDistribution (before any draw, as callers
+    run this first)."""
+    dists = _column_laws(market, extras)
     for j, d in enumerate(dists):
         if not d.is_continuous:
             raise AtomicDistribution(f"column {j} ({d}) has atoms; virtual values need a density")
@@ -396,18 +404,15 @@ def _second_highest_law(dists, z):
 def posted_sequence_revenue_exact(dists, prices, order) -> RevenueEstimate:
     """Exact expected revenue of a sequential posted-price mechanism.
 
-    Bidders are independent and each appears at most once in `order`;
-    acceptance at equality follows the atom convention P(v >= p) = 1 - F(p-).
+    Bidders are independent; `prices` and `order` must form a valid
+    PostedSequence over `dists`.  Acceptance at equality follows the atom
+    convention P(v >= p) = 1 - F(p-).
     """
-    order = tuple(int(i) for i in order)
-    _check_indices(order, len(dists), "bidder")
-    if len(set(order)) != len(order):
-        raise ValueError("posted order must not repeat a bidder")
-    if len(prices) != len(order):
-        raise ValueError("prices and order must have equal length")
+    spec = PostedSequence(tuple(prices), tuple(int(i) for i in order))
+    _check_indices(spec.order, len(dists), "bidder")
     survive = 1.0
     total = 0.0
-    for price, i in zip(prices, order):
+    for price, i in zip(spec.prices, spec.order):
         accept = float(dists[i].survival_at_or_above(price))
         total += price * survive * accept
         survive *= 1.0 - accept
@@ -547,13 +552,13 @@ _BENCHMARK_TOL = 1e-9
 def discriminating_benchmark(market: MarketModel, policies=None) -> RevenueEstimate:
     """sum_q p(q) * OPT(G(q)): optimal revenue given the coins are observed.
 
-    With `policies` (a mapping or callable from a profile tuple to a
-    PostedSequence), each of the k**n profiles is valued exactly by the
-    supplied policy; this is how equal-revenue or atomic components are
-    benchmarked.  Without policies every component must be regular with a
-    tail index above 1, and the benchmark is Myerson's expected virtual
-    surplus, the integral over y >= 0 of P(max_i phi_i(v_i) > y), as one
-    `_integrate` call: method "quadrature" for any n and k.
+    With `policies` (a callable from a profile tuple to a PostedSequence),
+    each of the k**n profiles is valued exactly by the supplied policy;
+    this is how equal-revenue or atomic components are benchmarked.
+    Without policies every component must be regular with a tail index
+    above 1, and the benchmark is Myerson's expected virtual surplus, the
+    integral over y >= 0 of P(max_i phi_i(v_i) > y), as one `_integrate`
+    call: method "quadrature" for any n and k.
     """
     if policies is None:
         _require_regular(market.components)
@@ -582,12 +587,11 @@ def discriminating_benchmark(market: MarketModel, policies=None) -> RevenueEstim
         mean = _integrate(any_phi_above, breaks, _BENCHMARK_TOL)
         return RevenueEstimate(mean=mean, std_err=0.0, n_samples=0, method="quadrature")
 
-    lookup = policies if callable(policies) else policies.get
     mean = 0.0
     for prof in enumerate_profiles(market):
         if prof.weight == 0.0:
             continue
-        policy = lookup(prof.q)
+        policy = policies(prof.q)
         if policy is None:
             raise ValueError(f"no policy supplied for profile {prof.q}")
         dists = [market.components[t] for t in prof.q]

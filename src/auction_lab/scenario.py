@@ -37,8 +37,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import (
     EqualRevenue,
     Exponential,
@@ -59,8 +57,8 @@ from .mechanisms import (
     SecondPriceBidderReserves,
     SecondPriceSubsetReserve,
 )
-from .mixtures import DEFAULT_IRONING_GRID, MarketModel, build_market, iron
-from .revenue import ComponentExtra, DeterministicExtra, EstimatorConfig
+from .mixtures import DEFAULT_IRONING_GRID, MarketModel, MixtureDistribution, build_market, iron
+from .revenue import ComponentExtra, DeterministicExtra, EstimatorConfig, _column_laws
 
 __all__ = ["ScenarioConfig", "parse_scenario", "SCHEMA_VERSION"]
 
@@ -206,19 +204,15 @@ def _parse_mechanism(raw, market: MarketModel, extras):
             return SecondPriceBidderReserves(reserves), extras
         return SecondPrice(), extras
     if kind == "myerson_regular":
-        dists = []
-        for i in range(market.n):
-            hot = np.flatnonzero(market.weights[i] > 0.0)
-            if len(hot) != 1:
+        laws = _column_laws(market, extras)
+        for i, law in enumerate(laws[: market.n]):
+            if isinstance(law, MixtureDistribution):
                 raise SchemaError(
                     path, f"myerson_regular needs degenerate weight rows; row {i} mixes"
                 )
-            dists.append(market.components[int(hot[0])])
-        for spec in extras:
-            if not isinstance(spec, ComponentExtra):
-                raise SchemaError("extras", "myerson_regular extras must be component draws")
-            dists.append(market.components[spec.index])
-        return MyersonRegular(tuple(dists)), extras
+        if any(isinstance(spec, DeterministicExtra) for spec in extras):
+            raise SchemaError("extras", "myerson_regular extras must be component draws")
+        return MyersonRegular(tuple(laws)), extras
     if kind == "myerson_ironed":
         if extras:
             raise SchemaError("extras", "myerson_ironed does not take extras")

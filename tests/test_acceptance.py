@@ -38,6 +38,7 @@ from auction_lab import (
     select_anonymous_reserve,
     virtual_surplus_gap,
 )
+from auction_lab.revenue import _column_laws
 
 SEED = 20130
 N_MC = 10**6
@@ -186,10 +187,7 @@ def test_criterion_6_targeted_vs_nontargeted_exact():
 
 
 def _lemma_suite_mechanisms(market):
-    comps = [
-        market.components[int(np.flatnonzero(market.weights[i])[0])]
-        for i in range(market.n)
-    ]
+    comps = _column_laws(market, ())
     reserves = tuple(c.monopoly_reserve() for c in comps)
     dominant = plan_hr_dominant(market).reserve_component
     anon = market.components[dominant].monopoly_reserve()
@@ -286,11 +284,10 @@ SWEEP_PLANS = [
 
 
 def plan_quadrature(market, plan):
-    """Exact revenue of a second-price plan: the coins are independent across
-    bidders, so each bidder's column has its marginal mixture as its law."""
+    """Exact revenue of a second-price plan on its column laws: the coins are
+    independent across bidders."""
     assert plan.count is None
-    laws = [market.bidder_mixture(i) for i in range(market.n)]
-    laws += [market.components[e.index] for e in plan.extras]
+    laws = _column_laws(market, plan.extras)
     return expected_revenue_quadrature(laws, getattr(plan.mechanism, "reserve", None))
 
 

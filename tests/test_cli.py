@@ -81,6 +81,40 @@ IID_TRUE_N = {
     "n": True,
 }
 
+# scenarios whose mechanism spec is refused when the file is parsed, with the
+# error line each prints
+REFUSED_MECHANISMS = [
+    pytest.param(
+        {"mechanism": {"kind": "posted_sequence", "prices": [5, 1], "order": [0, 0]}},
+        "SchemaError: mechanism: posted order must not repeat a bidder",
+        id="posted-repeated-bidder",
+    ),
+    pytest.param(
+        {"mechanism": {"kind": "posted_sequence", "prices": [-2], "order": [0]}},
+        "NegativeReserve: posted prices must be non-negative",
+        id="posted-negative-price",
+    ),
+    pytest.param(
+        {
+            "mechanism": {"kind": "myerson_regular"},
+            "market": {
+                "components": [
+                    {"family": "uniform", "a": 0, "b": 1},
+                    {"family": "exponential", "rate": 1.0},
+                ],
+                "weights": [[0.5, 0.5], [1.0, 0.0]],
+            },
+        },
+        "SchemaError: mechanism: myerson_regular needs degenerate weight rows; row 0 mixes",
+        id="myerson-mixed-row",
+    ),
+    pytest.param(
+        {"mechanism": {"kind": "myerson_regular"}, "extras": [{"value": 1.0}]},
+        "SchemaError: extras: myerson_regular extras must be component draws",
+        id="myerson-fixed-extra",
+    ),
+]
+
 # (top-level key, its malformed value, the path the SchemaError names)
 MALFORMED = [
     ("mechanism", {"kind": "second_price", "reserve": "abc"}, "mechanism.reserve"),
@@ -286,6 +320,14 @@ class TestCliCommands:
         path.write_text("{}")
         assert main(["simulate", str(path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", REFUSED_MECHANISMS)
+    @pytest.mark.parametrize("command", ["simulate", "ratio"])
+    def test_refused_mechanism_exit_one(self, tmp_path, capsys, command, overrides, message):
+        assert main([command, self.write_scenario(tmp_path, scenario_text(**overrides))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_reproduce_pass_exit_zero(self, capsys):
         assert main(["reproduce", "tvsnt"]) == 0

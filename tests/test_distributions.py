@@ -23,7 +23,6 @@ from auction_lab import (
     TwoPoint,
     Uniform,
     hr_crossing,
-    hr_dominates,
     regularity_check,
     substream,
 )
@@ -391,32 +390,32 @@ class TestRegularity:
 
 class TestHazardRateDominance:
     def test_uniform_larger_top_dominates(self):
-        assert hr_dominates(Uniform(0, 2), Uniform(0, 1)) is True
-        assert hr_dominates(Uniform(0, 1), Uniform(0, 2)) is False
+        assert hr_crossing(Uniform(0, 2), Uniform(0, 1)) is None
+        assert hr_crossing(Uniform(0, 1), Uniform(0, 2)) is not None
 
     def test_exponential_smaller_rate_dominates(self):
-        assert hr_dominates(Exponential(1.0), Exponential(2.0)) is True
-        assert hr_dominates(Exponential(2.0), Exponential(1.0)) is False
+        assert hr_crossing(Exponential(1.0), Exponential(2.0)) is None
+        assert hr_crossing(Exponential(2.0), Exponential(1.0)) is not None
 
     def test_power_law_smaller_alpha_dominates(self):
-        assert hr_dominates(PowerLaw(1.5), PowerLaw(3.0)) is True
+        assert hr_crossing(PowerLaw(1.5), PowerLaw(3.0)) is None
 
     def test_theta_condition_direction(self):
         # 1 - G_i = (1 - G_j)**theta with theta <= 1 means G_i dominates
-        assert hr_dominates(Exponential(0.7), Exponential(1.0))  # theta = 0.7
-        assert hr_dominates(PowerLaw(2.0), PowerLaw(2.6))  # theta = 2.0/2.6
+        assert hr_crossing(Exponential(0.7), Exponential(1.0)) is None  # theta = 0.7
+        assert hr_crossing(PowerLaw(2.0), PowerLaw(2.6)) is None  # theta = 2.0/2.6
 
     def test_exponential_hazard_past_tail_underflow(self):
         # on Exp(0.1)'s grid Exp(10)'s density and tail underflow together
         # past x ~ 75, where its hazard is still exactly 10
         assert Exponential(10.0).hazard(80.0) == 10.0
-        assert hr_dominates(Exponential(0.1), Exponential(10.0)) is True
+        assert hr_crossing(Exponential(0.1), Exponential(10.0)) is None
         x, h1, h2 = hr_crossing(Exponential(10.0), Exponential(0.1))
         assert (h1, h2) == (pytest.approx(10.0), pytest.approx(0.1))
 
     def test_uniform_crosses_exponential_near_its_top(self):
         # 1/(80 - x) exceeds 10 on (79.9, 80), past Exp(10)'s tail underflow
-        assert hr_dominates(Uniform(0, 80), Exponential(10.0)) is False
+        assert hr_crossing(Uniform(0, 80), Exponential(10.0)) is not None
         x, h1, h2 = hr_crossing(Uniform(0, 80), Exponential(10.0))
         assert 79.9 < x < 80.0 and h1 > h2 == 10.0
 
@@ -441,11 +440,11 @@ class TestHazardRateDominance:
 
     def test_disjoint_supports(self):
         with pytest.raises(DisjointSupports):
-            hr_dominates(Uniform(0, 1), PowerLaw(2.0))
+            hr_crossing(Uniform(0, 1), PowerLaw(2.0))
 
     def test_atoms_rejected(self):
         with pytest.raises(AtomicDistribution):
-            hr_dominates(PointMass(1.0), Uniform(0, 1))
+            hr_crossing(PointMass(1.0), Uniform(0, 1))
 
 
 class TestInvariantsPropertyBased:

@@ -13,7 +13,7 @@ from auction_lab import (
     SecondPriceAnonymousReserve,
     build_market,
     estimate_mc,
-    hr_dominates,
+    hr_crossing,
     hr_ordered_markets,
     plan_hr_dominant,
     plan_targeted,
@@ -43,7 +43,7 @@ class TestGenerators:
         for m in hr_ordered_markets(seed=2, count=8):
             assert m.k >= 2
             for t in range(1, m.k):
-                assert hr_dominates(m.components[0], m.components[t])
+                assert hr_crossing(m.components[0], m.components[t]) is None
             # degenerate rows: every bidder pinned to one component
             assert np.all(np.sort(m.weights, axis=1)[:, -1] == 1.0)
             assert plan_hr_dominant(m).reserve_component == 0

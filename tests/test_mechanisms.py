@@ -166,6 +166,8 @@ class TestSecondPrice:
             SecondPriceAnonymousReserve(-1.0)
         with pytest.raises(NegativeReserve):
             SecondPriceBidderReserves((0.1, -0.1))
+        with pytest.raises(NegativeReserve):
+            PostedSequence((1.0, -0.1), (0, 1))
 
     def test_one_reserve_per_bidder(self):
         with pytest.raises(ValueError):
@@ -240,6 +242,10 @@ class TestPostedSequence:
     def test_acceptance_at_equality(self):
         o = run(PostedSequence((1.0,), (0,)), ValuationProfile((1.0,)))
         assert o.winner == 0
+
+    def test_repeated_bidder_refused(self):
+        with pytest.raises(ValueError, match="repeat a bidder"):
+            PostedSequence((5.0, 1.0), (0, 0))
 
 
 class TestCriticalPayment:

@@ -58,6 +58,7 @@ from auction_lab.errors import (
     IndexOutOfRange,
     InsufficientDivergenceSamples,
     IrregularComponent,
+    NegativeReserve,
     SupremumNotAttained,
     ToleranceNotMet,
     ZeroDenominator,
@@ -67,6 +68,7 @@ from auction_lab.mixtures import _coin_rule, _values_given_coins
 from auction_lab.revenue import (
     _as_estimate,
     _atom_breakpoints,
+    _column_laws,
     _draw_market,
     _integrate,
     _merge_stats,
@@ -687,6 +689,10 @@ class TestPostedAndTwoPointExact:
         with pytest.raises(ValueError):
             posted_sequence_revenue_exact([PM, ER], (1.0, 1.0), (0, 0))
 
+    def test_posted_price_must_not_be_negative(self):
+        with pytest.raises(NegativeReserve):
+            posted_sequence_revenue_exact([PM, ER], (-2.0,), (0,))
+
     @pytest.mark.parametrize("index", [-1, 2])
     def test_posted_order_index_checked(self, index):
         # as `allocate` checks a PostedSequence: no wrap-around, no raw IndexError
@@ -897,11 +903,7 @@ class TestCommensurateness:
 
     def test_report_estimate_equals_estimate_mc(self):
         market = hr_ordered_markets(seed=20130, count=1)[0]
-        dists = tuple(
-            market.components[int(np.flatnonzero(market.weights[i])[0])]
-            for i in range(market.n)
-        )
-        mech_m, mech_p = MyersonRegular(dists), SecondPrice()
+        mech_m, mech_p = MyersonRegular(tuple(_column_laws(market, ()))), SecondPrice()
         extras = (ComponentExtra(0),)
         cfg = EstimatorConfig(seed=71, n_samples=30_000, n_streams=3)
         rep = commensurateness_check(market, mech_m, mech_p, extras, cfg)
@@ -1018,7 +1020,7 @@ class TestSharedPhi:
         measured = [c for c in phi_calls if c != other]
         assert len(measured) == self.CFG.n_streams
         for rules in measured:  # the market's laws, not the mechanism's
-            assert [r.components[int(np.flatnonzero(r.weights)[0])] for r in rules] == list(self.LAWS)
+            assert rules == self.LAWS
 
     @pytest.mark.parametrize(
         "components",
