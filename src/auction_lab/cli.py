@@ -98,7 +98,8 @@ def _check_flags(args):
 
 def _env_seed():
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw and not raw.isdigit():
+    # str.isdigit accepts non-ASCII digits such as "²", which int() refuses
+    if raw and not (raw.isascii() and raw.isdigit()):
         raise SchemaError(SEED_ENV_VAR, "expected an integer >= 0")
     return int(raw) if raw else None
 

@@ -5,7 +5,10 @@ Three estimation routes:
 * Monte Carlo over seeded streams, by one evaluator (`_run_streams`).  It
   partitions the samples across n_streams independent streams, draws each
   stream once, runs every requested mechanism on the draws (mechanisms
-  draw nothing), and reduces the sample arrays of a per-draw measure.
+  draw nothing), and reduces the sample arrays of a per-draw measure.  A
+  stream is drawn, priced and measured `_BLOCK_ROWS` rows at a time, each
+  uniform column read from its own generator (`_BlockStream`), so the
+  blocks give the bits of the whole stream in a few MB of memory.
   `estimate_mc` measures prices, `virtual_surplus_gap` price minus the
   winner's virtual value and `commensurateness_check` the two
   commensurateness inequalities plus the price of M'.  The two virtual
@@ -191,6 +194,41 @@ def _draw_market(market: MarketModel, rng, size: int, extras=()):
     return values
 
 
+# rows a stream is evaluated in at a time: its draws, kernels and measure
+# temporaries stay a few MB whatever the stream's size
+_BLOCK_ROWS = 32768
+
+
+class _BlockStream:
+    """A stream of `size` rows, read by `_draw_market` a block of rows at a time.
+
+    `_draw_market` reads a stream's uniforms a column at a time, `size` per
+    column: per bidder its coins, then its values; then each ComponentExtra.
+    A float64 uniform takes one 64-bit draw, so column c starts at draw
+    c * size: its generator is `rng`'s state advanced that far, built on its
+    first read.  After `rewind`, the c-th `random(rows)` call reads the next
+    `rows` uniforms of column c, so each block gets its rows of every column.
+    """
+
+    def __init__(self, rng, size):
+        self._state = rng.bit_generator.state
+        self._size = size
+        self._columns = []
+        self._next = 0
+
+    def rewind(self):
+        self._next = 0
+
+    def random(self, rows):
+        c = self._next
+        if c == len(self._columns):
+            bits = np.random.PCG64(0)
+            bits.state = self._state
+            self._columns.append(np.random.Generator(bits.advance(c * self._size)))
+        self._next = c + 1
+        return self._columns[c].random(rows)
+
+
 def _stream_stats(x):
     """(n, mean, M2) of one stream's samples by a shifted two-pass.
 
@@ -243,14 +281,18 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
     """One "mc" RevenueEstimate per output of `measure` over cfg.n_samples draws.
 
     Stream s draws its share of the bidders, then the extras, once from
-    substream(cfg.seed, s).  Each (mechanism, columns) pair of `mechs` runs
+    substream(cfg.seed, s), in blocks of `_BLOCK_ROWS` rows: a block draws
+    its rows of each uniform column from that column's generator, so
+    `_draw_market` fills it with the rows a whole-stream draw would.  On
+    each block, each (mechanism, columns) pair of `mechs` runs
     through `allocate` on the first `columns` value columns (None: all).
-    With `laws`, one Distribution per value column, each stream's phi
+    With `laws`, one Distribution per value column, each block's phi
     matrix is computed once: every MyersonRegular over those columns' laws
     is priced on it, and the measure reads it.
-    `measure(values, outcomes, phi)` maps the draws, every (winner, price)
-    and phi (None without `laws`) to sample arrays, reduced per stream and
-    merged across streams.
+    `measure(values, outcomes, phi)` maps the block's draws, every (winner,
+    price) and phi (None without `laws`) to sample arrays; a stream joins
+    its blocks' arrays in row order and reduces them, and the streams
+    merge.
 
     The non-empty streams run on w workers, one per CPU this process may
     use but no more than there are streams: the calling thread plus w - 1
@@ -272,27 +314,41 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
     stats = [None] * nonempty  # per stream, the (n, mean, M2) of each output
     errors = [None] * nonempty  # per stream, the exception it raised
 
+    def evaluate(s, size):
+        # each output of stream s, drawn and measured a block at a time and
+        # joined in row order
+        stream = _BlockStream(substream(cfg.seed, s), size)
+        starts = range(0, size, _BLOCK_ROWS)
+        blocks = [block(stream, min(_BLOCK_ROWS, size - start)) for start in starts]
+        return [np.concatenate(pieces) for pieces in zip(*blocks)]
+
+    def block(stream, rows):
+        # the measure's outputs on the next `rows` draws of a stream; the
+        # block's values, outcomes and phi are freed before the next one draws
+        stream.rewind()
+        values = _draw_market(market, stream, rows, extras)
+        phi = None if laws is None else _virtual_matrix(values, laws)
+        outcomes = []
+        for (mech, columns), shared in zip(mechs, shares):
+            if shared:
+                outcomes.append(_myerson_batch(values[:, :columns], mech.dists, phi[:, :columns]))
+            else:
+                outcomes.append(allocate(mech, values[:, :columns]))
+        return measure(values, outcomes, phi)
+
     def work(k):
-        # the sequential loop over worker k's streams.  A stream's values and
-        # outputs stay bound while the next one draws: freed earlier, the heap
-        # is trimmed and faulted back in (50k minor faults on one core, not 30k)
+        # the sequential loop over worker k's streams.  The last stream's
+        # outputs stay bound while the next one is evaluated: freed first,
+        # the heap is trimmed and faulted back in on every stream (thm1's 20
+        # estimates on one CPU: 181k minor faults against 41k)
         for s in range(k, nonempty, w):
             if any(e is not None for e in errors[:s]):
                 return  # a lower stream failed; the sequential loop stops there
             size = base + (1 if s < rem else 0)
             offset = s * base + min(s, rem)
             try:
-                values = _draw_market(market, substream(cfg.seed, s), size, extras)
-                outcomes = []  # drops the last stream's before this one's are made
-                phi = None if laws is None else _virtual_matrix(values, laws)
-                for (mech, columns), shared in zip(mechs, shares):
-                    if shared:
-                        outcomes.append(_myerson_batch(values[:, :columns], mech.dists, phi[:, :columns]))
-                    else:
-                        outcomes.append(allocate(mech, values[:, :columns]))
-                outputs = measure(values, outcomes, phi)
+                outputs = evaluate(s, size)
                 stats[s] = [_stream_stats(x) for x in outputs]
-                del phi  # the next stream draws without this one's phi alive
             except BaseException as exc:  # raised again below, by the calling thread
                 if isinstance(exc, Exception):
                     exc.sample_range = (offset, offset + size)

@@ -343,6 +343,16 @@ class TestCliCommands:
         monkeypatch.setenv("AUCTION_LAB_SEED", "99")
         assert main(["simulate", str(path)]) == 0
 
+    @pytest.mark.parametrize("raw", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+    def test_env_seed_non_ascii_digit_is_schema_error(self, tmp_path, monkeypatch, capsys, raw):
+        path = tmp_path / "noseed.json"
+        path.write_text(scenario_text(estimator={"n_samples": 2000}))
+        monkeypatch.setenv("AUCTION_LAB_SEED", raw)
+        assert main(["simulate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SchemaError: AUCTION_LAB_SEED: expected an integer >= 0\n"
+
     def test_seed_flag_beats_scenario(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path)
         main(["simulate", path, "--seed", "1", "--format", "json-lines"])

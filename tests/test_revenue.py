@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -45,6 +46,7 @@ from auction_lab import (
     expected_revenue_quadrature,
     hr_ordered_markets,
     iron,
+    plan_targeted,
     posted_sequence_revenue_exact,
     random_mixture_markets,
     virtual_surplus_gap,
@@ -63,6 +65,7 @@ from auction_lab.errors import (
     ToleranceNotMet,
     ZeroDenominator,
 )
+from auction_lab.experiments import DEFAULT_SEED
 from auction_lab.mechanisms import _myerson_batch, _virtual_matrix
 from auction_lab.mixtures import _coin_rule, _values_given_coins
 from auction_lab.revenue import (
@@ -1157,3 +1160,83 @@ class TestParallelStreams:
         with pytest.raises(ValueError, match="stream 1"):
             revenue_mod._run_streams(self.MARKET, (), self.FAIL_CFG, [(SecondPrice(), None)], measure)
         assert sorted(measured) == [0, 1]
+
+
+def whole_streams(market, extras, cfg, mechs, measure, laws=None):
+    """`_run_streams` evaluated a stream at a time, each stream whole from
+    substream(seed, s), every mechanism through `allocate`."""
+    base, rem = divmod(cfg.n_samples, cfg.n_streams)
+    merged = None
+    for s in range(min(cfg.n_streams, cfg.n_samples)):
+        values = _draw_market(market, substream(cfg.seed, s), base + (s < rem), extras)
+        phi = None if laws is None else _virtual_matrix(values, laws)
+        outcomes = [allocate(mech, values[:, :columns]) for mech, columns in mechs]
+        stats = [_stream_stats(x) for x in measure(values, outcomes, phi)]
+        merged = stats if merged is None else list(map(_merge_stats, merged, stats))
+    return [_as_estimate(st) for st in merged]
+
+
+class TestBlocks:
+    """A stream evaluated `_BLOCK_ROWS` rows at a time keeps the bits of the
+    stream evaluated whole."""
+
+    # bidder 0 draws a coin between two components; bidders 1 and 2 are pinned
+    MIXED = build_market((Uniform(0, 2), Exponential(1.3)), [[0.4, 0.6], [1.0, 0.0], [0.0, 1.0]])
+    PINNED = build_market((Uniform(0, 2), Uniform(0, 1)), [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    LAWS = (Uniform(0, 1), Uniform(0, 2), Uniform(0, 1))
+    # the deterministic extra takes a value column but no uniform column
+    MIXED_EXTRAS = (ComponentExtra(1), DeterministicExtra(2.0), ComponentExtra(0))
+    PINNED_EXTRAS = (ComponentExtra(1), ComponentExtra(0))
+
+    def results(self, cfg):
+        myerson = MyersonRegular(self.LAWS)
+        # over the laws of every column, extras included, so it shares phi
+        myerson_all = MyersonRegular(self.LAWS + (Uniform(0, 1), Uniform(0, 2)))
+        return (
+            estimate_mc(self.MIXED, SecondPrice(), self.MIXED_EXTRAS, cfg),
+            virtual_surplus_gap(self.PINNED, [myerson_all, SecondPrice()], self.PINNED_EXTRAS, cfg),
+            commensurateness_check(self.PINNED, myerson, SecondPrice(), self.PINNED_EXTRAS, cfg),
+        )
+
+    @pytest.mark.parametrize("size", [1, 6, 7, 8, 15, 50])
+    def test_blocks_keep_every_bit(self, monkeypatch, size):
+        # blocks of 7 rows: a stream of 8 or 15 rows ends in a partial
+        # block, and a divergence can fall on either side of a block edge
+        streams = -(-300 // size)  # enough samples for 100 divergences
+        cfg = EstimatorConfig(seed=97, n_samples=size * streams, n_streams=streams)
+        monkeypatch.setattr(revenue_mod, "_BLOCK_ROWS", 7)
+        blocked = self.results(cfg)
+        monkeypatch.setattr(revenue_mod, "_run_streams", whole_streams)
+        whole = self.results(cfg)
+        assert blocked == whole
+        assert whole[2].divergence_count >= 100
+
+    def test_column_c_reads_the_streams_draws_from_c_times_size(self):
+        size, count = 11, 5
+        draws = substream(3, 2).random(size * count)
+        stream = revenue_mod._BlockStream(substream(3, 2), size)
+        blocks = []
+        for rows in (4, size - 4):  # two blocks, as `_run_streams` reads them
+            stream.rewind()
+            blocks.append([stream.random(rows) for _ in range(count)])
+        for c, pieces in enumerate(zip(*blocks)):
+            assert np.concatenate(pieces).tobytes() == draws[c * size : (c + 1) * size].tobytes()
+
+
+def test_estimate_memory_stays_below_one_streams_matrix(monkeypatch):
+    """One 10**6-sample estimate over 8 streams on thm1-sweep's market 0 (4
+    bidders, 2 extras) allocates less at its peak than one stream's value
+    matrix, since a stream is evaluated a block at a time."""
+    monkeypatch.setattr(revenue_mod, "_cpu_count", lambda: 1)
+    (market,) = random_mixture_markets(DEFAULT_SEED, 1)
+    plan = plan_targeted(market)
+    cfg = EstimatorConfig(seed=DEFAULT_SEED, n_samples=10**6, n_streams=8)
+    matrix_bytes = cfg.n_samples // cfg.n_streams * (market.n + len(plan.extras)) * 8
+    assert matrix_bytes == 6_000_000
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        estimate_mc(market, plan.mechanism, plan.extras, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes
