@@ -3,7 +3,7 @@
 Subcommands:
 
     simulate <scenario>   MC-estimate the scenario's mechanism revenue
-    plan <scenario>       run the augmentation recipes on the scenario market
+    plan <scenario>       run every recipe of planner.RECIPES on the scenario market
     check-hr <scenario>   pairwise hazard-rate dominance certificate
     ratio <scenario>      coin-observing benchmark vs the scenario mechanism
     reproduce <name>      run a built-in experiment
@@ -34,23 +34,7 @@ from dataclasses import replace
 from .distributions import hr_crossing
 from .errors import AuctionLabError, NoDominantComponent, SchemaError
 from .experiments import DEFAULT_HORIZON, run_experiment
-from .planner import (
-    ANON_RESERVE,
-    HR_DOMINANT,
-    NO_RESERVE,
-    NONTARGETED,
-    RANDOM_SUBSET,
-    SAMPLE_RESERVE,
-    TARGETED,
-    evaluate_plan,
-    plan_hr_dominant,
-    plan_no_reserve,
-    plan_nontargeted,
-    plan_random_subset,
-    plan_sample_reserve,
-    plan_targeted,
-    select_anonymous_reserve,
-)
+from .planner import RECIPES, evaluate_plan, plan_hr_dominant
 from .reports import ExperimentReport, ReportRow, emit_report, estimate_row, write_output
 from .revenue import approximation_ratio, discriminating_benchmark, estimate_mc
 from .scenario import parse_scenario
@@ -167,17 +151,8 @@ def _cmd_plan(args) -> int:
     cfg = config.estimator
     records = []
     # each recipe is skipped on its own preconditions only
-    builders = (
-        (TARGETED, plan_targeted),
-        (HR_DOMINANT, plan_hr_dominant),
-        (NONTARGETED, plan_nontargeted),
-        (ANON_RESERVE, select_anonymous_reserve),
-        (SAMPLE_RESERVE, plan_sample_reserve),
-        (RANDOM_SUBSET, plan_random_subset),
-        (NO_RESERVE, plan_no_reserve),
-    )
     plans = []
-    for strategy, fn in builders:
+    for strategy, fn in RECIPES:
         try:
             plans.append(fn(market))
         except AuctionLabError as exc:

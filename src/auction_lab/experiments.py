@@ -343,14 +343,8 @@ BUILTIN_EXPERIMENTS = {
     "reserve-4k-sweep": _experiment_reserve_4k_sweep,
 }
 
-_DEFAULT_SAMPLES = {
-    "appendix-lb": 1,
-    "hr09-lb": 1,
-    "tvsnt": 1,
-    "thm1-sweep": 10**6,
-    "hr-lemma-sweep": 10**6,
-    "reserve-4k-sweep": 10**6,
-}
+# samples per Monte Carlo estimate of the sweeps; the exact built-ins draw nothing
+_DEFAULT_SAMPLES = 10**6
 
 
 def run_experiment(
@@ -362,15 +356,16 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run a built-in experiment by name.
 
-    Unset arguments take the defaults: DEFAULT_SEED, the experiment's own
-    sample count and EstimatorConfig's stream count.
+    Unset arguments take the defaults: DEFAULT_SEED, 10**6 samples per
+    Monte Carlo estimate (the exact built-ins ignore the count) and
+    EstimatorConfig's stream count.
     """
     if name not in BUILTIN_EXPERIMENTS:
         raise UnknownExperiment(
             f"{name!r}; known: {sorted(BUILTIN_EXPERIMENTS)}"
         )
     seed = DEFAULT_SEED if seed is None else seed
-    n_samples = _DEFAULT_SAMPLES[name] if n_samples is None else n_samples
+    n_samples = _DEFAULT_SAMPLES if n_samples is None else n_samples
     n_streams = EstimatorConfig.n_streams if n_streams is None else n_streams
     rows = BUILTIN_EXPERIMENTS[name](seed, n_samples, n_streams, horizon)
     return ExperimentReport(scenario_id=name, rows=tuple(rows), seed=seed)

@@ -10,7 +10,9 @@ continuous value draws and is the documented convention for atomic inputs.
 
 The second-price and Myerson kernels find each row's winner and
 second-highest entry in one sweep over the contiguous columns of a
-column-major matrix (`_top_two`), whatever layout `allocate` receives.
+column-major matrix (`_top_two`): the Monte Carlo driver draws its value
+matrices column-major, and a row-major input is swept as it comes, only
+more slowly.
 
 Payments are critical values: the infimum bid at which the winner still
 wins.  Under Myerson that is the winner's `virtual_inverse` of the
@@ -166,11 +168,6 @@ MechanismSpec = (
 # ---------------------------------------------------------------------------
 
 
-# rows per block when a kernel copies a matrix into column-major order: a
-# block of a row-major input stays in cache while it is transposed
-_ROW_BLOCK = 2048
-
-
 def _top_two(x):
     """(winner, top, second) of each row of a (size, m) matrix.
 
@@ -200,30 +197,22 @@ def _sp_batch(values, reserves=0.0):
     `reserves` is a scalar, a (size, 1) column of per-row reserves, one per
     bidder, or one per cell.
 
-    `_top_two` sweeps a column-major matrix.  Where a row's bidders face
-    different reserves it is a copy with -inf for each value below its own
-    reserve.  Where one reserve serves the whole row no value needs
-    masking: the top value qualifies iff any does, and a runner-up below
-    the reserve prices like a missing one, at the reserve.  So column-major
-    values are swept as they are.  Copies go a row block at a time.
+    Where one reserve serves the whole row no value needs masking: the top
+    value qualifies iff any does, and a runner-up below the reserve prices
+    like a missing one, at the reserve.  So `_top_two` sweeps `values` as
+    given.  Where a row's bidders face different reserves it sweeps a copy
+    with -inf for each value below its own reserve; against one reserve per
+    bidder the copy keeps the layout of `values`.
     """
     size, m = values.shape
     reserves = np.asarray(reserves, dtype=float)
     shared = reserves.ndim == 0 or reserves.shape[-1] == 1
-    if not shared:
-        reserves = np.broadcast_to(reserves, (size, m))
-    x = values
-    if not (shared and values.flags.f_contiguous):
-        x = np.empty((size, m), order="F")
-        for start in range(0, size, _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
-            v = values[block]
-            x[block] = v if shared else np.where(v >= reserves[block], v, -np.inf)
+    x = values if shared else np.where(values >= reserves, values, -np.inf)
     winner, top, second = _top_two(x)
     if shared:
         own = reserves[:, 0] if reserves.ndim == 2 else reserves
     else:
-        own = reserves[np.arange(size), winner]
+        own = np.broadcast_to(reserves, (size, m))[np.arange(size), winner]
     sale = top >= own
     return np.where(sale, winner, -1), np.where(sale, np.maximum(second, own), 0.0)
 

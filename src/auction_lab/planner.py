@@ -72,6 +72,7 @@ __all__ = [
     "SAMPLE_RESERVE",
     "RANDOM_SUBSET",
     "NO_RESERVE",
+    "RECIPES",
 ]
 
 TARGETED = "targeted_per_component"
@@ -349,6 +350,19 @@ def plan_no_reserve(market: MarketModel, group_sizes=None) -> AugmentationPlan:
         guarantee_factor=2.0 * t_min / (t_min - 1),
         assumptions=(known,),
     )
+
+
+# (strategy, builder) of every recipe, in the order `auction-lab plan` reports them
+RECIPES = (
+    (TARGETED, plan_targeted),
+    (HR_DOMINANT, plan_hr_dominant),
+    (NONTARGETED, plan_nontargeted),
+    (NONTARGETED_HR, plan_nontargeted_hr),
+    (ANON_RESERVE, select_anonymous_reserve),
+    (SAMPLE_RESERVE, plan_sample_reserve),
+    (RANDOM_SUBSET, plan_random_subset),
+    (NO_RESERVE, plan_no_reserve),
+)
 
 
 def guarantee_factor(plan: AugmentationPlan) -> float:

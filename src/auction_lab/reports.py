@@ -3,13 +3,10 @@
 A report is a flat list of rows sharing one scenario id.  Estimate rows
 carry a revenue estimate; ratio rows carry a ratio with its propagated
 uncertainty; any row may additionally carry the bound it was tested
-against and a pass/fail verdict.  The CSV column set is fixed:
-
-    scenario_id, mechanism, mean, std_err, n_samples, method,
-    bound_tested, verdict
-
-json-lines uses the same keys, one object per row, and round-trips through
-its own parser byte-for-byte.  No wall-clock runtime is recorded, so
+against and a pass/fail verdict.  The columns are fixed: `scenario_id`,
+then the `ReportRow` fields in order.  csv and text-table lay out the same
+cells; json-lines uses the same keys, one object per row, and round-trips
+through its own parser byte-for-byte.  No wall-clock runtime is recorded, so
 emission is reproducible.
 """
 
@@ -17,7 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import IOFailure
 
@@ -28,17 +25,6 @@ __all__ = [
     "parse_report_jsonl",
     "CSV_COLUMNS",
 ]
-
-CSV_COLUMNS = (
-    "scenario_id",
-    "mechanism",
-    "mean",
-    "std_err",
-    "n_samples",
-    "method",
-    "bound_tested",
-    "verdict",
-)
 
 
 @dataclass(frozen=True)
@@ -52,17 +38,12 @@ class ReportRow:
     verdict: str = ""  # "pass" | "fail" | ""
 
 
+CSV_COLUMNS = ("scenario_id",) + tuple(f.name for f in fields(ReportRow))
+
+
 def estimate_row(name, est, bound="", verdict="") -> ReportRow:
     """The row of a RevenueEstimate, optionally with its tested bound and verdict."""
-    return ReportRow(
-        mechanism=name,
-        mean=est.mean,
-        std_err=est.std_err,
-        n_samples=est.n_samples,
-        method=est.method,
-        bound_tested=bound,
-        verdict=verdict,
-    )
+    return ReportRow(name, est.mean, est.std_err, est.n_samples, est.method, bound, verdict)
 
 
 @dataclass(frozen=True)
@@ -85,25 +66,20 @@ def _cell(value) -> str:
 
 
 def _row_dict(report: ExperimentReport, row: ReportRow) -> dict:
-    return {
-        "scenario_id": report.scenario_id,
-        "mechanism": row.mechanism,
-        "mean": row.mean,
-        "std_err": row.std_err,
-        "n_samples": row.n_samples,
-        "method": row.method,
-        "bound_tested": row.bound_tested,
-        "verdict": row.verdict,
-    }
+    return {"scenario_id": report.scenario_id, **asdict(row)}
+
+
+def _cells(report: ExperimentReport) -> list:
+    """The header and one list of cells per row, as csv and text-table lay them out."""
+    return [list(CSV_COLUMNS)] + [
+        [_cell(v) for v in _row_dict(report, row).values()] for row in report.rows
+    ]
 
 
 def emit_report(report: ExperimentReport, format: str = "csv") -> bytes:
     """Serialize a report; stable row ordering, fixed columns."""
     if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in report.rows:
-            d = _row_dict(report, row)
-            lines.append(",".join(_cell(d[c]) for c in CSV_COLUMNS))
+        lines = [",".join(cells) for cells in _cells(report)]
         return ("\n".join(lines) + "\n").encode()
     if format == "json-lines":
         lines = [
@@ -111,12 +87,8 @@ def emit_report(report: ExperimentReport, format: str = "csv") -> bytes:
         ]
         return ("\n".join(lines) + ("\n" if lines else "")).encode()
     if format == "text-table":
-        header = list(CSV_COLUMNS)
-        table = [header]
-        for row in report.rows:
-            d = _row_dict(report, row)
-            table.append([_cell(d[c]) for c in CSV_COLUMNS])
-        widths = [max(len(r[j]) for r in table) for j in range(len(header))]
+        table = _cells(report)
+        widths = [max(len(r[j]) for r in table) for j in range(len(CSV_COLUMNS))]
         lines = [
             "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
             for r in table
@@ -134,17 +106,7 @@ def parse_report_jsonl(data: bytes) -> ExperimentReport:
             continue
         d = json.loads(line)
         scenario_id = d["scenario_id"]
-        rows.append(
-            ReportRow(
-                mechanism=d["mechanism"],
-                mean=d["mean"],
-                std_err=d["std_err"],
-                n_samples=d["n_samples"],
-                method=d["method"],
-                bound_tested=d["bound_tested"],
-                verdict=d["verdict"],
-            )
-        )
+        rows.append(ReportRow(**{c: d[c] for c in CSV_COLUMNS[1:]}))
     return ExperimentReport(scenario_id=scenario_id, rows=tuple(rows), seed=0)
 
 

@@ -174,7 +174,9 @@ def _column_laws(market: MarketModel, extras):
 
 
 def _draw_market(market: MarketModel, rng, size: int, extras=()):
-    """Values (size, n + len(extras)) for one stream; `extras` are checked.
+    """Values (size, n + len(extras)) for one stream.
+
+    `extras` are not checked here: every caller runs `_check_extras` first.
 
     Each bidder draws in turn through `MixtureDistribution.sample_with_coin`
     (`size` coin uniforms, then `size` value uniforms), and the extra

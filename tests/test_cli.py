@@ -14,6 +14,7 @@ from auction_lab import (
     plan_hr_dominant,
     plan_no_reserve,
     plan_nontargeted,
+    plan_nontargeted_hr,
     plan_random_subset,
     plan_sample_reserve,
     plan_targeted,
@@ -68,6 +69,7 @@ PLAN_BUILDERS = (
     plan_targeted,
     plan_hr_dominant,
     plan_nontargeted,
+    plan_nontargeted_hr,
     select_anonymous_reserve,
     plan_sample_reserve,
     plan_random_subset,
@@ -294,6 +296,34 @@ class TestEmitReport:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report(self.sample_report(), "xml")
+
+    def test_every_format_pinned(self):
+        # an empty estimate row and a ratio row carrying its bound and verdict
+        rows = (
+            ReportRow("anon_reserve", None, None, 0, "exact"),
+            ReportRow("benchmark_over_mechanism", 1.25, 0.0375, 0, "ratio", "ratio <= 2", "pass"),
+        )
+        report = ExperimentReport(scenario_id="pin", rows=rows, seed=3)
+        assert emit_report(report, "csv") == (
+            b"scenario_id,mechanism,mean,std_err,n_samples,method,bound_tested,verdict\n"
+            b"pin,anon_reserve,,,0,exact,,\n"
+            b"pin,benchmark_over_mechanism,1.25,0.0375,0,ratio,ratio <= 2,pass\n"
+        )
+        assert emit_report(report, "json-lines") == (
+            b'{"scenario_id": "pin", "mechanism": "anon_reserve", "mean": null, '
+            b'"std_err": null, "n_samples": 0, "method": "exact", "bound_tested": "", '
+            b'"verdict": ""}\n'
+            b'{"scenario_id": "pin", "mechanism": "benchmark_over_mechanism", "mean": 1.25, '
+            b'"std_err": 0.0375, "n_samples": 0, "method": "ratio", '
+            b'"bound_tested": "ratio <= 2", "verdict": "pass"}\n'
+        )
+        assert emit_report(report, "text-table") == (
+            b"scenario_id  mechanism                 mean  std_err  n_samples  method"
+            b"  bound_tested  verdict\n"
+            b"pin          anon_reserve                             0          exact\n"
+            b"pin          benchmark_over_mechanism  1.25  0.0375   0          ratio"
+            b"   ratio <= 2    pass\n"
+        )
 
 
 class TestCliCommands:
@@ -663,6 +693,24 @@ class TestCliCommands:
             assert by_strategy[strategy]["evidence_n_samples"] == 4000
         (skipped,) = [r for r in records if "skipped" in r and r["strategy"] == "no_reserve"]
         assert skipped["skipped"].startswith("GroupTooSmall: no-reserve guarantee needs t >= 2")
+
+    def test_plan_runs_the_hr_nontargeted_recipe(self, tmp_path, capsys):
+        # i.i.d. six bidders, U(0, 2) hazard-rate dominant with p1 = 1/2
+        doc = json.loads(scenario_text())
+        doc["market"] = {
+            "components": [{"family": "uniform", "a": 0, "b": 2}, {"family": "uniform", "a": 0, "b": 1}],
+            "iid": True,
+            "weights": [0.5, 0.5],
+            "n": 6,
+        }
+        path = tmp_path / "iid6.json"
+        path.write_text(json.dumps(doc))
+        assert main(["plan", str(path), "--samples", "4000"]) == 0
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert len(records) == 8
+        (record,) = [r for r in records if r["strategy"] == "nontargeted_hr_count"]
+        assert (record["count"], record["reserve_component"]) == (2, 0)
+        assert record["evidence_n_samples"] == 4000
 
     def test_plan_non_iid_skips_nontargeted(self, tmp_path, capsys):
         doc = json.loads(scenario_text())

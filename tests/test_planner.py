@@ -48,6 +48,7 @@ from auction_lab.planner import (
     NONTARGETED,
     NONTARGETED_HR,
     RANDOM_SUBSET,
+    RECIPES,
     SAMPLE_RESERVE,
     TARGETED,
 )
@@ -390,6 +391,18 @@ class TestPlanCarriesItsAuction:
             TARGETED, HR_DOMINANT, NONTARGETED, NONTARGETED_HR,
             ANON_RESERVE, SAMPLE_RESERVE, RANDOM_SUBSET, NO_RESERVE,
         }
+
+    def test_recipes_name_each_strategy_once(self):
+        strategies = [strategy for strategy, _ in RECIPES]
+        assert sorted(strategies) == sorted({
+            TARGETED, HR_DOMINANT, NONTARGETED, NONTARGETED_HR,
+            ANON_RESERVE, SAMPLE_RESERVE, RANDOM_SUBSET, NO_RESERVE,
+        })
+
+    def test_each_recipe_builds_its_strategy(self):
+        # every recipe applies to MARKET, so no row of the table goes unchecked
+        for strategy, builder in RECIPES:
+            assert builder(self.MARKET).strategy == strategy
 
     def test_evaluate_plan_bit_identical_to_the_strategy_table(self):
         cfg = EstimatorConfig(seed=31, n_samples=20_000, n_streams=3)
