@@ -161,6 +161,12 @@ class Distribution:
     def _quantile(self, q):
         raise NotImplementedError
 
+    def _quantile_into(self, q, out):
+        """`_quantile(q)` written into `out` with the same bits; families
+        whose quantile is a chain of ufuncs write it there with no temporary."""
+        out[...] = self._quantile(q)
+        return out
+
     def _survival_quantile(self, q):
         return self._quantile(1.0 - q)
 
@@ -322,7 +328,11 @@ class Uniform(Distribution):
         return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
     def _quantile(self, q):
-        return self.a + q * (self.b - self.a)
+        return self._quantile_into(q, np.empty(np.shape(q)))
+
+    def _quantile_into(self, q, out):
+        np.multiply(q, self.b - self.a, out=out)
+        return np.add(self.a, out, out=out)
 
     def _survival(self, x):
         return np.clip((self.b - x) / (self.b - self.a), 0.0, 1.0)
@@ -359,7 +369,13 @@ class Exponential(Distribution):
         return np.where(x < 0.0, 0.0, self.lam * np.exp(-self.lam * np.maximum(x, 0.0)))
 
     def _quantile(self, q):
-        return -np.log1p(-q) / self.lam
+        return self._quantile_into(q, np.empty(np.shape(q)))
+
+    def _quantile_into(self, q, out):
+        # -log1p(-q) / lam, whose sign the divisor carries: the same bits in one pass fewer
+        np.negative(q, out=out)
+        np.log1p(out, out=out)
+        return np.divide(out, -self.lam, out=out)
 
     def _survival(self, x):
         return np.exp(-self.lam * np.maximum(x, 0.0))
@@ -410,7 +426,12 @@ class PowerLaw(Distribution):
         return np.where(x < 1.0, 0.0, self.alpha * np.maximum(x, 1.0) ** (-self.alpha - 1.0))
 
     def _quantile(self, q):
-        return (1.0 - q) ** (-1.0 / self.alpha)
+        return self._quantile_into(q, np.empty(np.shape(q)))
+
+    def _quantile_into(self, q, out):
+        np.subtract(1.0, q, out=out)
+        out **= -1.0 / self.alpha  # `**=` takes the fast paths of `**`
+        return out
 
     def _survival(self, x):
         return np.maximum(x, 1.0) ** (-self.alpha)

@@ -194,25 +194,21 @@ def _sp_batch(values, reserves=0.0):
 
     The winner is the highest value meeting its reserve (ties to the lowest
     index) and pays max(second-highest qualifying value, own reserve).
-    `reserves` is a scalar, a (size, 1) column of per-row reserves, one per
-    bidder, or one per cell.
+    `reserves` is a scalar, a (size, 1) column of per-row reserves, or one
+    per bidder.
 
     Where one reserve serves the whole row no value needs masking: the top
     value qualifies iff any does, and a runner-up below the reserve prices
     like a missing one, at the reserve.  So `_top_two` sweeps `values` as
-    given.  Where a row's bidders face different reserves it sweeps a copy
-    with -inf for each value below its own reserve; against one reserve per
-    bidder the copy keeps the layout of `values`.
+    given.  Against one reserve per bidder it sweeps a copy, in the layout
+    of `values`, with -inf for each value below its own reserve, and the
+    winner's reserve is reserves[winner].
     """
-    size, m = values.shape
     reserves = np.asarray(reserves, dtype=float)
-    shared = reserves.ndim == 0 or reserves.shape[-1] == 1
-    x = values if shared else np.where(values >= reserves, values, -np.inf)
+    per_bidder = reserves.ndim == 1
+    x = np.where(values >= reserves, values, -np.inf) if per_bidder else values
     winner, top, second = _top_two(x)
-    if shared:
-        own = reserves[:, 0] if reserves.ndim == 2 else reserves
-    else:
-        own = np.broadcast_to(reserves, (size, m))[np.arange(size), winner]
+    own = reserves[winner] if per_bidder else reserves.ravel()
     sale = top >= own
     return np.where(sale, winner, -1), np.where(sale, np.maximum(second, own), 0.0)
 

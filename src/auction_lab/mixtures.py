@@ -55,27 +55,56 @@ DEFAULT_IRONING_GRID = 4_097
 PROFILE_CAP = 10**6
 
 
-def _coin_rule(cum, u):
-    """Component per uniform: min(searchsorted(cum, u, "right"), k-1) by k-1 comparisons."""
-    coin = np.zeros(np.shape(u), dtype=np.int64)
+def _coin_rule(cum, u, out=None):
+    """Component per uniform: min(searchsorted(cum, u, "right"), k-1) by k-1
+    comparisons, written into `out` when given."""
+    coin = np.empty(np.shape(u), dtype=np.int64) if out is None else out
+    coin.fill(0)
     for c in cum[:-1]:
         coin += u >= c
     return coin
 
 
-def _values_given_coins(components, active, coin, u):
-    """Each active component's quantile of the whole array, selected by coin.
+class _Workspace:
+    """The arrays a draw of up to `rows` rows writes into, reused by every
+    block a worker draws: the uniform buffer a block stream fills, the value
+    matrix of `columns` columns, a (k, rows) stack of component quantiles,
+    the coins, the flat indices into the stack and the row numbers.
 
-    `active` lists the components of weight > 0, the only ones a coin names;
-    a lone one needs no selection.  Quantiles are elementwise, so each value
-    keeps the bits of its own component's quantile.  Stream uniforms lie in
-    [0, 1), so no level check is needed.
+    It holds arrays only, never the stream that lends it, so reference
+    counting frees it with the last stream that refers to it.
     """
-    *rest, last = active
-    values = np.asarray(components[last]._quantile(u), dtype=float)
-    for t in rest:
-        values = np.where(coin == t, components[t]._quantile(u), values)
-    return values
+
+    def __init__(self, rows, k, columns=0):
+        # views of one allocation: six separate ones took two to three times
+        # the minor page faults per sweep execution (thm1 and reserve-4k)
+        memory = np.empty((4 + columns + k) * rows)
+        self.uniforms, self.values, self.stack, ints = np.split(memory, np.cumsum([1, columns, k]) * rows)
+        self.coins, self.index, self.rows = np.split(ints.view(np.int64), 3)
+        self.rows[:] = np.arange(rows)
+
+
+def _values_given_coins(components, active, coin, u, work):
+    """Each value is its coin's component's quantile of its uniform, written over `u`.
+
+    `active` lists the components of weight > 0, the only ones a coin names.
+    A lone one needs no selection.  Otherwise each active component's
+    quantile of the whole of `u` fills its row t of the (k, B) stack in
+    `work`, and one `np.take` at flat index coin * B + row picks each
+    value.  Quantiles are elementwise, so each value keeps the bits of its
+    own component's quantile.  Stream uniforms lie in [0, 1), so no level
+    check is needed.
+    """
+    if len(active) == 1:
+        return components[active[0]]._quantile_into(u, u)
+    size = u.shape[0]
+    stack = work.stack[: len(components) * size].reshape(len(components), size)
+    for t in active:
+        components[t]._quantile_into(u, stack[t])
+    index = np.multiply(coin, size, out=work.index[:size])
+    np.add(index, work.rows[:size], out=index)
+    # "clip" never buffers `out`, as the default "raise" would; no index is out of range
+    return np.take(work.stack, index, out=u, mode="clip")
 
 
 class MixtureDistribution(Distribution):
@@ -164,17 +193,33 @@ class MixtureDistribution(Distribution):
         """Return (component-index, value); the coin stays observable.
 
         Draws `size` coin uniforms, then `size` value uniforms; each value is
-        its coin's entry of the active components' quantiles of the whole
-        value-uniform array.  The coin rule stops at the last active
-        component, so no coin names a zero weight even where the cumulative
-        weights fall short of 1.
+        its coin's component's quantile of its value uniform.  The coin rule
+        stops at the last active component, so no coin names a zero weight
+        even where the cumulative weights fall short of 1.
+
+        A block stream (one with a `workspace`) lends its buffers, and the
+        arrays returned live there until the next draw.  It also skips the
+        coin column of a lone active component, whose coin is fixed.  Any
+        other stream, such as a plain Generator, is read in full, coins
+        included, into fresh buffers.
         """
         active = [t for t, _ in self._active]
-        coin = _coin_rule(np.cumsum(self.weights[: active[-1] + 1]), stream.random(size))
-        u_val = stream.random(size)
+        cum = np.cumsum(self.weights[: active[-1] + 1])
         if size is None:
-            return int(coin), self.components[int(coin)].quantile(u_val)
-        return coin, _values_given_coins(self.components, active, coin, u_val)
+            coin = int(_coin_rule(cum, stream.random()))
+            return coin, self.components[coin].quantile(stream.random())
+        work = getattr(stream, "workspace", None)
+        if len(active) == 1:
+            if work is None:
+                stream.random(size)  # drawn and dropped, as the stream's order has it
+            else:
+                stream.skip()
+            coin = np.broadcast_to(np.int64(active[0]), (size,))
+        else:
+            if work is None:
+                work = _Workspace(size, len(self.components))
+            coin = _coin_rule(cum, stream.random(size), out=work.coins[:size])
+        return coin, _values_given_coins(self.components, active, coin, stream.random(size), work)
 
     def __str__(self):
         parts = " + ".join(f"{w:g}*{self.components[t]}" for t, w in self._active)

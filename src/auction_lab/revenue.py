@@ -8,7 +8,13 @@ Three estimation routes:
   draw nothing), and reduces the sample arrays of a per-draw measure.  A
   stream is drawn, priced and measured `_BLOCK_ROWS` rows at a time, each
   uniform column read from its own generator (`_BlockStream`), so the
-  blocks give the bits of the whole stream in a few MB of memory.
+  blocks give the bits of the whole stream in a few MB of memory.  Each
+  worker draws every block into one workspace (`mixtures._Workspace`),
+  built once per estimate: the uniforms, the value matrix and the stack
+  of component quantiles, which the sweep families write in place.  A
+  mixture bidder's values are one `np.take` from that stack at its coins,
+  and a bidder pinned to one component skips its coin column, since each
+  column's generator starts at that column's own first draw.
   `estimate_mc` measures prices, `virtual_surplus_gap` price minus the
   winner's virtual value and `commensurateness_check` the two
   commensurateness inequalities plus the price of M'.  The two virtual
@@ -72,6 +78,7 @@ from .mechanisms import (
 from .mixtures import (
     MarketModel,
     MixtureDistribution,
+    _Workspace,
     enumerate_profiles,
 )
 from .streams import substream
@@ -173,7 +180,7 @@ def _column_laws(market: MarketModel, extras):
     ]
 
 
-def _draw_market(market: MarketModel, rng, size: int, extras=()):
+def _draw_market(market: MarketModel, stream, size: int, extras=()):
     """Values (size, n + len(extras)) for one stream.
 
     `extras` are not checked here: every caller runs `_check_extras` first.
@@ -182,15 +189,20 @@ def _draw_market(market: MarketModel, rng, size: int, extras=()):
     (`size` coin uniforms, then `size` value uniforms), and the extra
     bidders' uniforms come after the originals.  The matrix is column-major,
     so each bidder's column is written, and later swept by the mechanism
-    kernels, contiguously.
+    kernels, contiguously.  A block stream's matrix is its workspace's.
     """
     n = market.n
-    values = np.empty((size, n + len(extras)), order="F")
+    shape = (size, n + len(extras))
+    work = getattr(stream, "workspace", None)
+    if work is None:
+        values = np.empty(shape, order="F")
+    else:
+        values = work.values[: size * shape[1]].reshape(shape, order="F")
     for i in range(n):
-        _, values[:, i] = market.bidder_mixture(i).sample_with_coin(rng, size)
+        _, values[:, i] = market.bidder_mixture(i).sample_with_coin(stream, size)
     for j, spec in enumerate(extras, start=n):
         if isinstance(spec, ComponentExtra):
-            values[:, j] = market.components[spec.index]._quantile(rng.random(size))
+            market.components[spec.index]._quantile_into(stream.random(size), values[:, j])
         else:
             values[:, j] = float(spec.value)
     return values
@@ -208,27 +220,35 @@ class _BlockStream:
     column: per bidder its coins, then its values; then each ComponentExtra.
     A float64 uniform takes one 64-bit draw, so column c starts at draw
     c * size: its generator is `rng`'s state advanced that far, built on its
-    first read.  After `rewind`, the c-th `random(rows)` call reads the next
-    `rows` uniforms of column c, so each block gets its rows of every column.
+    first read.  After `rewind`, the c-th `random(rows)` or `skip()` call
+    reads or passes over the next `rows` uniforms of column c, so each block
+    gets its rows of every column, and a column only ever skipped builds no
+    generator.  `random` writes into the uniform buffer of `workspace` (a
+    `_Workspace` that this stream's worker reuses for every block), so what
+    it returns is overwritten by the next read.
     """
 
-    def __init__(self, rng, size):
+    def __init__(self, rng, size, workspace):
         self._state = rng.bit_generator.state
         self._size = size
-        self._columns = []
+        self._columns = {}  # column index -> its generator
         self._next = 0
+        self.workspace = workspace
 
     def rewind(self):
         self._next = 0
 
+    def skip(self):
+        self._next += 1
+
     def random(self, rows):
         c = self._next
-        if c == len(self._columns):
+        if c not in self._columns:
             bits = np.random.PCG64(0)
             bits.state = self._state
-            self._columns.append(np.random.Generator(bits.advance(c * self._size)))
+            self._columns[c] = np.random.Generator(bits.advance(c * self._size))
         self._next = c + 1
-        return self._columns[c].random(rows)
+        return self._columns[c].random(out=self.workspace.uniforms[:rows])
 
 
 def _stream_stats(x):
@@ -243,7 +263,7 @@ def _stream_stats(x):
     d = x - x[0]
     d_mean = np.add.reduce(d) / n
     d -= d_mean
-    return n, float(x[0] + d_mean), float(np.add.reduce(d * d))
+    return n, float(x[0] + d_mean), float(np.add.reduce(np.multiply(d, d, out=d)))
 
 
 def _merge_stats(a, b):
@@ -285,7 +305,9 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
     Stream s draws its share of the bidders, then the extras, once from
     substream(cfg.seed, s), in blocks of `_BLOCK_ROWS` rows: a block draws
     its rows of each uniform column from that column's generator, so
-    `_draw_market` fills it with the rows a whole-stream draw would.  On
+    `_draw_market` fills it with the rows a whole-stream draw would.  A
+    worker's blocks all draw into one `_Workspace`, so what a measure
+    returns must not be a view of `values`.  On
     each block, each (mechanism, columns) pair of `mechs` runs
     through `allocate` on the first `columns` value columns (None: all).
     With `laws`, one Distribution per value column, each block's phi
@@ -300,11 +322,12 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
     use but no more than there are streams: the calling thread plus w - 1
     helper threads, each under a copy of the caller's context (so
     `np.errstate` holds there too), all joined before this returns or
-    raises.  Stream s goes to worker s mod w.  Streams share nothing and
-    their (n, mean, M2) triples merge in stream order, so the result does
-    not depend on w.  An error is annotated with the sample range and the
-    stream being evaluated, and the one raised is that of the lowest
-    failing stream, as a sequential loop would raise it.
+    raises.  Stream s goes to worker s mod w.  A worker's streams use its
+    workspace one after another and share nothing else, and their (n, mean,
+    M2) triples merge in stream order, so the result does not depend on w.
+    An error is annotated with the sample range and the stream being
+    evaluated, and the one raised is that of the lowest failing stream, as
+    a sequential loop would raise it.
     """
     if cfg is None:
         raise ValueError("an EstimatorConfig with an explicit seed is required")
@@ -316,17 +339,18 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
     stats = [None] * nonempty  # per stream, the (n, mean, M2) of each output
     errors = [None] * nonempty  # per stream, the exception it raised
 
-    def evaluate(s, size):
+    def evaluate(s, size, workspace):
         # each output of stream s, drawn and measured a block at a time and
         # joined in row order
-        stream = _BlockStream(substream(cfg.seed, s), size)
+        stream = _BlockStream(substream(cfg.seed, s), size, workspace)
         starts = range(0, size, _BLOCK_ROWS)
         blocks = [block(stream, min(_BLOCK_ROWS, size - start)) for start in starts]
         return [np.concatenate(pieces) for pieces in zip(*blocks)]
 
     def block(stream, rows):
         # the measure's outputs on the next `rows` draws of a stream; the
-        # block's values, outcomes and phi are freed before the next one draws
+        # block's values live in the workspace, and its outcomes and phi are
+        # freed before the next block draws
         stream.rewind()
         values = _draw_market(market, stream, rows, extras)
         phi = None if laws is None else _virtual_matrix(values, laws)
@@ -339,18 +363,17 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
         return measure(values, outcomes, phi)
 
     def work(k):
-        # the sequential loop over worker k's streams.  The last stream's
-        # outputs stay bound while the next one is evaluated: freed first,
-        # the heap is trimmed and faulted back in on every stream (thm1's 20
-        # estimates on one CPU: 181k minor faults against 41k)
+        # the sequential loop over worker k's streams, which share one
+        # workspace; each stream's outputs are freed once reduced
+        rows = min(_BLOCK_ROWS, base + (rem > 0))  # the largest block of any stream
+        workspace = _Workspace(rows, market.k, market.n + len(extras))
         for s in range(k, nonempty, w):
             if any(e is not None for e in errors[:s]):
                 return  # a lower stream failed; the sequential loop stops there
             size = base + (1 if s < rem else 0)
             offset = s * base + min(s, rem)
             try:
-                outputs = evaluate(s, size)
-                stats[s] = [_stream_stats(x) for x in outputs]
+                stats[s] = [_stream_stats(x) for x in evaluate(s, size, workspace)]
             except BaseException as exc:  # raised again below, by the calling thread
                 if isinstance(exc, Exception):
                     exc.sample_range = (offset, offset + size)

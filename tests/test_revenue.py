@@ -1,11 +1,13 @@
 """Revenue estimation: MC, exact formulas, quadrature, benchmark, commensurateness."""
 
 import functools
+import gc
 import math
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -67,7 +69,7 @@ from auction_lab.errors import (
 )
 from auction_lab.experiments import DEFAULT_SEED
 from auction_lab.mechanisms import _myerson_batch, _virtual_matrix
-from auction_lab.mixtures import _coin_rule, _values_given_coins
+from auction_lab.mixtures import _Workspace, _coin_rule, _values_given_coins
 from auction_lab.revenue import (
     _as_estimate,
     _atom_breakpoints,
@@ -212,6 +214,13 @@ DRAW_FAMILIES = {
     "mixture": NESTED,
 }
 
+# the sweep families' quantiles as allocating expressions, in the same operation order
+SWEEP_QUANTILES = {
+    "uniform": lambda d, q: d.a + q * (d.b - d.a),
+    "exponential": lambda d, q: -np.log1p(-q) / d.lam,
+    "power_law": lambda d, q: (1.0 - q) ** (-1.0 / d.alpha),
+}
+
 
 DRAW_BIDDERS = [
     pytest.param(case, j, i, id=f"{case}-{j}-{i}")
@@ -261,14 +270,35 @@ class TestDrawMarket:
         assert mixture.sample_with_coin(TopUniform()) == (2, comps[2].quantile(top))
 
     @pytest.mark.parametrize("family", sorted(DRAW_FAMILIES))
+    def test_quantile_into_keeps_the_bits_of_quantile(self, family):
+        # a full and a partial block of a stale buffer, and the uniforms
+        # themselves, which a lone component's draw writes over
+        dist = DRAW_FAMILIES[family]
+        u = np.array([0.0, np.nextafter(1.0, 0.0), *substream(3, 0).random(62)])
+        for rows in (u.size, 37):
+            expect = np.asarray(dist._quantile(u[:rows]), dtype=float).tobytes()
+            if family in SWEEP_QUANTILES:
+                assert SWEEP_QUANTILES[family](dist, u[:rows]).tobytes() == expect
+            buffer = np.full(u.size, np.nan)
+            assert dist._quantile_into(u[:rows], buffer[:rows]).tobytes() == expect
+            assert buffer[:rows].tobytes() == expect
+            own = u[:rows].copy()
+            assert dist._quantile_into(own, own).tobytes() == expect
+
+    @pytest.mark.parametrize("family", sorted(DRAW_FAMILIES))
     def test_values_given_coins_per_family(self, family):
-        # both stream extremes reach both components, which take turns
+        # both stream extremes reach both components, which take turns; a
+        # partial block selects from the front of a larger, stale workspace
         u = np.repeat([0.0, np.nextafter(1.0, 0.0), *substream(3, 0).random(200)], 2)
         coin = np.tile([0, 1], u.size // 2)
         dist = DRAW_FAMILIES[family]
+        work = _Workspace(u.size, 3)
+        work.stack.fill(np.nan)
         for components in ((dist, Uniform(0, 1)), (Uniform(0, 1), dist)):
-            values = _values_given_coins(components, [0, 1], coin, u)
-            assert values.tobytes() == _masked_quantiles(components, coin, u).tobytes()
+            for rows in (u.size, 301):
+                expect = _masked_quantiles(components, coin[:rows], u[:rows]).tobytes()
+                values = _values_given_coins(components, [0, 1], coin[:rows], u[:rows].copy(), work)
+                assert values.tobytes() == expect
 
     def test_coin_rule_at_cumulative_edges(self):
         for row in ([0.7, 0.2, 0.1], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [1.0]):
@@ -1214,13 +1244,63 @@ class TestBlocks:
     def test_column_c_reads_the_streams_draws_from_c_times_size(self):
         size, count = 11, 5
         draws = substream(3, 2).random(size * count)
-        stream = revenue_mod._BlockStream(substream(3, 2), size)
+        stream = revenue_mod._BlockStream(substream(3, 2), size, _Workspace(size, 1))
         blocks = []
         for rows in (4, size - 4):  # two blocks, as `_run_streams` reads them
             stream.rewind()
-            blocks.append([stream.random(rows) for _ in range(count)])
+            # each read reuses the workspace's uniform buffer
+            blocks.append([stream.random(rows).copy() for _ in range(count)])
         for c, pieces in enumerate(zip(*blocks)):
             assert np.concatenate(pieces).tobytes() == draws[c * size : (c + 1) * size].tobytes()
+
+    @pytest.mark.parametrize("case", sorted(DRAW_MARKETS))
+    def test_block_draws_keep_the_oracles_bits(self, case):
+        # one workspace serves a block of 64 rows, then one of 36 that leaves
+        # the first block's entries behind it
+        size = 100
+        for j, market in enumerate(DRAW_MARKETS[case]):
+            _, expect = _reference_draw_market(market, substream(101, j), size)
+            work = _Workspace(64, market.k, market.n)
+            stream = revenue_mod._BlockStream(substream(101, j), size, work)
+            pieces = []
+            for rows in (64, size - 64):
+                stream.rewind()
+                pieces.append(_draw_market(market, stream, rows).copy())
+            assert np.concatenate(pieces).tobytes() == expect.tobytes(), f"market {j}"
+
+    def test_a_pinned_bidders_coin_column_builds_no_generator(self):
+        # uniform columns: bidder 0's coins (0) and values (1), the pinned
+        # bidders' coins (2, 4) and values (3, 5), then the two ComponentExtras
+        market, extras = self.MIXED, self.MIXED_EXTRAS
+        work = _Workspace(7, market.k, market.n + len(extras))
+        stream = revenue_mod._BlockStream(substream(5, 0), 20, work)
+        for rows in (7, 7, 6):
+            stream.rewind()
+            _draw_market(market, stream, rows, extras)
+        assert sorted(stream._columns) == [0, 1, 3, 5, 6, 7]
+
+
+def test_no_workspace_outlives_its_estimate(monkeypatch):
+    """Each worker's workspace is freed by reference counting when the
+    estimate returns: nothing it holds refers back to a stream."""
+    refs = []
+
+    class Recorded(revenue_mod._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(revenue_mod, "_Workspace", Recorded)
+    monkeypatch.setattr(revenue_mod, "_cpu_count", lambda: 2)
+    market = TestBlocks.MIXED
+    cfg = EstimatorConfig(seed=3, n_samples=5_000, n_streams=4)
+    gc.disable()
+    try:
+        estimate_mc(market, SecondPrice(), TestBlocks.MIXED_EXTRAS, cfg)
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_estimate_memory_stays_below_one_streams_matrix(monkeypatch):
