@@ -35,7 +35,7 @@ from .distributions import hr_crossing
 from .errors import AuctionLabError, NoDominantComponent, SchemaError
 from .experiments import DEFAULT_HORIZON, run_experiment
 from .planner import RECIPES, evaluate_plan, plan_hr_dominant
-from .reports import ExperimentReport, ReportRow, emit_report, estimate_row, write_output
+from .reports import ExperimentReport, emit_report, estimate_row, ratio_row, write_output
 from .revenue import approximation_ratio, discriminating_benchmark, estimate_mc
 from .scenario import parse_scenario
 
@@ -140,7 +140,7 @@ def _cmd_ratio(args) -> int:
     rows = (
         estimate_row("benchmark", bench),
         row,
-        ReportRow("benchmark_over_mechanism", ratio.ratio, ratio.std_err, 0, "ratio"),
+        ratio_row("benchmark_over_mechanism", ratio),
     )
     return _emit_scenario(args, config, rows)
 

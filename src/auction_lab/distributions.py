@@ -95,10 +95,11 @@ class Distribution:
 
     The public methods are the only place an argument is converted, a level
     is checked, or a scalar result becomes float.  Families implement the
-    array primitives `_cdf`, `_pdf`, `_quantile` (plus `_cdf_left` with
-    atoms, `_survival`/`_survival_quantile` to stay exact in the tail,
-    `_mills` where the ratio S/f loses the tail, and `_virtual_inverse`
-    when regular) on float arrays whose levels are already checked.
+    array primitives `_cdf`, `_pdf`, one of `_quantile` and `_quantile_into`
+    (plus `_cdf_left` with atoms, `_survival`/`_survival_quantile` to stay
+    exact in the tail, `_mills` where the ratio S/f loses the tail, and
+    `_virtual_inverse` when regular) on float arrays whose levels are
+    already checked.
     """
 
     #: set by subclasses
@@ -159,11 +160,12 @@ class Distribution:
         return 1.0 - self._cdf(x)
 
     def _quantile(self, q):
-        raise NotImplementedError
+        return self._quantile_into(q, np.empty(np.shape(q)))
 
     def _quantile_into(self, q, out):
-        """`_quantile(q)` written into `out` with the same bits; families
-        whose quantile is a chain of ufuncs write it there with no temporary."""
+        """`_quantile(q)` written into `out` with the same bits.  A family
+        defines one of the two: the other comes from it here, and one whose
+        quantile is a chain of ufuncs writes it into `out` with no temporary."""
         out[...] = self._quantile(q)
         return out
 
@@ -327,9 +329,6 @@ class Uniform(Distribution):
         inside = (x >= self.a) & (x <= self.b)
         return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
-    def _quantile(self, q):
-        return self._quantile_into(q, np.empty(np.shape(q)))
-
     def _quantile_into(self, q, out):
         np.multiply(q, self.b - self.a, out=out)
         return np.add(self.a, out, out=out)
@@ -367,9 +366,6 @@ class Exponential(Distribution):
 
     def _pdf(self, x):
         return np.where(x < 0.0, 0.0, self.lam * np.exp(-self.lam * np.maximum(x, 0.0)))
-
-    def _quantile(self, q):
-        return self._quantile_into(q, np.empty(np.shape(q)))
 
     def _quantile_into(self, q, out):
         # -log1p(-q) / lam, whose sign the divisor carries: the same bits in one pass fewer
@@ -424,9 +420,6 @@ class PowerLaw(Distribution):
 
     def _pdf(self, x):
         return np.where(x < 1.0, 0.0, self.alpha * np.maximum(x, 1.0) ** (-self.alpha - 1.0))
-
-    def _quantile(self, q):
-        return self._quantile_into(q, np.empty(np.shape(q)))
 
     def _quantile_into(self, q, out):
         np.subtract(1.0, q, out=out)

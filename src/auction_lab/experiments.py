@@ -40,7 +40,7 @@ from .planner import (
     plan_targeted,
     select_anonymous_reserve,
 )
-from .reports import ExperimentReport, ReportRow, estimate_row
+from .reports import ExperimentReport, ReportRow, estimate_row, ratio_row
 from .revenue import (
     ComponentExtra,
     EstimatorConfig,
@@ -204,13 +204,10 @@ def _experiment_appendix_lb(seed, n_samples, n_streams, horizon):
             bound="mean in [1.74, 1.7501]",
             verdict=_check(1.74 <= bench.mean <= 1.7501),
         ),
-        ReportRow(
-            mechanism="benchmark_over_vickrey",
-            mean=ratio.ratio,
-            std_err=ratio.std_err,
-            n_samples=0,
-            method="ratio",
-            bound_tested="ratio <= 2",
+        ratio_row(
+            "benchmark_over_vickrey",
+            ratio,
+            bound="ratio <= 2",
             verdict=_check(ratio.ratio <= 2.0),
         ),
     ]
@@ -230,13 +227,10 @@ def _experiment_hr09_lb(seed, n_samples, n_streams, horizon):
             verdict=_check(abs(duplicated.mean - 1.5) <= 1e-3),
         ),
         estimate_row("optimal_with_discrimination", optimal),
-        ReportRow(
-            mechanism="optimal_over_duplicated",
-            mean=ratio.ratio,
-            std_err=ratio.std_err,
-            n_samples=0,
-            method="ratio",
-            bound_tested="4/3 - 1e-3 <= ratio <= 2",
+        ratio_row(
+            "optimal_over_duplicated",
+            ratio,
+            bound="4/3 - 1e-3 <= ratio <= 2",
             verdict=_check(4.0 / 3.0 - 1e-3 <= ratio.ratio <= 2.0),
         ),
     ]

@@ -4,7 +4,11 @@ A market is n bidders and k component distributions; bidder i draws her
 value in two stages: a k-valued coin picks a component with probabilities
 given by row i of the weight matrix, then the value is drawn from that
 component.  The coin outcome is observable to the discriminating benchmark,
-so sampling returns it alongside the value.
+so sampling returns it alongside the value.  A bidder pinned to one
+component, by a weight row with one positive entry, has a fixed coin, so
+the bidder's mixture is that component, bit for bit in every law primitive
+but the density: `MyersonRegular` prices a pinned bidder's own mixture
+exactly as its component.
 
 Irregular revenue curves are "ironed" by replacing R(q) = q * Q(1-q) with
 its upper concave hull on a uniform quantile grid; the hull slope per grid
@@ -87,16 +91,13 @@ class _Workspace:
 def _values_given_coins(components, active, coin, u, work):
     """Each value is its coin's component's quantile of its uniform, written over `u`.
 
-    `active` lists the components of weight > 0, the only ones a coin names.
-    A lone one needs no selection.  Otherwise each active component's
-    quantile of the whole of `u` fills its row t of the (k, B) stack in
-    `work`, and one `np.take` at flat index coin * B + row picks each
-    value.  Quantiles are elementwise, so each value keeps the bits of its
-    own component's quantile.  Stream uniforms lie in [0, 1), so no level
-    check is needed.
+    `active` lists the two or more components of weight > 0, the only ones
+    a coin names.  Each one's quantile of the whole of `u` fills its row t
+    of the (k, B) stack in `work`, and one `np.take` at flat index
+    coin * B + row picks each value.  Quantiles are elementwise, so each
+    value keeps the bits of its own component's quantile.  Stream uniforms
+    lie in [0, 1), so no level check is needed.
     """
-    if len(active) == 1:
-        return components[active[0]]._quantile_into(u, u)
     size = u.shape[0]
     stack = work.stack[: len(components) * size].reshape(len(components), size)
     for t in active:
@@ -108,7 +109,18 @@ def _values_given_coins(components, active, coin, u, work):
 
 
 class MixtureDistribution(Distribution):
-    """Convex combination of component distributions for one bidder."""
+    """Convex combination of component distributions for one bidder.
+
+    A mixture with one component of positive weight is that component: its
+    coin is fixed, so `_lone` names the component and the law primitives of
+    `_LONE_PRIMITIVES` are the component's own, bit for bit.  `_pdf` stays
+    the mixture's, which raises on an atom.
+    """
+
+    _LONE_PRIMITIVES = (
+        "_cdf", "_cdf_left", "_survival", "_mills",
+        "_quantile", "_quantile_into", "_survival_quantile", "_virtual_inverse",
+    )
 
     def __init__(self, components, weights):
         weights = np.asarray(weights, dtype=float)
@@ -120,6 +132,10 @@ class MixtureDistribution(Distribution):
         self.is_continuous = all(
             self.components[t].is_continuous for t, _ in self._active
         )
+        self._lone = self.components[self._active[0][0]] if len(self._active) == 1 else None
+        if self._lone is not None:
+            for name in self._LONE_PRIMITIVES:
+                setattr(self, name, getattr(self._lone, name))
 
     @property
     def support(self):
@@ -131,16 +147,8 @@ class MixtureDistribution(Distribution):
     def tail_index(self):
         return min(self.components[t].tail_index for t, _ in self._active)
 
-    def _delegate(self):
-        if len(self._active) == 1:
-            return self.components[self._active[0][0]]
-        return None
-
     def _blend(self, method, x):
-        """A pointwise law primitive: the lone active component's, else the weighted sum."""
-        single = self._delegate()
-        if single is not None:
-            return getattr(single, method)(x)
+        """A pointwise law primitive as the weighted sum of the active components'."""
         return sum(w * getattr(self.components[t], method)(x) for t, w in self._active)
 
     def _invert(self, method, levels, too_low):
@@ -165,23 +173,10 @@ class MixtureDistribution(Distribution):
     def _survival(self, x):
         return self._blend("_survival", x)
 
-    def _mills(self, x):
-        # a lone active component's own ratio keeps its tail and its phi bits
-        single = self._delegate()
-        if single is not None:
-            return single._mills(x)
-        return super()._mills(x)
-
     def _survival_quantile(self, q):
-        single = self._delegate()
-        if single is not None:
-            return single._survival_quantile(q)
         return self._invert("_survival_quantile", q, lambda mid: self._survival(mid) > q)
 
     def _quantile(self, q):
-        single = self._delegate()
-        if single is not None:
-            return single._quantile(q)
         return self._invert("_quantile", q, lambda mid: self._cdf(mid) < q)
 
     def sample(self, stream, size=None):
@@ -209,16 +204,16 @@ class MixtureDistribution(Distribution):
             coin = int(_coin_rule(cum, stream.random()))
             return coin, self.components[coin].quantile(stream.random())
         work = getattr(stream, "workspace", None)
-        if len(active) == 1:
+        if self._lone is not None:
             if work is None:
                 stream.random(size)  # drawn and dropped, as the stream's order has it
             else:
                 stream.skip()
-            coin = np.broadcast_to(np.int64(active[0]), (size,))
-        else:
-            if work is None:
-                work = _Workspace(size, len(self.components))
-            coin = _coin_rule(cum, stream.random(size), out=work.coins[:size])
+            u = stream.random(size)
+            return np.broadcast_to(np.int64(active[0]), (size,)), self._lone._quantile_into(u, u)
+        if work is None:
+            work = _Workspace(size, len(self.components))
+        coin = _coin_rule(cum, stream.random(size), out=work.coins[:size])
         return coin, _values_given_coins(self.components, active, coin, stream.random(size), work)
 
     def __str__(self):

@@ -46,6 +46,11 @@ def estimate_row(name, est, bound="", verdict="") -> ReportRow:
     return ReportRow(name, est.mean, est.std_err, est.n_samples, est.method, bound, verdict)
 
 
+def ratio_row(name, ratio, bound="", verdict="") -> ReportRow:
+    """The row of a RatioEstimate, optionally with its tested bound and verdict."""
+    return ReportRow(name, ratio.ratio, ratio.std_err, 0, "ratio", bound, verdict)
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     scenario_id: str

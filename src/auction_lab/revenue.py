@@ -174,7 +174,7 @@ def _column_laws(market: MarketModel, extras):
     """
     _check_extras(market, extras)
     mixtures = [market.bidder_mixture(i) for i in range(market.n)]
-    return [m._delegate() or m for m in mixtures] + [
+    return [m._lone or m for m in mixtures] + [
         market.components[s.index] if isinstance(s, ComponentExtra) else PointMass(s.value)
         for s in extras
     ]

@@ -322,6 +322,69 @@ class TestDrawMarket:
         assert np.all(values[:, market.n + 1] == 2.5)
 
 
+def _outcome(primitive, *args):
+    """The bits a law primitive returns, or the type of error it raises."""
+    try:
+        return np.asarray(primitive(*args), dtype=float).tobytes()
+    except (AtomicDistribution, NotImplementedError, ValueError) as exc:
+        return type(exc)
+
+
+# Exponential(10) has S and f underflow to 0 before x = 76
+ONE_HOT_FAMILIES = {**DRAW_FAMILIES, "exponential_underflow": Exponential(10.0)}
+ONE_HOT_LEVELS = np.array([2.0**-53, 1e-12, 0.3, 0.5, 0.7, 1.0 - 1e-12, 1.0 - 2.0**-53])
+
+
+@pytest.mark.filterwarnings("error")
+class TestPinnedMixture:
+    """A mixture with one component of positive weight is that component."""
+
+    @pytest.mark.parametrize("family", sorted(ONE_HOT_FAMILIES))
+    def test_one_hot_mixture_keeps_the_bits_of_its_component(self, family):
+        dist = ONE_HOT_FAMILIES[family]
+        mix = MixtureDistribution((Uniform(0, 1), dist, Exponential(2.0)), (0.0, 1.0, 0.0))
+        x = np.concatenate([dist._quantile(ONE_HOT_LEVELS), [0.0, 0.5, 1.0, 2.0, 76.0]])
+        lo, hi = dist.support.lo, dist.support.hi
+        inside = x[(x > lo) & (x < hi)]
+        y = np.array([-2.0, -0.5, 0.0, 0.3, 1.0, 5.0, 20.0])
+        checks = [
+            ("_cdf", x), ("_cdf_left", x), ("_survival", x), ("_mills", inside),
+            ("_quantile", ONE_HOT_LEVELS), ("_survival_quantile", ONE_HOT_LEVELS),
+            ("_virtual_inverse", y),
+        ]
+        for name, args in checks:
+            want = _outcome(getattr(dist, name), args)
+            assert _outcome(getattr(mix, name), args) == want, name
+        own = ONE_HOT_LEVELS.copy()
+        assert mix._quantile_into(own, own).tobytes() == _outcome(dist._quantile, ONE_HOT_LEVELS)
+        if family == "exponential_underflow":
+            assert dist._survival(np.array(76.0)) == 0.0 and mix._mills(np.array(76.0)) == 0.1
+
+    def test_one_hot_point_mass_keeps_the_mixtures_density_error(self):
+        mix = MixtureDistribution((Uniform(0, 1), PM), (0.0, 1.0))
+        with pytest.raises(AtomicDistribution, match="mixture carries an atom"):
+            mix.pdf(1.0)
+
+    @pytest.mark.parametrize(
+        "market",
+        [
+            pytest.param(
+                build_market((Uniform(0, 1), Exponential(1.0)), [[1.0, 0.0], [0.0, 1.0]]),
+                id="uniform_exponential",
+            ),
+            *(pytest.param(m, id=f"hr{j}") for j, m in enumerate(DRAW_MARKETS["pinned"])),
+        ],
+    )
+    def test_myerson_prices_a_pinned_bidders_own_mixture(self, market):
+        laws = MyersonRegular(tuple(market.components[int(np.argmax(row))] for row in market.weights))
+        mixtures = MyersonRegular(tuple(market.bidder_mixture(i) for i in range(market.n)))
+        cfg = EstimatorConfig(seed=17, n_samples=20_000, n_streams=2)
+        assert estimate_mc(market, mixtures, (), cfg) == estimate_mc(market, laws, (), cfg)
+        values = _draw_market(market, substream(17, 0), 5_000)
+        for got, want in zip(allocate(mixtures, values), allocate(laws, values)):
+            assert got.tobytes() == want.tobytes()
+
+
 # prices on a revenue-like scale; shifts up to 1e8 round each price by at most
 # half an ulp of 1e8 + 10, which moves the standard error by no more than that
 _PRICES = st.lists(st.floats(0.0, 10.0), min_size=2, max_size=300).map(np.array)
