@@ -19,6 +19,12 @@ Conventions
   ...).  Only the public methods of the Distribution base convert the
   argument, check quantile and survival levels, and return float for a
   scalar argument.
+* The quantile and the inverse hazard (1 - F)/f come in pairs,
+  `_quantile`/`_quantile_into` and `_mills`/`_mills_into`: a family
+  defines one of each pair and the base derives the other with the same
+  bits.  `_virtual_into(x, out)` writes phi = x - (1 - F)/f into `out`
+  through `_mills_into`, and `_virtual_unchecked` is that on a fresh array,
+  so no family writes phi itself.
 
 regularity_check and hr_crossing are grid certificates: numerical, not
 symbolic, verdicts on a quantile-spaced grid (default 10 001 points).
@@ -97,7 +103,8 @@ class Distribution:
     is checked, or a scalar result becomes float.  Families implement the
     array primitives `_cdf`, `_pdf`, one of `_quantile` and `_quantile_into`
     (plus `_cdf_left` with atoms, `_survival`/`_survival_quantile` to stay
-    exact in the tail, `_mills` where the ratio S/f loses the tail, and
+    exact in the tail, one of `_mills` and `_mills_into` where the ratio S/f
+    loses the tail or a chain of ufuncs writes it in place, and
     `_virtual_inverse` when regular) on float arrays whose levels are
     already checked.
     """
@@ -174,7 +181,21 @@ class Distribution:
 
     def _mills(self, x):
         # the inverse hazard (1 - F)/f: h = 1/mills and phi = x - mills
-        return self._survival(x) / self._pdf(x)
+        return self._mills_into(x, np.empty(np.shape(x)))
+
+    def _mills_into(self, x, out):
+        """`_mills(x)` written into `out` with the same bits.  A family
+        defines one of the two, like `_quantile` and `_quantile_into`, or
+        neither for the ratio S/f."""
+        if type(self)._mills is Distribution._mills:
+            return np.divide(self._survival(x), self._pdf(x), out=out)
+        out[...] = self._mills(x)
+        return out
+
+    def _virtual_into(self, x, out):
+        """phi(x) = x - mills(x) written into `out`, which must not overlap `x`."""
+        self._mills_into(x, out)
+        return np.subtract(x, out, out=out)
 
     def _virtual_inverse(self, y):
         raise NotImplementedError(f"{self} has no virtual inverse")
@@ -218,7 +239,7 @@ class Distribution:
 
     def _virtual_unchecked(self, x):
         xv = np.asarray(x, dtype=float)
-        return _match(x, xv - self._mills(xv))
+        return _match(x, self._virtual_into(xv, np.empty(xv.shape)))
 
     def hazard_and_virtual(self, x):
         """Return (h(x), phi(x)) at a point strictly inside the support."""
@@ -336,6 +357,15 @@ class Uniform(Distribution):
     def _survival(self, x):
         return np.clip((self.b - x) / (self.b - self.a), 0.0, 1.0)
 
+    def _mills_into(self, x, out):
+        # S/f: S over the density 1/(b - a) on [a, b]; off it the density is
+        # 0, and S divided by 0 is inf below a and nan above b, as S/f has it
+        np.subtract(self.b, x, out=out)
+        np.divide(out, self.b - self.a, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+        np.divide(out, 1.0 / (self.b - self.a), out=out)
+        return np.divide(out, 0.0, out=out, where=(x < self.a) | (x > self.b))
+
     def _survival_quantile(self, q):
         return self.b - q * (self.b - self.a)
 
@@ -379,11 +409,19 @@ class Exponential(Distribution):
     def _survival_quantile(self, q):
         return -np.log(q) / self.lam
 
-    def _mills(self, x):
-        # S/f for its bits, but 1/lam where subnormal or 0/0 floats lose the ratio
-        s, f = self._survival(x), self._pdf(x)
-        exact = np.full(np.shape(s), 1.0 / self.lam)
-        return np.divide(s, f, out=exact, where=np.minimum(s, f) >= np.finfo(float).tiny)
+    def _mills_into(self, x, out):
+        # S/f with S = exp(-lam max(x, 0)) taken once and f = lam S, the bits
+        # of _pdf; 1/lam where S or f is not a normal float, since subnormal
+        # or 0/0 floats lose the ratio
+        s = np.maximum(x, 0.0, out=out)
+        np.multiply(s, -self.lam, out=s)
+        np.exp(s, out=s)
+        f = np.multiply(s, self.lam)
+        normal = s >= np.finfo(float).tiny
+        normal &= f >= np.finfo(float).tiny
+        np.divide(s, f, out=out, where=normal)
+        np.copyto(out, 1.0 / self.lam, where=~normal)
+        return out
 
     def _virtual_inverse(self, y):
         return np.maximum(y + 1.0 / self.lam, 0.0)
@@ -428,6 +466,19 @@ class PowerLaw(Distribution):
 
     def _survival(self, x):
         return np.maximum(x, 1.0) ** (-self.alpha)
+
+    def _mills_into(self, x, out):
+        # S/f from one clamp m = max(x, 1): S = m**-alpha and f = alpha *
+        # m**(-alpha - 1), each power by `**=` for the bits of `**`; below 1
+        # the density is 0, and S/f is S divided by 0
+        below = x < 1.0
+        m = np.maximum(x, 1.0, out=out)
+        f = m.copy()
+        f **= -self.alpha - 1.0
+        f *= self.alpha
+        m **= -self.alpha
+        np.divide(m, f, out=out)
+        return np.divide(out, 0.0, out=out, where=below)
 
     def _survival_quantile(self, q):
         return q ** (-1.0 / self.alpha)

@@ -68,6 +68,10 @@ class IndexOutOfRange(AuctionLabError):
     """A bidder, subset or component index does not exist."""
 
 
+class NoVirtualInverse(AuctionLabError):
+    """A Myerson rule's distribution has no virtual inverse to price its winner."""
+
+
 # --- revenue estimation ----------------------------------------------------
 
 class DivergentTail(AuctionLabError):

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _require_regular
+from .distributions import Distribution, _require_regular
 from .errors import (
     IndexOutOfRange,
     NegativeReserve,
+    NoVirtualInverse,
     ValueOutsideSupport,
 )
 from .mixtures import IronedCurve
@@ -118,12 +119,23 @@ class SecondPriceSubsetReserve:
 
 @dataclass(frozen=True)
 class MyersonRegular:
-    """Highest-virtual-value auction for per-bidder regular distributions."""
+    """Highest-virtual-value auction for per-bidder regular distributions.
+
+    A winner pays its column's virtual inverse of the threshold, so a
+    column whose law has none, such as a mixture of two or more components,
+    raises NoVirtualInverse here, before any draw: iron it for MyersonIroned.
+    """
 
     dists: tuple
 
     def __post_init__(self):
         _require_regular(self.dists)
+        for j, d in enumerate(self.dists):
+            if d._virtual_inverse.__func__ is Distribution._virtual_inverse:
+                raise NoVirtualInverse(
+                    f"column {j} ({d}) has no virtual inverse to price its winner; "
+                    "iron it and use MyersonIroned"
+                )
 
 
 @dataclass(frozen=True)
@@ -215,13 +227,17 @@ def _sp_batch(values, reserves=0.0):
 
 def _virtual_matrix(values, rules):
     """phi per column under a Distribution or IronedCurve per column, laid
-    out column-major whatever the layout of `values`."""
+    out column-major whatever the layout of `values`.  A Distribution
+    writes its column in place (`_virtual_into`): its inverse hazard, then
+    the value minus it.  The sweep families (Uniform, Exponential,
+    PowerLaw) write their inverse hazards into the column by chains of
+    ufuncs, with at most one scratch array."""
     phi = np.empty(values.shape, order="F")
     for j, rule in enumerate(rules):
         if isinstance(rule, IronedCurve):
             phi[:, j] = rule.ironed_virtual(values[:, j])
         else:
-            phi[:, j] = rule._virtual_unchecked(values[:, j])
+            rule._virtual_into(values[:, j], phi[:, j])
     return phi
 
 

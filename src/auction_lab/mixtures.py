@@ -118,7 +118,7 @@ class MixtureDistribution(Distribution):
     """
 
     _LONE_PRIMITIVES = (
-        "_cdf", "_cdf_left", "_survival", "_mills",
+        "_cdf", "_cdf_left", "_survival", "_mills", "_mills_into",
         "_quantile", "_quantile_into", "_survival_quantile", "_virtual_inverse",
     )
 

@@ -180,10 +180,12 @@ def _column_laws(market: MarketModel, extras):
     ]
 
 
-def _draw_market(market: MarketModel, stream, size: int, extras=()):
+def _draw_market(market: MarketModel, stream, size: int, extras, mixtures):
     """Values (size, n + len(extras)) for one stream.
 
     `extras` are not checked here: every caller runs `_check_extras` first.
+    `mixtures` are the bidders' `market.bidder_mixture(i)`, which an
+    estimate builds once for all its blocks.
 
     Each bidder draws in turn through `MixtureDistribution.sample_with_coin`
     (`size` coin uniforms, then `size` value uniforms), and the extra
@@ -198,8 +200,8 @@ def _draw_market(market: MarketModel, stream, size: int, extras=()):
         values = np.empty(shape, order="F")
     else:
         values = work.values[: size * shape[1]].reshape(shape, order="F")
-    for i in range(n):
-        _, values[:, i] = market.bidder_mixture(i).sample_with_coin(stream, size)
+    for i, mixture in enumerate(mixtures):
+        _, values[:, i] = mixture.sample_with_coin(stream, size)
     for j, spec in enumerate(extras, start=n):
         if isinstance(spec, ComponentExtra):
             market.components[spec.index]._quantile_into(stream.random(size), values[:, j])
@@ -307,9 +309,10 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
     its rows of each uniform column from that column's generator, so
     `_draw_market` fills it with the rows a whole-stream draw would.  A
     worker's blocks all draw into one `_Workspace`, so what a measure
-    returns must not be a view of `values`.  On
-    each block, each (mechanism, columns) pair of `mechs` runs
-    through `allocate` on the first `columns` value columns (None: all).
+    returns must not be a view of `values`, and every block draws from the
+    bidders' mixtures built once here.  On each block, each (mechanism,
+    columns) pair of `mechs` runs through `allocate` on the first `columns`
+    value columns (None: all).
     With `laws`, one Distribution per value column, each block's phi
     matrix is computed once: every MyersonRegular over those columns' laws
     is priced on it, and the measure reads it.
@@ -333,6 +336,7 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
         raise ValueError("an EstimatorConfig with an explicit seed is required")
     _check_extras(market, extras)
     shares = [laws is not None and _prices_on_laws(m, laws[:columns]) for m, columns in mechs]
+    mixtures = [market.bidder_mixture(i) for i in range(market.n)]
     base, rem = divmod(cfg.n_samples, cfg.n_streams)
     nonempty = min(cfg.n_streams, cfg.n_samples)  # streams 0 .. nonempty - 1 have samples
     w = min(_cpu_count(), nonempty)
@@ -352,7 +356,7 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
         # block's values live in the workspace, and its outcomes and phi are
         # freed before the next block draws
         stream.rewind()
-        values = _draw_market(market, stream, rows, extras)
+        values = _draw_market(market, stream, rows, extras, mixtures)
         phi = None if laws is None else _virtual_matrix(values, laws)
         outcomes = []
         for (mech, columns), shared in zip(mechs, shares):

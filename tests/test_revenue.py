@@ -48,6 +48,7 @@ from auction_lab import (
     expected_revenue_quadrature,
     hr_ordered_markets,
     iron,
+    plan_hr_dominant,
     plan_targeted,
     posted_sequence_revenue_exact,
     random_mixture_markets,
@@ -63,6 +64,7 @@ from auction_lab.errors import (
     InsufficientDivergenceSamples,
     IrregularComponent,
     NegativeReserve,
+    NoVirtualInverse,
     SupremumNotAttained,
     ToleranceNotMet,
     ZeroDenominator,
@@ -156,6 +158,11 @@ def _masked_quantiles(components, coin, u):
     return values
 
 
+def mixtures_of(market):
+    """Each bidder's mixture, as `_run_streams` builds them for `_draw_market`."""
+    return [market.bidder_mixture(i) for i in range(market.n)]
+
+
 def _reference_draw_market(market, rng, size):
     """Independent oracle: per bidder, searchsorted coins then masked transforms."""
     coins = np.empty((size, market.n), dtype=np.int64)
@@ -237,7 +244,7 @@ class TestDrawMarket:
     def test_bit_identical_to_per_bidder_oracle(self, case):
         for j, market in enumerate(DRAW_MARKETS[case]):
             rng, ref_rng = substream(101, j), substream(101, j)
-            values = _draw_market(market, rng, 4_000)
+            values = _draw_market(market, rng, 4_000, (), mixtures_of(market))
             _, ref_values = _reference_draw_market(market, ref_rng, 4_000)
             assert values.flags.f_contiguous, "the kernels sweep contiguous columns"
             assert values.tobytes() == ref_values.tobytes(), f"market {j}"
@@ -314,7 +321,7 @@ class TestDrawMarket:
         market = DRAW_MARKETS["mixtures"][1]
         extras = (ComponentExtra(0), DeterministicExtra(2.5))
         rng, ref_rng = substream(9, 0), substream(9, 0)
-        values = _draw_market(market, rng, 500, extras)
+        values = _draw_market(market, rng, 500, extras, mixtures_of(market))
         _, ref_values = _reference_draw_market(market, ref_rng, 500)
         extra = market.components[0]._quantile(ref_rng.random(500))
         assert values[:, : market.n].tobytes() == ref_values.tobytes()
@@ -357,6 +364,9 @@ class TestPinnedMixture:
             assert _outcome(getattr(mix, name), args) == want, name
         own = ONE_HOT_LEVELS.copy()
         assert mix._quantile_into(own, own).tobytes() == _outcome(dist._quantile, ONE_HOT_LEVELS)
+        if dist.is_continuous:
+            stale = np.full(inside.size, np.nan)
+            assert mix._mills_into(inside, stale).tobytes() == _outcome(dist._mills, inside)
         if family == "exponential_underflow":
             assert dist._survival(np.array(76.0)) == 0.0 and mix._mills(np.array(76.0)) == 0.1
 
@@ -380,9 +390,83 @@ class TestPinnedMixture:
         mixtures = MyersonRegular(tuple(market.bidder_mixture(i) for i in range(market.n)))
         cfg = EstimatorConfig(seed=17, n_samples=20_000, n_streams=2)
         assert estimate_mc(market, mixtures, (), cfg) == estimate_mc(market, laws, (), cfg)
-        values = _draw_market(market, substream(17, 0), 5_000)
+        values = _draw_market(market, substream(17, 0), 5_000, (), mixtures_of(market))
         for got, want in zip(allocate(mixtures, values), allocate(laws, values)):
             assert got.tobytes() == want.tobytes()
+
+    def test_myerson_refuses_a_mixed_bidders_mixture(self):
+        # the mixture is regular but has no virtual inverse to price a winner
+        # with: both routes refuse it by name before anything is drawn
+        market = build_market((Exponential(1.0), Exponential(1.1)), [[1.0, 0.0], [0.5, 0.5]])
+        dists = (market.bidder_mixture(0), market.bidder_mixture(1))
+        cfg = EstimatorConfig(seed=17, n_samples=1_000)
+        values = np.full((4, 2), 0.5)
+        for call in (
+            lambda: estimate_mc(market, MyersonRegular(dists), (), cfg),
+            lambda: allocate(MyersonRegular(dists), values),
+        ):
+            with pytest.raises(NoVirtualInverse, match=r"column 1 \(Mixture\(0.5\*Exponential"):
+                call()
+
+
+def _mills_oracle(dist, x):
+    """Independent oracle for the inverse hazard: S/f from the family's own
+    survival and density, or 1/lam for an Exponential where S or f is not a
+    normal float."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s, f = dist._survival(x), dist._pdf(x)
+        ratio = s / f
+    if isinstance(dist, Exponential):
+        normal = (s >= np.finfo(float).tiny) & (f >= np.finfo(float).tiny)
+        ratio = np.where(normal, ratio, 1.0 / dist.lam)
+    return ratio
+
+
+# every continuous draw family, plus an Exponential whose S and f underflow at 76
+MILLS_FAMILIES = {
+    **{name: d for name, d in DRAW_FAMILIES.items() if d.is_continuous},
+    "exponential_underflow": Exponential(10.0),
+}
+
+
+class TestVirtualInto:
+    """`_mills_into`, `_virtual_into` and `_virtual_unchecked` against x - S/f."""
+
+    @pytest.mark.parametrize("family", sorted(MILLS_FAMILIES))
+    def test_in_place_phi_keeps_the_oracles_bits(self, family):
+        dist = MILLS_FAMILIES[family]
+        lo, hi = dist.support.lo, dist.support.hi
+        inside = np.asarray(dist._quantile(substream(3, 0).random(61)))
+        # the truncated normal's Mills ratio, through erfcx, agrees with S/f
+        # to rounding inside the support, where S/f keeps its digits
+        exact = not isinstance(dist, TruncatedNormal)
+        ends = [lo, hi if math.isfinite(hi) else 76.0, lo - 0.5] if exact else []
+        x = np.concatenate([inside, ends])
+        mills = _mills_oracle(dist, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = x - mills
+            # partial F-order columns of a stale buffer, as `_virtual_matrix` writes them
+            stale = np.full((x.size + 5, 3), np.nan, order="F")
+            got_mills = dist._mills_into(x, stale[: x.size, 1]).copy()
+            got_phi = dist._virtual_into(x, stale[: x.size, 2])
+            unchecked = dist._virtual_unchecked(x)
+            points = [dist._virtual_unchecked(float(v)) for v in x]
+            zero_d = [dist._virtual_into(np.array(v), np.empty(())) for v in x]
+        assert np.isnan(stale[x.size :]).all() and np.isnan(stale[:, 0]).all()
+        assert np.array_equal(got_phi, stale[: x.size, 2], equal_nan=True)
+        # a 0-d point is a float within rounding of the same value in an
+        # array: numpy's scalar `**`, which a 0-d argument of `_survival` or
+        # `_pdf` reaches, may round the last bit unlike the array loop
+        assert all(type(v) is float for v in points)
+        assert np.array_equal(points, zero_d, equal_nan=True)
+        assert points == pytest.approx(unchecked, rel=4 * np.finfo(float).eps, nan_ok=True)
+        for got, want in ((got_mills, mills), (got_phi, phi), (unchecked, phi)):
+            if exact:
+                assert got.tobytes() == np.asarray(want).tobytes()
+            else:
+                assert np.asarray(got) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        if family == "exponential_underflow":
+            assert dist._survival(np.array(76.0)) == 0.0 and got_phi[-2] == 76.0 - 0.1
 
 
 # prices on a revenue-like scale; shifts up to 1e8 round each price by at most
@@ -1261,7 +1345,9 @@ def whole_streams(market, extras, cfg, mechs, measure, laws=None):
     base, rem = divmod(cfg.n_samples, cfg.n_streams)
     merged = None
     for s in range(min(cfg.n_streams, cfg.n_samples)):
-        values = _draw_market(market, substream(cfg.seed, s), base + (s < rem), extras)
+        values = _draw_market(
+            market, substream(cfg.seed, s), base + (s < rem), extras, mixtures_of(market)
+        )
         phi = None if laws is None else _virtual_matrix(values, laws)
         outcomes = [allocate(mech, values[:, :columns]) for mech, columns in mechs]
         stats = [_stream_stats(x) for x in measure(values, outcomes, phi)]
@@ -1328,8 +1414,17 @@ class TestBlocks:
             pieces = []
             for rows in (64, size - 64):
                 stream.rewind()
-                pieces.append(_draw_market(market, stream, rows).copy())
+                pieces.append(_draw_market(market, stream, rows, (), mixtures_of(market)).copy())
             assert np.concatenate(pieces).tobytes() == expect.tobytes(), f"market {j}"
+
+    def test_an_estimate_builds_each_bidders_mixture_once(self, monkeypatch):
+        # 4 streams of 50 rows in blocks of 7 draw 32 blocks from 3 bidders
+        market, built = self.MIXED, []
+        bidder_mixture = type(market).bidder_mixture
+        monkeypatch.setattr(type(market), "bidder_mixture", lambda m, i: built.append(i) or bidder_mixture(m, i))
+        monkeypatch.setattr(revenue_mod, "_BLOCK_ROWS", 7)
+        estimate_mc(market, SecondPrice(), self.MIXED_EXTRAS, EstimatorConfig(seed=3, n_samples=200, n_streams=4))
+        assert built == [0, 1, 2]
 
     def test_a_pinned_bidders_coin_column_builds_no_generator(self):
         # uniform columns: bidder 0's coins (0) and values (1), the pinned
@@ -1339,7 +1434,7 @@ class TestBlocks:
         stream = revenue_mod._BlockStream(substream(5, 0), 20, work)
         for rows in (7, 7, 6):
             stream.rewind()
-            _draw_market(market, stream, rows, extras)
+            _draw_market(market, stream, rows, extras, mixtures_of(market))
         assert sorted(stream._columns) == [0, 1, 3, 5, 6, 7]
 
 
@@ -1383,3 +1478,24 @@ def test_estimate_memory_stays_below_one_streams_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < matrix_bytes
+
+
+def test_commensurateness_memory_stays_below_one_streams_values_and_phi(monkeypatch):
+    """One 10**6-sample commensurateness check over 8 streams on
+    hr-lemma-sweep's market 0 (4 pinned bidders, 1 extra) allocates less at
+    its peak than one stream's value and phi matrices together, since both
+    exist a block at a time."""
+    monkeypatch.setattr(revenue_mod, "_cpu_count", lambda: 1)
+    (market,) = hr_ordered_markets(DEFAULT_SEED, 1)
+    plan = plan_hr_dominant(market)
+    myerson = MyersonRegular(tuple(_column_laws(market, ())))
+    cfg = EstimatorConfig(seed=DEFAULT_SEED, n_samples=10**6, n_streams=8)
+    matrix_bytes = cfg.n_samples // cfg.n_streams * (market.n + len(plan.extras)) * 8
+    assert matrix_bytes == 5_000_000
+    tracemalloc.start()
+    try:
+        commensurateness_check(market, myerson, plan.mechanism, plan.extras, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * matrix_bytes
