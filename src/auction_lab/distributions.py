@@ -33,6 +33,7 @@ symbolic, verdicts on a quantile-spaced grid (default 10 001 points).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -552,6 +553,13 @@ class TruncatedNormal(Distribution):
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise ValueError("TruncatedNormal requires sigma > 0")
+        # every law primitive divides by the mass above zero, Phi(mu/sigma);
+        # math.erfc keeps construction free of scipy.special
+        if not 0.5 * math.erfc(-self.mu / self.sigma / math.sqrt(2.0)) >= sys.float_info.min:
+            raise ValueError(
+                f"TruncatedNormal({self.mu}, {self.sigma}) has a mass above zero below the"
+                " smallest normal float"
+            )
 
     @property
     def support(self):

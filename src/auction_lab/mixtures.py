@@ -8,7 +8,8 @@ so sampling returns it alongside the value.  A bidder pinned to one
 component, by a weight row with one positive entry, has a fixed coin, so
 the bidder's mixture is that component, bit for bit in every law primitive
 but the density: `MyersonRegular` prices a pinned bidder's own mixture
-exactly as its component.
+exactly as its component.  A market builds each bidder's mixture once, when
+it is made, and every draw, law and ironing of that bidder uses that object.
 
 Irregular revenue curves are "ironed" by replacing R(q) = q * Q(1-q) with
 its upper concave hull on a uniform quantile grid; the hull slope per grid
@@ -35,6 +36,7 @@ from .distributions import (
 )
 from .errors import (
     AtomicDistribution,
+    IndexOutOfRange,
     IrregularComponentWarning,
     NegativeWeight,
     ProfileSpaceTooLarge,
@@ -230,6 +232,9 @@ class MarketModel:
 
     def __post_init__(self):
         self.weights.setflags(write=False)
+        # weight row i fixes bidder i's law: one mixture per bidder, built here
+        mixtures = tuple(MixtureDistribution(self.components, w) for w in self.weights)
+        object.__setattr__(self, "_mixtures", mixtures)
 
     @property
     def n(self) -> int:
@@ -250,7 +255,10 @@ class MarketModel:
         return bool(np.all(np.abs(self.weights - self.weights[0]) <= ROW_SUM_TOL))
 
     def bidder_mixture(self, i: int) -> MixtureDistribution:
-        return MixtureDistribution(self.components, self.weights[i])
+        """Bidder i's law, the same object on every call."""
+        if not 0 <= i < self.n:
+            raise IndexOutOfRange(f"bidder {i} out of range for n={self.n}")
+        return self._mixtures[i]
 
     def extended(self, extra_rows: int) -> "MarketModel":
         """Append i.i.d. bidders drawn from the (shared) marginal mixture.

@@ -314,7 +314,9 @@ def plan_random_subset(market: MarketModel) -> AugmentationPlan:
     """Price the other bidders by the max of k of them; factor 2(k+1)/k * n/(n-k).
 
     The n/(n-k) term is the loss from benchmarking against the n-k priced
-    bidders only.
+    bidders only.  Its premise `subset_covers_components` asks for k >= n*,
+    and delta <= 1/k gives n* >= ceil(k(ln k + ln(k+1))) > k for every
+    k >= 2, so the recipe certifies only when k = 1.
     """
     s = market.k
     if s >= market.n:

@@ -180,14 +180,12 @@ def _column_laws(market: MarketModel, extras):
     ]
 
 
-def _draw_market(market: MarketModel, stream, size: int, extras, mixtures):
+def _draw_market(market: MarketModel, stream, size: int, extras):
     """Values (size, n + len(extras)) for one stream.
 
-    `extras` are not checked here: every caller runs `_check_extras` first.
-    `mixtures` are the bidders' `market.bidder_mixture(i)`, which an
-    estimate builds once for all its blocks.
+    `extras` are not checked here: `_run_streams` checks them first.
 
-    Each bidder draws in turn through `MixtureDistribution.sample_with_coin`
+    Each bidder draws in turn through its own mixture's `sample_with_coin`
     (`size` coin uniforms, then `size` value uniforms), and the extra
     bidders' uniforms come after the originals.  The matrix is column-major,
     so each bidder's column is written, and later swept by the mechanism
@@ -200,8 +198,8 @@ def _draw_market(market: MarketModel, stream, size: int, extras, mixtures):
         values = np.empty(shape, order="F")
     else:
         values = work.values[: size * shape[1]].reshape(shape, order="F")
-    for i, mixture in enumerate(mixtures):
-        _, values[:, i] = mixture.sample_with_coin(stream, size)
+    for i in range(n):
+        _, values[:, i] = market.bidder_mixture(i).sample_with_coin(stream, size)
     for j, spec in enumerate(extras, start=n):
         if isinstance(spec, ComponentExtra):
             market.components[spec.index]._quantile_into(stream.random(size), values[:, j])
@@ -301,7 +299,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
+def _run_streams(market: MarketModel, extras, cfg, mechs, measure, virtual=False):
     """One "mc" RevenueEstimate per output of `measure` over cfg.n_samples draws.
 
     Stream s draws its share of the bidders, then the extras, once from
@@ -309,16 +307,16 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
     its rows of each uniform column from that column's generator, so
     `_draw_market` fills it with the rows a whole-stream draw would.  A
     worker's blocks all draw into one `_Workspace`, so what a measure
-    returns must not be a view of `values`, and every block draws from the
-    bidders' mixtures built once here.  On each block, each (mechanism,
+    returns must not be a view of `values`.  On each block, each (mechanism,
     columns) pair of `mechs` runs through `allocate` on the first `columns`
     value columns (None: all).
-    With `laws`, one Distribution per value column, each block's phi
-    matrix is computed once: every MyersonRegular over those columns' laws
-    is priced on it, and the measure reads it.
+    With `virtual`, each block's phi matrix over the column laws
+    (`_column_laws`) is computed once: every MyersonRegular over those laws
+    is priced on it, and the measure reads it; a column with atoms then
+    raises AtomicDistribution before any draw.
     `measure(values, outcomes, phi)` maps the block's draws, every (winner,
-    price) and phi (None without `laws`) to sample arrays; a stream joins
-    its blocks' arrays in row order and reduces them, and the streams
+    price) and phi (None without `virtual`) to sample arrays; a stream
+    joins its blocks' arrays in row order and reduces them, and the streams
     merge.
 
     The non-empty streams run on w workers, one per CPU this process may
@@ -334,9 +332,12 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
     """
     if cfg is None:
         raise ValueError("an EstimatorConfig with an explicit seed is required")
-    _check_extras(market, extras)
-    shares = [laws is not None and _prices_on_laws(m, laws[:columns]) for m, columns in mechs]
-    mixtures = [market.bidder_mixture(i) for i in range(market.n)]
+    laws = _column_laws(market, extras)
+    if virtual:
+        for j, d in enumerate(laws):
+            if not d.is_continuous:
+                raise AtomicDistribution(f"column {j} ({d}) has atoms; virtual values need a density")
+    shares = [virtual and _prices_on_laws(m, laws[:columns]) for m, columns in mechs]
     base, rem = divmod(cfg.n_samples, cfg.n_streams)
     nonempty = min(cfg.n_streams, cfg.n_samples)  # streams 0 .. nonempty - 1 have samples
     w = min(_cpu_count(), nonempty)
@@ -356,8 +357,8 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, laws=None):
         # block's values live in the workspace, and its outcomes and phi are
         # freed before the next block draws
         stream.rewind()
-        values = _draw_market(market, stream, rows, extras, mixtures)
-        phi = None if laws is None else _virtual_matrix(values, laws)
+        values = _draw_market(market, stream, rows, extras)
+        phi = _virtual_matrix(values, laws) if virtual else None
         outcomes = []
         for (mech, columns), shared in zip(mechs, shares):
             if shared:
@@ -424,17 +425,6 @@ def estimate_mc(
     return _run_streams(market, extras, cfg, [(mech, None)], prices)[0]
 
 
-def _column_dists(market, extras):
-    """`_column_laws`, checked for a density: virtual values need one, so a
-    column with atoms raises AtomicDistribution (before any draw, as callers
-    run this first)."""
-    dists = _column_laws(market, extras)
-    for j, d in enumerate(dists):
-        if not d.is_continuous:
-            raise AtomicDistribution(f"column {j} ({d}) has atoms; virtual values need a density")
-    return dists
-
-
 def _winner_virtual(phi, winner, rows):
     """phi[rows[i], winner[i]], or 0 where winner[i] is -1 (no sale).
 
@@ -456,13 +446,12 @@ def virtual_surplus_gap(
     gives a mean within noise of zero.  A column with atoms (a
     DeterministicExtra included) raises AtomicDistribution before any draw.
     """
-    col_dists = _column_dists(market, extras)
 
     def measure(values, outcomes, phi):
         rows = np.arange(values.shape[0])
         return [price - _winner_virtual(phi, winner, rows) for winner, price in outcomes]
 
-    return _run_streams(market, extras, cfg, [(m, None) for m in mechs], measure, col_dists)
+    return _run_streams(market, extras, cfg, [(m, None) for m in mechs], measure, virtual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +527,9 @@ def best_posted_ladder_two_point(n_bidders: int, dist: TwoPoint):
 _GAUSS = tuple(np.polynomial.legendre.leggauss(n) for n in (16, 32))
 _TAIL_DOUBLINGS = 60
 _MAX_ROUNDS = 40
+# open panels a round may bisect into; every Tier-1 and benchmark call stays
+# below 70, and 4096 panels are 196 608 nodes, a few MB per integrand array
+_MAX_PANELS = 4096
 _ROUNDING = 64 * np.finfo(float).eps
 
 
@@ -551,9 +543,11 @@ def _integrate(f, breaks, tol):
     two agree within its share of tol (or to rounding); the others are
     bisected, each half taking half the share.  Raises DivergentTail when the
     geometric continuation of the last two tail panels leaves more than tol
-    beyond the last one, and ToleranceNotMet when panels still disagree
-    after the last round.  Sums use np.add.reduce, so the result does not
-    depend on BLAS threading.
+    beyond the last one, and ToleranceNotMet when a round's panel sums are
+    not finite, when bisection would open more than `_MAX_PANELS` panels or
+    when panels still disagree after the last round, so memory stays
+    bounded.  Sums use np.add.reduce, so the result does not depend on BLAS
+    threading.
     """
     edges = sorted(set(breaks))
     if edges[-1] <= 0.0:
@@ -574,11 +568,17 @@ def _integrate(f, breaks, tol):
             ratio = last / prev if prev > 0.0 else math.inf
             if last > 0.0 and (ratio >= 1.0 or last * ratio / (1.0 - ratio) > tol):
                 raise DivergentTail("integrand tail is not integrable at this tolerance")
+        if not (np.isfinite(fine).all() and np.isfinite(coarse).all()):
+            raise ToleranceNotMet(f"integrand is not finite on a panel in round {rounds}")
         ok = np.abs(fine - coarse) <= np.maximum(share, _ROUNDING * np.abs(fine))
         kept.append(fine[ok])
         if ok.all():
             break
         a, b, share = a[~ok], b[~ok], share[~ok]
+        if 2 * a.size > _MAX_PANELS:
+            raise ToleranceNotMet(
+                f"{a.size} quadrature panels still miss tol {tol:g}; halving them passes {_MAX_PANELS}"
+            )
         mid = 0.5 * (a + b)
         a, b, share = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(0.5 * share, 2)
     else:
@@ -761,7 +761,6 @@ def commensurateness_check(
     every draw, bit-identical to estimate_mc(market, mech_m_prime, extras,
     cfg).  A column with atoms raises AtomicDistribution before any draw.
     """
-    col_dists = _column_dists(market, extras_for_m_prime)
 
     def measure(values, outcomes, phi):
         (w_m, _), (w_p, price_p) = outcomes
@@ -772,7 +771,7 @@ def commensurateness_check(
         return _winner_virtual(phi, w_p[d], d), price_d[holds], price_p
 
     mechs = [(mech_m, market.n), (mech_m_prime, None)]
-    eq5, eq6, estimate = _run_streams(market, extras_for_m_prime, cfg, mechs, measure, col_dists)
+    eq5, eq6, estimate = _run_streams(market, extras_for_m_prime, cfg, mechs, measure, virtual=True)
     div_count = eq5.n_samples
     if 0 < div_count < _MIN_DIVERGENCE:
         raise InsufficientDivergenceSamples(

@@ -490,6 +490,18 @@ class TestCliCommands:
         where = f"mechanism.components[{len(components) - 1}]"
         assert captured.err == f"error: SchemaError: {where}: {message}\n"
 
+    def test_truncated_normal_without_mass_above_zero_exit_one(self, tmp_path, capsys):
+        # its cdf would be 0/0: refused as the scenario is parsed, not printed as nan
+        market = {
+            "components": [{"family": "truncated_normal", "mu": -0.38, "sigma": 0.01}],
+            "weights": [[1.0], [1.0]],
+        }
+        assert main(["simulate", self.write_scenario(tmp_path, scenario_text(market=market))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SchemaError: market.components[0]: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("key, value, path", MALFORMED, ids=[m[2] for m in MALFORMED])
     def test_malformed_field_exit_one(self, tmp_path, capsys, key, value, path):
         text = scenario_text(**{key: value})

@@ -488,6 +488,16 @@ def test_parameter_validation():
         Uniform(-1.0, 1.0)
 
 
+def test_truncated_normal_mass_above_zero_is_a_normal_float():
+    # Phi(-37.5) = 4.6e-308 is normal; Phi(-37.6) = 1.07e-309 and Phi(-38) are not
+    border = TruncatedNormal(-37.5, 1.0)
+    assert border._mass_above_zero >= sys.float_info.min
+    assert math.isfinite(border.cdf(38.0))
+    for mu, sigma in ((-37.6, 1.0), (-0.38, 0.01)):
+        with pytest.raises(ValueError, match="mass above zero"):
+            TruncatedNormal(mu, sigma)
+
+
 def test_scipy_special_loads_only_for_a_truncated_normal():
     code = (
         "import sys, auction_lab\n"

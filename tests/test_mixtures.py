@@ -19,6 +19,7 @@ from auction_lab import (
 )
 from auction_lab.errors import (
     AtomicDistribution,
+    IndexOutOfRange,
     IrregularComponentWarning,
     NegativeWeight,
     ProfileSpaceTooLarge,
@@ -65,6 +66,20 @@ class TestBuildMarket:
         m = build_market(UU, [[0.5, 0.5]])
         with pytest.raises(ValueError):
             m.weights[0, 0] = 0.9
+
+    def test_each_bidder_has_one_mixture(self):
+        m = build_market(UU, [[0.5, 0.5], [0.0, 1.0]])
+        for i in range(m.n):
+            assert m.bidder_mixture(i) is m.bidder_mixture(i)
+        assert m.bidder_mixture(0) is not m.bidder_mixture(1)
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_bidder_index_outside_the_market(self, i):
+        m = build_market(UU, [[0.5, 0.5], [0.0, 1.0]])
+        with pytest.raises(IndexOutOfRange, match=f"bidder {i} out of range for n=2"):
+            m.bidder_mixture(i)
+        with pytest.raises(IndexOutOfRange):
+            iron(m, i)
 
 
 class TestMixtureCdf:

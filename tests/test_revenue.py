@@ -158,11 +158,6 @@ def _masked_quantiles(components, coin, u):
     return values
 
 
-def mixtures_of(market):
-    """Each bidder's mixture, as `_run_streams` builds them for `_draw_market`."""
-    return [market.bidder_mixture(i) for i in range(market.n)]
-
-
 def _reference_draw_market(market, rng, size):
     """Independent oracle: per bidder, searchsorted coins then masked transforms."""
     coins = np.empty((size, market.n), dtype=np.int64)
@@ -244,7 +239,7 @@ class TestDrawMarket:
     def test_bit_identical_to_per_bidder_oracle(self, case):
         for j, market in enumerate(DRAW_MARKETS[case]):
             rng, ref_rng = substream(101, j), substream(101, j)
-            values = _draw_market(market, rng, 4_000, (), mixtures_of(market))
+            values = _draw_market(market, rng, 4_000, ())
             _, ref_values = _reference_draw_market(market, ref_rng, 4_000)
             assert values.flags.f_contiguous, "the kernels sweep contiguous columns"
             assert values.tobytes() == ref_values.tobytes(), f"market {j}"
@@ -321,7 +316,7 @@ class TestDrawMarket:
         market = DRAW_MARKETS["mixtures"][1]
         extras = (ComponentExtra(0), DeterministicExtra(2.5))
         rng, ref_rng = substream(9, 0), substream(9, 0)
-        values = _draw_market(market, rng, 500, extras, mixtures_of(market))
+        values = _draw_market(market, rng, 500, extras)
         _, ref_values = _reference_draw_market(market, ref_rng, 500)
         extra = market.components[0]._quantile(ref_rng.random(500))
         assert values[:, : market.n].tobytes() == ref_values.tobytes()
@@ -390,7 +385,7 @@ class TestPinnedMixture:
         mixtures = MyersonRegular(tuple(market.bidder_mixture(i) for i in range(market.n)))
         cfg = EstimatorConfig(seed=17, n_samples=20_000, n_streams=2)
         assert estimate_mc(market, mixtures, (), cfg) == estimate_mc(market, laws, (), cfg)
-        values = _draw_market(market, substream(17, 0), 5_000, (), mixtures_of(market))
+        values = _draw_market(market, substream(17, 0), 5_000, ())
         for got, want in zip(allocate(mixtures, values), allocate(laws, values)):
             assert got.tobytes() == want.tobytes()
 
@@ -853,6 +848,31 @@ class TestQuadrature:
         assert _integrate(lambda z: (1.0 + z) ** -1.5, [0.0], 1e-6) == pytest.approx(2.0, abs=1e-6)
         with pytest.raises(DivergentTail):
             _integrate(lambda z: (1.0 + z) ** -1.5, [0.0], 1e-10)
+
+    def test_non_finite_integrand_is_refused_in_round_zero(self):
+        calls = []
+
+        def nan(z):
+            calls.append(z.size)
+            return np.full(z.shape, np.nan)
+
+        with pytest.raises(ToleranceNotMet, match="not finite"):
+            _integrate(nan, [0.0], 1e-6)
+        assert len(calls) == 1
+
+    def test_unresolved_integrand_stops_at_the_panel_budget(self):
+        # a million radians on [0, 1] needs about 2**15 panels; the budget is 4096
+        def fast(z):
+            return np.where(z <= 1.0, np.sin(1e6 * z), 0.0)
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ToleranceNotMet, match="passes 4096"):
+                _integrate(fast, [0.0, 1.0], 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000
 
 
 class TestPostedAndTwoPointExact:
@@ -1339,16 +1359,14 @@ class TestParallelStreams:
         assert sorted(measured) == [0, 1]
 
 
-def whole_streams(market, extras, cfg, mechs, measure, laws=None):
+def whole_streams(market, extras, cfg, mechs, measure, virtual=False):
     """`_run_streams` evaluated a stream at a time, each stream whole from
     substream(seed, s), every mechanism through `allocate`."""
     base, rem = divmod(cfg.n_samples, cfg.n_streams)
     merged = None
     for s in range(min(cfg.n_streams, cfg.n_samples)):
-        values = _draw_market(
-            market, substream(cfg.seed, s), base + (s < rem), extras, mixtures_of(market)
-        )
-        phi = None if laws is None else _virtual_matrix(values, laws)
+        values = _draw_market(market, substream(cfg.seed, s), base + (s < rem), extras)
+        phi = _virtual_matrix(values, _column_laws(market, extras)) if virtual else None
         outcomes = [allocate(mech, values[:, :columns]) for mech, columns in mechs]
         stats = [_stream_stats(x) for x in measure(values, outcomes, phi)]
         merged = stats if merged is None else list(map(_merge_stats, merged, stats))
@@ -1414,17 +1432,19 @@ class TestBlocks:
             pieces = []
             for rows in (64, size - 64):
                 stream.rewind()
-                pieces.append(_draw_market(market, stream, rows, (), mixtures_of(market)).copy())
+                pieces.append(_draw_market(market, stream, rows, ()).copy())
             assert np.concatenate(pieces).tobytes() == expect.tobytes(), f"market {j}"
 
-    def test_an_estimate_builds_each_bidders_mixture_once(self, monkeypatch):
-        # 4 streams of 50 rows in blocks of 7 draw 32 blocks from 3 bidders
-        market, built = self.MIXED, []
-        bidder_mixture = type(market).bidder_mixture
-        monkeypatch.setattr(type(market), "bidder_mixture", lambda m, i: built.append(i) or bidder_mixture(m, i))
+    def test_an_estimate_builds_no_mixture(self, monkeypatch):
+        # every block of every stream draws through the market's own mixtures
+        built = []
+        init = MixtureDistribution.__init__
+        monkeypatch.setattr(MixtureDistribution, "__init__", lambda m, *a: built.append(m) or init(m, *a))
         monkeypatch.setattr(revenue_mod, "_BLOCK_ROWS", 7)
-        estimate_mc(market, SecondPrice(), self.MIXED_EXTRAS, EstimatorConfig(seed=3, n_samples=200, n_streams=4))
-        assert built == [0, 1, 2]
+        # estimate_mc, virtual_surplus_gap and commensurateness_check, as in
+        # test_blocks_keep_every_bit's 6 streams of 50 rows
+        self.results(EstimatorConfig(seed=97, n_samples=300, n_streams=6))
+        assert built == []
 
     def test_a_pinned_bidders_coin_column_builds_no_generator(self):
         # uniform columns: bidder 0's coins (0) and values (1), the pinned
@@ -1434,7 +1454,7 @@ class TestBlocks:
         stream = revenue_mod._BlockStream(substream(5, 0), 20, work)
         for rows in (7, 7, 6):
             stream.rewind()
-            _draw_market(market, stream, rows, extras, mixtures_of(market))
+            _draw_market(market, stream, rows, extras)
         assert sorted(stream._columns) == [0, 1, 3, 5, 6, 7]
 
 
