@@ -237,7 +237,8 @@ _COMMANDS = {
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+    # one write: `print` writes the newline apart, and two workers' lines interleave
+    sys.stderr.write(f"warning: {category.__name__}: {message}\n")
 
 
 def main(argv=None) -> int:

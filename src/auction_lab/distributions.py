@@ -15,14 +15,15 @@ Conventions
   truncation point has to be chosen in value space.
 * All distribution objects are immutable and safe to share across workers.
   Sampling requires an explicit stream (see streams.substream).
-* Families implement array-in/array-out primitives (`_cdf`, `_quantile`,
-  ...).  Only the public methods of the Distribution base convert the
-  argument, check quantile and survival levels, and return float for a
-  scalar argument.
-* The quantile and the inverse hazard (1 - F)/f come in pairs,
-  `_quantile`/`_quantile_into` and `_mills`/`_mills_into`: a family
-  defines one of each pair and the base derives the other with the same
-  bits.  `_virtual_into(x, out)` writes phi = x - (1 - F)/f into `out`
+* Families implement array-in/array-out primitives (`_cdf`,
+  `_quantile_into`, ...).  Only the public methods of the Distribution
+  base convert the argument, check quantile and survival levels, and
+  return float for a scalar argument.
+* The quantile and the inverse hazard (1 - F)/f each have one primitive,
+  `_quantile_into(q, out)` and `_mills_into(x, out)`, which write into
+  `out`; `_quantile` and `_mills` are the base's wrappers on a fresh array.
+  Every family defines `_quantile_into`; `_mills_into` defaults to the ratio
+  S/f.  `_virtual_into(x, out)` writes phi = x - (1 - F)/f into `out`
   through `_mills_into`, and `_virtual_unchecked` is that on a fresh array,
   so no family writes phi itself.
 
@@ -102,12 +103,11 @@ class Distribution:
 
     The public methods are the only place an argument is converted, a level
     is checked, or a scalar result becomes float.  Families implement the
-    array primitives `_cdf`, `_pdf`, one of `_quantile` and `_quantile_into`
-    (plus `_cdf_left` with atoms, `_survival`/`_survival_quantile` to stay
-    exact in the tail, one of `_mills` and `_mills_into` where the ratio S/f
-    loses the tail or a chain of ufuncs writes it in place, and
-    `_virtual_inverse` when regular) on float arrays whose levels are
-    already checked.
+    array primitives `_cdf`, `_pdf` and `_quantile_into` (plus `_cdf_left`
+    with atoms, `_survival`/`_survival_quantile` to stay exact in the tail,
+    `_mills_into` where the ratio S/f loses the tail or a chain of ufuncs
+    writes it in place, and `_virtual_inverse` when regular) on float arrays
+    whose levels are already checked.
     """
 
     #: set by subclasses
@@ -171,11 +171,8 @@ class Distribution:
         return self._quantile_into(q, np.empty(np.shape(q)))
 
     def _quantile_into(self, q, out):
-        """`_quantile(q)` written into `out` with the same bits.  A family
-        defines one of the two: the other comes from it here, and one whose
-        quantile is a chain of ufuncs writes it into `out` with no temporary."""
-        out[...] = self._quantile(q)
-        return out
+        """The quantile of `q` written into `out`, which may be `q` itself."""
+        raise NotImplementedError
 
     def _survival_quantile(self, q):
         return self._quantile(1.0 - q)
@@ -185,13 +182,9 @@ class Distribution:
         return self._mills_into(x, np.empty(np.shape(x)))
 
     def _mills_into(self, x, out):
-        """`_mills(x)` written into `out` with the same bits.  A family
-        defines one of the two, like `_quantile` and `_quantile_into`, or
-        neither for the ratio S/f."""
-        if type(self)._mills is Distribution._mills:
-            return np.divide(self._survival(x), self._pdf(x), out=out)
-        out[...] = self._mills(x)
-        return out
+        """The ratio S/f written into `out`; a family where it loses the
+        tail overrides this."""
+        return np.divide(self._survival(x), self._pdf(x), out=out)
 
     def _virtual_into(self, x, out):
         """phi(x) = x - mills(x) written into `out`, which must not overlap `x`."""
@@ -519,8 +512,8 @@ class EqualRevenue(Distribution):
     def _pdf(self, x):
         return np.where(x < 0.0, 0.0, (np.maximum(x, 0.0) + 1.0) ** -2.0)
 
-    def _quantile(self, q):
-        return q / (1.0 - q)
+    def _quantile_into(self, q, out):
+        return np.divide(q, 1.0 - q, out=out)
 
     def _survival(self, x):
         return 1.0 / (np.maximum(x, 0.0) + 1.0)
@@ -598,31 +591,33 @@ class TruncatedNormal(Distribution):
 
         return np.maximum(self.mu - self.sigma * ndtri(q * self._mass_above_zero), 0.0)
 
-    def _quantile(self, q):
+    def _quantile_into(self, q, out):
         from scipy.special import ndtr, ndtri
 
         # invert ndtr on the side where its argument is at most 1/2: past
-        # that, the cdf side keeps too few digits of the gap to 1
+        # that, the cdf side keeps too few digits of the gap to 1.  `out` may
+        # be `q`, so q is read in full before the one write.
         lower = ndtr(-self.mu / self.sigma) + q * self._mass_above_zero
         low = np.maximum(self.mu + self.sigma * ndtri(np.minimum(lower, 0.5)), 0.0)
         x = np.where(lower > 0.5, self._survival_quantile(1.0 - q), low)
-        if self.mu > 0.0:
-            return x
-        # for mu <= 0 that is mu minus a number near mu, so a small quantile
-        # keeps few digits; one Newton step on _cdf, accurate there, restores
-        # them.  Above the median F(x) - q keeps only absolute digits, so the
-        # survival form stands.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            polished = np.maximum(x - (self._cdf(x) - q) / self._pdf(x), 0.0)
-        return np.where(q <= 0.5, polished, x)
+        if self.mu <= 0.0:
+            # that is mu minus a number near mu, so a small quantile keeps few
+            # digits; one Newton step on _cdf, accurate there, restores them.
+            # Above the median F(x) - q keeps only absolute digits, so the
+            # survival form stands.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                polished = np.maximum(x - (self._cdf(x) - q) / self._pdf(x), 0.0)
+            x = np.where(q <= 0.5, polished, x)
+        out[...] = x
+        return out
 
-    def _mills(self, x):
+    def _mills_into(self, x, out):
         from scipy.special import erfcx
 
         # S/f is sigma times the normal Mills ratio Q(z)/pdf(z) = sqrt(pi/2)
         # erfcx(z/sqrt 2); formed as a ratio it is 0/0 beyond z ~ 37
         z = (x - self.mu) / self.sigma
-        return self.sigma * (math.sqrt(0.5 * math.pi) * erfcx(z / math.sqrt(2.0)))
+        return np.multiply(self.sigma, math.sqrt(0.5 * math.pi) * erfcx(z / math.sqrt(2.0)), out=out)
 
     def _virtual_inverse(self, y):
         # phi(x) >= x - sigma sqrt(pi/2) for x >= max(mu, 0), so phi > y at
@@ -663,8 +658,9 @@ class PointMass(Distribution):
     def _pdf(self, x):
         raise AtomicDistribution("PointMass has no density")
 
-    def _quantile(self, q):
-        return np.full(np.shape(q), self.v)
+    def _quantile_into(self, q, out):
+        out[...] = self.v
+        return out
 
     def _atom_monopoly_reserve(self):
         return self.v
@@ -703,8 +699,9 @@ class TwoPoint(Distribution):
     def _pdf(self, x):
         raise AtomicDistribution("TwoPoint has no density")
 
-    def _quantile(self, q):
-        return np.where(q > 1.0 - self.p_hi, self.v_hi, self.v_lo)
+    def _quantile_into(self, q, out):
+        out[...] = np.where(q > 1.0 - self.p_hi, self.v_hi, self.v_lo)
+        return out
 
     def _atom_monopoly_reserve(self):
         # tie goes to the lower price (same revenue, weakly more sales)

@@ -120,8 +120,8 @@ class MixtureDistribution(Distribution):
     """
 
     _LONE_PRIMITIVES = (
-        "_cdf", "_cdf_left", "_survival", "_mills", "_mills_into",
-        "_quantile", "_quantile_into", "_survival_quantile", "_virtual_inverse",
+        "_cdf", "_cdf_left", "_survival", "_mills_into",
+        "_quantile_into", "_survival_quantile", "_virtual_inverse",
     )
 
     def __init__(self, components, weights):
@@ -178,8 +178,9 @@ class MixtureDistribution(Distribution):
     def _survival_quantile(self, q):
         return self._invert("_survival_quantile", q, lambda mid: self._survival(mid) > q)
 
-    def _quantile(self, q):
-        return self._invert("_quantile", q, lambda mid: self._cdf(mid) < q)
+    def _quantile_into(self, q, out):
+        out[...] = self._invert("_quantile", q, lambda mid: self._cdf(mid) < q)
+        return out
 
     def sample(self, stream, size=None):
         """Two-stage draw; marginal law equals the mixture cdf."""

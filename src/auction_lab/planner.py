@@ -18,10 +18,9 @@ Monte Carlo price of a plan, takes an EstimatorConfig.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .distributions import _require_regular, hr_crossing
 from .errors import (
@@ -38,7 +37,7 @@ from .mechanisms import (
     SecondPriceAnonymousReserve,
     SecondPriceSubsetReserve,
 )
-from .mixtures import MarketModel, _coin_rule
+from .mixtures import MarketModel
 from .revenue import (
     ComponentExtra,
     EstimatorConfig,
@@ -47,7 +46,6 @@ from .revenue import (
     estimate_mc,
     expected_revenue_quadrature,
 )
-from .streams import substream
 
 __all__ = [
     "Assumption",
@@ -375,21 +373,22 @@ def guarantee_factor(plan: AugmentationPlan) -> float:
     return plan.guarantee_factor
 
 
-def coverage_probability(probs, n_draws: int, n_trials: int, seed: int):
-    """MC estimate that n_draws mixture coins hit every component.
+def coverage_probability(probs, n_draws: int) -> float:
+    """Probability that n_draws mixture coins hit every component.
 
-    Returns (p_hat, std_err).  This is the coupon-collector event behind the
-    non-targeted count n*.
+    This is the coupon-collector event behind the non-targeted count n*,
+    exact by inclusion-exclusion over the sets S of components missed:
+    sum_S (-1)^|S| (1 - sum_{t in S} p_t)^n_draws.  `math.fsum` cancels the
+    terms of a zero-weight component, which pair off bit for bit, to 0; the
+    rounded powers can still move the sum by about 1e-15, so it is clamped
+    to [0, 1].
     """
-    probs = np.asarray(probs, dtype=float)
-    rng = substream(seed, 0)
-    coins = _coin_rule(np.cumsum(probs), rng.random((n_trials, n_draws)))
-    covered = np.ones(n_trials, dtype=bool)
-    for t in range(len(probs)):
-        covered &= (coins == t).any(axis=1)
-    p_hat = float(covered.mean())
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_trials)
-    return p_hat, se
+    total = math.fsum(
+        (-1) ** size * (1.0 - sum(missed)) ** n_draws
+        for size in range(len(probs) + 1)
+        for missed in itertools.combinations(probs, size)
+    )
+    return min(max(total, 0.0), 1.0)
 
 
 def evaluate_plan(

@@ -1,6 +1,7 @@
 """Scenario parsing, report emission, CLI subcommands and exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -21,7 +22,7 @@ from auction_lab import (
     run_experiment,
     select_anonymous_reserve,
 )
-from auction_lab.cli import main
+from auction_lab.cli import _show_warning, main
 from auction_lab.errors import SchemaError, UnknownExperiment
 from auction_lab.reports import CSV_COLUMNS
 
@@ -569,6 +570,18 @@ class TestCliCommands:
             "warning: IrregularComponentWarning: component 1 (PowerLaw(0.4)) "
             "fails the regularity grid check\n"
         )
+
+    def test_a_warning_is_one_write(self, monkeypatch):
+        # stream workers may warn at once: a line written in two pieces interleaves
+        writes = []
+
+        class FakeStderr:
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr(sys, "stderr", FakeStderr())
+        _show_warning("invalid value", RuntimeWarning, "revenue.py", 1)
+        assert writes == ["warning: RuntimeWarning: invalid value\n"]
 
     def test_sample_reserve_report_pinned(self, tmp_path, capsys):
         # the reserve's two draws follow a component extra and a value extra;

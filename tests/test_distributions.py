@@ -26,6 +26,7 @@ from auction_lab import (
     regularity_check,
     substream,
 )
+from auction_lab.distributions import Distribution
 from auction_lab.errors import (
     AtomicDistribution,
     DisjointSupports,
@@ -194,6 +195,24 @@ class TestLawContract:
                 d.quantile(bad)
             with pytest.raises(ValueError):
                 d.quantile(np.array([0.5, bad]))
+
+    def test_each_law_quantity_has_one_primitive(self):
+        # a family writes its quantile and inverse hazard into `out`;
+        # `_quantile` and `_mills` are the base's allocating wrappers
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        families = {c for c in subclasses(Distribution) if c.__module__.startswith("auction_lab.")}
+        assert {c.__name__ for c in families} == {
+            "Uniform", "Exponential", "PowerLaw", "EqualRevenue", "TruncatedNormal",
+            "PointMass", "TwoPoint", "MixtureDistribution",
+        }
+        for cls in families:
+            assert "_quantile_into" in vars(cls), cls.__name__
+            assert not {"_quantile", "_mills"} & vars(cls).keys(), cls.__name__
+        assert not {"_quantile", "_mills"} & set(MixtureDistribution._LONE_PRIMITIVES)
 
 
 class TestHazardVirtual:

@@ -1,5 +1,6 @@
 """Augmentation recipes: factors, counts, preconditions, coverage."""
 
+import itertools
 import math
 import warnings
 
@@ -282,13 +283,36 @@ class TestCoverage:
     def test_coupon_collector_bound(self):
         k, delta = 4, 0.2
         n_star, _, _, _ = nontargeted_counts(k, delta)
-        p_hat, se = coverage_probability((0.2, 0.2, 0.2, 0.4), n_star, 100_000, seed=5)
-        assert p_hat >= 1.0 - 1.0 / (k + 1) - 3.0 * se
+        assert coverage_probability((0.2, 0.2, 0.2, 0.4), n_star) >= 1.0 - 1.0 / (k + 1)
 
     def test_coverage_increases_with_draws(self):
-        lo, _ = coverage_probability((0.5, 0.5), 2, 50_000, seed=7)
-        hi, _ = coverage_probability((0.5, 0.5), 8, 50_000, seed=7)
-        assert hi > lo
+        assert coverage_probability((0.5, 0.5), 8) > coverage_probability((0.5, 0.5), 2)
+
+    @pytest.mark.parametrize(
+        "probs, n_draws",
+        [
+            ((0.5, 0.5), 0),
+            ((0.5, 0.5), 2),
+            ((0.2, 0.3, 0.5), 4),
+            ((0.1, 0.2, 0.3, 0.4), 5),
+            ((0.6, 0.0, 0.4), 3),
+            ((1.0,), 3),
+        ],
+    )
+    def test_matches_enumeration_of_coin_sequences(self, probs, n_draws):
+        # the probability of every one of the k**n coin sequences that names each component
+        k = len(probs)
+        expect = sum(
+            math.prod(probs[t] for t in coins)
+            for coins in itertools.product(range(k), repeat=n_draws)
+            if len(set(coins)) == k
+        )
+        assert coverage_probability(probs, n_draws) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("probs", [(0.6, 0.0, 0.4), (0.1, 0.0, 0.2, 0.7)])
+    def test_a_zero_weight_component_is_never_covered(self, probs):
+        # a plain running sum of the terms reads -5.6e-17 and 2.2e-16 at n = 3
+        assert all(coverage_probability(probs, n) == 0.0 for n in (0, 1, 3, 10, 15))
 
 
 class TestEvaluatePlan:

@@ -216,11 +216,14 @@ DRAW_FAMILIES = {
     "mixture": NESTED,
 }
 
-# the sweep families' quantiles as allocating expressions, in the same operation order
-SWEEP_QUANTILES = {
+# closed-form quantiles as allocating expressions, in the same operation order
+CLOSED_FORM_QUANTILES = {
     "uniform": lambda d, q: d.a + q * (d.b - d.a),
     "exponential": lambda d, q: -np.log1p(-q) / d.lam,
     "power_law": lambda d, q: (1.0 - q) ** (-1.0 / d.alpha),
+    "equal_revenue": lambda d, q: q / (1.0 - q),
+    "point_mass": lambda d, q: np.full(q.shape, d.v),
+    "two_point": lambda d, q: np.where(q > 1.0 - d.p_hi, d.v_hi, d.v_lo),
 }
 
 
@@ -279,8 +282,8 @@ class TestDrawMarket:
         u = np.array([0.0, np.nextafter(1.0, 0.0), *substream(3, 0).random(62)])
         for rows in (u.size, 37):
             expect = np.asarray(dist._quantile(u[:rows]), dtype=float).tobytes()
-            if family in SWEEP_QUANTILES:
-                assert SWEEP_QUANTILES[family](dist, u[:rows]).tobytes() == expect
+            if family in CLOSED_FORM_QUANTILES:
+                assert CLOSED_FORM_QUANTILES[family](dist, u[:rows]).tobytes() == expect
             buffer = np.full(u.size, np.nan)
             assert dist._quantile_into(u[:rows], buffer[:rows]).tobytes() == expect
             assert buffer[:rows].tobytes() == expect
