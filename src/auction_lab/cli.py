@@ -150,7 +150,7 @@ def _cmd_plan(args) -> int:
     market = config.market
     cfg = config.estimator
     records = []
-    # each recipe is skipped on its own preconditions only
+    # a recipe is skipped on its own preconditions, or in its place when its evidence raises
     plans = []
     for strategy, fn in RECIPES:
         try:
@@ -158,7 +158,11 @@ def _cmd_plan(args) -> int:
         except AuctionLabError as exc:
             records.append({"strategy": strategy, "skipped": f"{type(exc).__name__}: {exc}"})
     for plan in plans:
-        evidence = evaluate_plan(market, plan, cfg)
+        try:
+            evidence = evaluate_plan(market, plan, cfg)
+        except AuctionLabError as exc:
+            records.append({"strategy": plan.strategy, "skipped": f"{type(exc).__name__}: {exc}"})
+            continue
         subset = getattr(plan.mechanism, "subset", None)
         records.append(
             {
@@ -190,15 +194,9 @@ def _cmd_check_hr(args) -> int:
     # the certificate draws nothing, so a missing seed is no error: 0 stands in
     config = parse_scenario(_read_scenario(args), default_seed=0)
     comps = config.market.components
-    matrix = []
-    for i in range(len(comps)):
-        row = []
-        for j in range(len(comps)):
-            if i == j:
-                row.append(True)
-            else:
-                row.append(hr_crossing(comps[i], comps[j]) is None)
-        matrix.append(row)
+    matrix = [
+        [i == j or hr_crossing(a, b) is None for j, b in enumerate(comps)] for i, a in enumerate(comps)
+    ]
     record = {
         "components": [str(c) for c in comps],
         "dominates": matrix,

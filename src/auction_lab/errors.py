@@ -75,7 +75,7 @@ class NoVirtualInverse(AuctionLabError):
 # --- revenue estimation ----------------------------------------------------
 
 class DivergentTail(AuctionLabError):
-    """The tail of an integral (revenue survival, benchmark) leaves more than tol beyond its last panel."""
+    """An integral's tail outlasts tol past its last panel, or an MC mean or std_err is not finite."""
 
 
 class ToleranceNotMet(AuctionLabError):

@@ -17,16 +17,16 @@ Three estimation routes:
   column's generator starts at that column's own first draw.
   `estimate_mc` measures prices, `virtual_surplus_gap` price minus the
   winner's virtual value and `commensurateness_check` the two
-  commensurateness inequalities plus the price of M'.  The two virtual
-  value measures compute each stream's phi matrix once and share it with
-  every MyersonRegular over the column laws (`_column_laws`, where a pinned
-  bidder's column has its component's law), which then skips building its
-  own.  A stream reduces to (n, mean, M2) by a shifted two-pass, and
-  streams merge in index order with the Chan-Golub-LeVeque pairwise
-  update, so a result is bit-identical for a fixed (seed, n_samples,
-  n_streams) whatever else shares the draws.  The streams run at once on
-  one thread per CPU the process may use, which changes the time and no bit
-  of the result.
+  commensurateness inequalities of M' against M, Myerson's auction over
+  the bidders' laws, plus the price of M'.  The two virtual value measures
+  compute each stream's phi matrix once and share it with every
+  MyersonRegular over the column laws (`_column_laws`, where a pinned
+  bidder's column has its component's law).  A stream reduces to (n, mean,
+  M2) by a shifted two-pass, and streams merge in index order with the
+  Chan-Golub-LeVeque pairwise update, so a result is bit-identical for a
+  fixed (seed, n_samples, n_streams) whatever else shares the draws.  The
+  streams run at once on one thread per CPU the process may use, which
+  changes the time and no bit of the result.
 * Exact formulas for posted prices (`posted_sequence_revenue_exact`,
   `best_posted_ladder_two_point`).
 * Quadrature (`expected_revenue_quadrature`) of P(second-highest > z), the
@@ -72,6 +72,7 @@ from .mechanisms import (
     PostedSequence,
     _check_indices,
     _myerson_batch,
+    _top_two,
     _virtual_matrix,
     allocate,
 )
@@ -281,8 +282,10 @@ def _merge_stats(a, b):
 
 def _as_estimate(stats) -> RevenueEstimate:
     n, mean, m2 = stats
-    var = m2 / (n - 1) if n > 1 else 0.0
-    return RevenueEstimate(mean=mean, std_err=math.sqrt(var / max(n, 1)), n_samples=n, method="mc")
+    std_err = math.sqrt((m2 / (n - 1) if n > 1 else 0.0) / max(n, 1))
+    if not (math.isfinite(mean) and math.isfinite(std_err)):
+        raise DivergentTail(f"Monte Carlo mean {mean:g} with std_err {std_err:g} is not finite")
+    return RevenueEstimate(mean=mean, std_err=std_err, n_samples=n, method="mc")
 
 
 def _prices_on_laws(mech, laws):
@@ -307,9 +310,8 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, virtual=False
     its rows of each uniform column from that column's generator, so
     `_draw_market` fills it with the rows a whole-stream draw would.  A
     worker's blocks all draw into one `_Workspace`, so what a measure
-    returns must not be a view of `values`.  On each block, each (mechanism,
-    columns) pair of `mechs` runs through `allocate` on the first `columns`
-    value columns (None: all).
+    returns must not be a view of `values`.  On each block, each mechanism
+    of `mechs` runs through `allocate` on every value column.
     With `virtual`, each block's phi matrix over the column laws
     (`_column_laws`) is computed once: every MyersonRegular over those laws
     is priced on it, and the measure reads it; a column with atoms then
@@ -337,7 +339,7 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, virtual=False
         for j, d in enumerate(laws):
             if not d.is_continuous:
                 raise AtomicDistribution(f"column {j} ({d}) has atoms; virtual values need a density")
-    shares = [virtual and _prices_on_laws(m, laws[:columns]) for m, columns in mechs]
+    shares = [virtual and _prices_on_laws(m, laws) for m in mechs]
     base, rem = divmod(cfg.n_samples, cfg.n_streams)
     nonempty = min(cfg.n_streams, cfg.n_samples)  # streams 0 .. nonempty - 1 have samples
     w = min(_cpu_count(), nonempty)
@@ -359,12 +361,10 @@ def _run_streams(market: MarketModel, extras, cfg, mechs, measure, virtual=False
         stream.rewind()
         values = _draw_market(market, stream, rows, extras)
         phi = _virtual_matrix(values, laws) if virtual else None
-        outcomes = []
-        for (mech, columns), shared in zip(mechs, shares):
-            if shared:
-                outcomes.append(_myerson_batch(values[:, :columns], mech.dists, phi[:, :columns]))
-            else:
-                outcomes.append(allocate(mech, values[:, :columns]))
+        outcomes = [
+            _myerson_batch(values, mech.dists, phi) if shared else allocate(mech, values)
+            for mech, shared in zip(mechs, shares)
+        ]
         return measure(values, outcomes, phi)
 
     def work(k):
@@ -422,7 +422,7 @@ def estimate_mc(
     def prices(values, outcomes, phi):
         return [price for _, price in outcomes]
 
-    return _run_streams(market, extras, cfg, [(mech, None)], prices)[0]
+    return _run_streams(market, extras, cfg, [mech], prices)[0]
 
 
 def _winner_virtual(phi, winner, rows):
@@ -451,7 +451,7 @@ def virtual_surplus_gap(
         rows = np.arange(values.shape[0])
         return [price - _winner_virtual(phi, winner, rows) for winner, price in outcomes]
 
-    return _run_streams(market, extras, cfg, [(m, None) for m in mechs], measure, virtual=True)
+    return _run_streams(market, extras, cfg, mechs, measure, virtual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +703,7 @@ def approximation_ratio(opt: RevenueEstimate, simple: RevenueEstimate) -> RatioE
 
 @dataclass(frozen=True)
 class CommensuratenessReport:
-    """MC evidence for the two commensurateness inequalities.
+    """MC evidence for M' against M, Myerson's auction over the bidders' laws.
 
     eq5: E[phi_{W'}(v_{W'}) | W' != W] >= 0, estimated with its standard
          error over the divergence samples.
@@ -745,32 +745,35 @@ _MIN_DIVERGENCE = 100
 
 def commensurateness_check(
     market: MarketModel,
-    mech_m,
     mech_m_prime,
     extras_for_m_prime=(),
     cfg: EstimatorConfig = None,
 ) -> CommensuratenessReport:
-    """Measure whether M' is commensurate with M on this market.
+    """Measure whether M' is commensurate with M, Myerson's auction over the
+    bidders' laws, which refuses what MyersonRegular refuses before any draw.
 
-    One `_run_streams` pass runs M on the n original columns and M' on
-    those plus the extras: common random numbers, because the inequalities
-    are per-draw couplings.  On the samples whose winners diverge
-    (conditioning by rejection) the measure keeps phi of W' (eq5) and
-    whether eq6 holds; fewer than 100 of them, but more than zero, raises
-    InsufficientDivergenceSamples.  `estimate` is the price of M' over
-    every draw, bit-identical to estimate_mc(market, mech_m_prime, extras,
+    One `_run_streams` pass runs M' on the bidders and its extras (common
+    random numbers: the inequalities are per-draw couplings) and reads M's
+    winner W off the shared phi, pricing no M.  On the samples whose winners
+    diverge (conditioning by rejection) the measure keeps phi of W' (eq5)
+    and whether eq6 holds; fewer than 100 of them, but more than zero,
+    raises InsufficientDivergenceSamples.  `estimate`, M''s price over every
+    draw, is bit-identical to estimate_mc(market, mech_m_prime, extras,
     cfg).  A column with atoms raises AtomicDistribution before any draw.
     """
+    MyersonRegular(tuple(_column_laws(market, extras_for_m_prime)[: market.n]))  # M refuses before any draw
 
     def measure(values, outcomes, phi):
-        (w_m, _), (w_p, price_p) = outcomes
+        ((w_p, price_p),) = outcomes
+        best, top, _ = _top_two(phi[:, : market.n])
+        w_m = np.where(top >= 0.0, best, -1)
         d = np.flatnonzero(w_p != w_m)
         price_d = price_p[d]
         holds = price_d >= _winner_virtual(phi, w_m[d], d) - _EQ6_TOL
         # eq6 is a count: its output has one sample per divergence where it holds
         return _winner_virtual(phi, w_p[d], d), price_d[holds], price_p
 
-    mechs = [(mech_m, market.n), (mech_m_prime, None)]
+    mechs = [mech_m_prime]
     eq5, eq6, estimate = _run_streams(market, extras_for_m_prime, cfg, mechs, measure, virtual=True)
     div_count = eq5.n_samples
     if 0 < div_count < _MIN_DIVERGENCE:

@@ -752,6 +752,49 @@ class TestCliCommands:
         assert skipped["skipped"].startswith("InvalidDelta: ")
         assert "targeted_per_component" in {r["strategy"] for r in records}
 
+    # three i.i.d. PowerLaw bidders whose sample means have no finite value
+    HEAVY = {
+        "second_price": ({"kind": "second_price"}, 0.01, 4000),
+        "subset_reserve": ({"kind": "second_price_subset_reserve", "subset": [0]}, 1e-09, 1),
+    }
+
+    def write_heavy(self, tmp_path, case):
+        mechanism, alpha, samples = self.HEAVY[case]
+        market = {
+            "components": [{"family": "power_law", "alpha": alpha}],
+            "iid": True,
+            "weights": [1.0],
+            "n": 3,
+        }
+        doc = dict(MINIMAL, market=market, mechanism=mechanism, estimator={"seed": 7, "n_samples": samples})
+        return self.write_scenario(tmp_path, json.dumps(doc))
+
+    # the draws overflow to inf: let numpy's RuntimeWarnings print as warning lines
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(HEAVY))
+    def test_simulate_non_finite_mean_exit_one(self, tmp_path, capsys, case):
+        assert main(["simulate", self.write_heavy(tmp_path, case)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        errors = [l for l in lines if not l.startswith("warning: ")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: DivergentTail: Monte Carlo mean ")
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_plan_skips_evidence_that_is_not_finite(self, tmp_path, capsys):
+        assert main(["plan", self.write_heavy(tmp_path, "second_price")]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        records = [json.loads(l, parse_constant=refuse) for l in capsys.readouterr().out.splitlines()]
+        assert len(records) == 8
+        skipped = {r["strategy"]: r["skipped"] for r in records[-3:]}
+        assert sorted(skipped) == ["no_reserve", "random_subset_reserve", "sample_reserve"]
+        for reason in skipped.values():
+            assert reason.startswith("DivergentTail: Monte Carlo mean ")
+
 
 class TestReproducibility:
     def test_reproduce_byte_identical(self):

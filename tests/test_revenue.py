@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from unittest import mock
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from auction_lab import (
+    CommensuratenessReport,
     ComponentExtra,
     DeterministicExtra,
     EqualRevenue,
@@ -63,6 +65,7 @@ from auction_lab.errors import (
     IndexOutOfRange,
     InsufficientDivergenceSamples,
     IrregularComponent,
+    IrregularComponentWarning,
     NegativeReserve,
     NoVirtualInverse,
     SupremumNotAttained,
@@ -125,7 +128,8 @@ class TestEstimateMC:
         calls = [
             lambda: estimate_mc(market, SecondPrice(), extras, cfg),
             lambda: virtual_surplus_gap(market, [SecondPrice()], extras, cfg),
-            lambda: commensurateness_check(market, SecondPrice(), SecondPrice(), extras, cfg),
+            # the extras are checked before M refuses these mixed bidders
+            lambda: commensurateness_check(market, SecondPrice(), extras, cfg),
         ]
         for call in calls:
             with pytest.raises(IndexOutOfRange, match=f"component index {index} ") as err:
@@ -480,6 +484,13 @@ class TestStreamReduction:
         parts = np.split(np.full(n, value), sorted(min(c, n) for c in cuts))
         est = _as_estimate(functools.reduce(_merge_stats, map(_stream_stats, parts)))
         assert est.std_err == 0.0 and est.mean == value and est.n_samples == n
+
+    @pytest.mark.parametrize(
+        "stats", [(4000, 9.9e206, math.inf), (1, math.nan, 0.0), (2, math.inf, 0.0)], ids=str
+    )
+    def test_a_mean_or_std_err_not_finite_is_a_divergent_tail(self, stats):
+        with pytest.raises(DivergentTail, match="is not finite"):
+            _as_estimate(stats)
 
     def test_constant_prices_end_to_end(self):
         market = build_market((PointMass(0.1),), [[1.0], [1.0]])
@@ -1079,59 +1090,101 @@ class TestCommensurateness:
 
     def test_lemma_instance_verdicts(self):
         market = self.lemma_market()
-        mech_m = MyersonRegular((Uniform(0, 1), Uniform(0, 2), Uniform(0, 1)))
         extras = (ComponentExtra(0), ComponentExtra(1))
         cfg = EstimatorConfig(seed=47, n_samples=200_000)
-        rep = commensurateness_check(market, mech_m, SecondPrice(), extras, cfg)
+        rep = commensurateness_check(market, SecondPrice(), extras, cfg)
         assert rep.divergence_count >= 100
         assert rep.eq5_within_noise
         assert rep.eq6_pointwise and rep.eq6_pass_rate == 1.0
 
     def test_hr_variant_single_extra(self):
         market = self.lemma_market()
-        mech_m = MyersonRegular((Uniform(0, 1), Uniform(0, 2), Uniform(0, 1)))
         extras = (ComponentExtra(0),)  # U(0,2) hazard-rate dominates U(0,1)
         cfg = EstimatorConfig(seed=53, n_samples=200_000)
-        rep = commensurateness_check(market, mech_m, SecondPrice(), extras, cfg)
+        rep = commensurateness_check(market, SecondPrice(), extras, cfg)
         assert rep.eq5_within_noise
         assert rep.eq6_pointwise
 
     def test_identical_mechanisms_no_divergence(self):
+        # M' is M itself: Myerson's auction over the bidders' laws, no extras
         market = self.lemma_market()
         cfg = EstimatorConfig(seed=59, n_samples=20_000)
-        rep = commensurateness_check(market, SecondPrice(), SecondPrice(), (), cfg)
+        rep = commensurateness_check(market, MyersonRegular(tuple(_column_laws(market, ()))), (), cfg)
         assert rep.no_divergence
         assert rep.divergence_count == 0
         assert rep.eq5_within_noise and rep.eq6_pointwise
+        assert rep.estimate.mean > 0.0
 
     def test_report_estimate_equals_estimate_mc(self):
         market = hr_ordered_markets(seed=20130, count=1)[0]
-        mech_m, mech_p = MyersonRegular(tuple(_column_laws(market, ()))), SecondPrice()
         extras = (ComponentExtra(0),)
         cfg = EstimatorConfig(seed=71, n_samples=30_000, n_streams=3)
-        rep = commensurateness_check(market, mech_m, mech_p, extras, cfg)
-        assert rep.estimate == estimate_mc(market, mech_p, extras, cfg)
+        rep = commensurateness_check(market, SecondPrice(), extras, cfg)
+        assert rep.estimate == estimate_mc(market, SecondPrice(), extras, cfg)
 
     def test_atomic_column_rejected_before_any_draw(self):
         market = self.lemma_market()
         cfg = EstimatorConfig(seed=1, n_samples=100)
         atomic_mixture = build_market((Uniform(0, 1), TwoPoint(1.0, 3.0, 0.4)), [[0.5, 0.5]] * 2)
         cases = [
-            (market, (DeterministicExtra(1.0),)),
-            (atomic_mixture, ()),
+            (market, (DeterministicExtra(1.0),), AtomicDistribution),
+            # an atomic bidder is also one M refuses, and M's error comes first
+            (atomic_mixture, (), IrregularComponent),
         ]
-        for mkt, extras in cases:
-            with pytest.raises(AtomicDistribution) as err:
-                commensurateness_check(mkt, SecondPrice(), SecondPrice(), extras, cfg)
+        for mkt, extras, error in cases:
+            with pytest.raises(error) as err:
+                commensurateness_check(mkt, SecondPrice(), extras, cfg)
             assert not hasattr(err.value, "stream_index")
 
+    @pytest.mark.parametrize(
+        "components, weights, error, match",
+        [
+            pytest.param(
+                (Uniform(0, 1), PowerLaw(0.4)), [[1.0, 0.0], [0.0, 1.0]],
+                IrregularComponent, r"component 1 \(PowerLaw\(0.4\)\) is not regular", id="irregular",
+            ),
+            pytest.param(
+                (Exponential(1.0), Exponential(1.5)), [[0.5, 0.5], [1.0, 0.0]],
+                NoVirtualInverse, "column 0 ", id="mixed-row",
+            ),
+        ],
+    )
+    def test_laws_myerson_refuses_are_refused_before_any_draw(
+        self, monkeypatch, components, weights, error, match
+    ):
+        # the same error as MyersonRegular over the bidders' laws, and no draw
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IrregularComponentWarning)
+            market = build_market(components, weights)
+        with pytest.raises(error, match=match):
+            MyersonRegular(tuple(_column_laws(market, ())))
+        monkeypatch.setattr(revenue_mod, "_draw_market", mock.Mock(side_effect=AssertionError("drew")))
+        with pytest.raises(error, match=match):
+            commensurateness_check(market, SecondPrice(), (ComponentExtra(0),), EstimatorConfig(seed=1))
+
     def test_insufficient_divergence(self):
-        market = build_market((Uniform(0, 1), Uniform(0.0, 0.2)), [[1.0, 0.0]] * 2)
+        # M sells above 0.5, M' above 0.49: P(max of two U(0,1) in [0.49, 0.5))
+        # is 0.0099, so about 30 of 3000 samples diverge
         cfg = EstimatorConfig(seed=61, n_samples=3_000)
-        with pytest.raises(InsufficientDivergenceSamples):
-            commensurateness_check(
-                market, SecondPrice(), SecondPrice(), (ComponentExtra(1),), cfg
-            )
+        with pytest.raises(InsufficientDivergenceSamples, match=r"only \d\d divergence samples"):
+            commensurateness_check(two_uniform_market(), SecondPriceAnonymousReserve(0.49), (), cfg)
+
+    def test_no_myerson_price_is_computed(self, monkeypatch):
+        # M's winner comes off phi; only M' is priced
+        refuse = mock.Mock(side_effect=AssertionError("a Myerson price was computed"))
+        monkeypatch.setattr(revenue_mod, "_myerson_batch", refuse)
+        monkeypatch.setattr(mechanisms_mod, "_myerson_batch", refuse)
+        cfg = EstimatorConfig(seed=47, n_samples=20_000)
+        rep = commensurateness_check(self.lemma_market(), SecondPrice(), (ComponentExtra(0),), cfg)
+        assert rep.divergence_count >= 100
+
+    def test_hr_lemma_markets_equal_the_whole_streams_oracle(self):
+        for idx, market in enumerate(hr_ordered_markets(DEFAULT_SEED, 3)):
+            plan = plan_hr_dominant(market)
+            cfg = EstimatorConfig(seed=101 + idx, n_samples=30_000)
+            expect = whole_streams_commensurateness(market, plan.mechanism, plan.extras, cfg)
+            assert commensurateness_check(market, plan.mechanism, plan.extras, cfg) == expect, idx
+            assert expect.divergence_count >= 100
 
 
 class TestVirtualSurplusGap:
@@ -1205,9 +1258,9 @@ class TestSharedPhi:
 
     def test_commensurateness_check_once_per_stream(self, phi_calls):
         market = self.pinned_market()
-        commensurateness_check(
-            market, MyersonRegular(self.LAWS), SecondPrice(), (ComponentExtra(0),), self.CFG
-        )
+        # M' is a MyersonRegular over every column's law, so it shares phi too
+        mech_p = MyersonRegular(self.LAWS + (Uniform(0, 2),))
+        commensurateness_check(market, mech_p, (ComponentExtra(0),), self.CFG)
         assert len(phi_calls) == self.CFG.n_streams
 
     def test_virtual_surplus_gap_once_per_stream(self, phi_calls):
@@ -1238,14 +1291,16 @@ class TestSharedPhi:
     def test_sharing_keeps_every_bit(self, monkeypatch, components):
         market = build_market(components, [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         mech_m = MyersonRegular((components[1], components[0], components[1]))
+        # over the bidders and the extra, so the check's M' shares phi
+        mech_p = MyersonRegular(mech_m.dists + (components[0],))
         extras = (ComponentExtra(0),)
         cfg = EstimatorConfig(seed=83, n_samples=30_000, n_streams=3)
         args = (market, [mech_m, SecondPrice()], (), cfg)
         gaps = virtual_surplus_gap(*args)
-        rep = commensurateness_check(market, mech_m, SecondPrice(), extras, cfg)
+        rep = commensurateness_check(market, mech_p, extras, cfg)
         monkeypatch.setattr(revenue_mod, "_prices_on_laws", lambda mech, laws: False)
         assert virtual_surplus_gap(*args) == gaps
-        assert commensurateness_check(market, mech_m, SecondPrice(), extras, cfg) == rep
+        assert commensurateness_check(market, mech_p, extras, cfg) == rep
 
 
 class TestParallelStreams:
@@ -1259,7 +1314,7 @@ class TestParallelStreams:
         return (
             estimate_mc(self.MARKET, SecondPrice(), self.EXTRAS, cfg),
             virtual_surplus_gap(self.MARKET, [self.MYERSON, SecondPrice()], (), cfg),
-            commensurateness_check(self.MARKET, self.MYERSON, SecondPrice(), self.EXTRAS, cfg),
+            commensurateness_check(self.MARKET, SecondPrice(), self.EXTRAS, cfg),
         )
 
     @pytest.mark.parametrize(
@@ -1295,7 +1350,7 @@ class TestParallelStreams:
             return [outcomes[0][1]]
 
         with np.errstate(divide="raise"):
-            revenue_mod._run_streams(self.MARKET, (), cfg, [(SecondPrice(), None)], measure)
+            revenue_mod._run_streams(self.MARKET, (), cfg, [SecondPrice()], measure)
         assert len(seen) == cfg.n_streams
         assert {divide for _, divide in seen} == {"raise"}
         assert len({thread for thread, _ in seen}) == workers
@@ -1331,7 +1386,7 @@ class TestParallelStreams:
                 raise ValueError(f"stream {running.stream}")
             return [outcomes[0][1]]
 
-        mechs = [(SecondPrice(), None)]
+        mechs = [SecondPrice()]
         baseline = threading.active_count()
         revenue_mod._run_streams(self.MARKET, (), self.FAIL_CFG, mechs, lambda v, o, p: [o[0][1]])
         assert threading.active_count() == baseline
@@ -1358,7 +1413,7 @@ class TestParallelStreams:
             return [outcomes[0][1]]
 
         with pytest.raises(ValueError, match="stream 1"):
-            revenue_mod._run_streams(self.MARKET, (), self.FAIL_CFG, [(SecondPrice(), None)], measure)
+            revenue_mod._run_streams(self.MARKET, (), self.FAIL_CFG, [SecondPrice()], measure)
         assert sorted(measured) == [0, 1]
 
 
@@ -1370,10 +1425,39 @@ def whole_streams(market, extras, cfg, mechs, measure, virtual=False):
     for s in range(min(cfg.n_streams, cfg.n_samples)):
         values = _draw_market(market, substream(cfg.seed, s), base + (s < rem), extras)
         phi = _virtual_matrix(values, _column_laws(market, extras)) if virtual else None
-        outcomes = [allocate(mech, values[:, :columns]) for mech, columns in mechs]
+        outcomes = [allocate(mech, values) for mech in mechs]
         stats = [_stream_stats(x) for x in measure(values, outcomes, phi)]
         merged = stats if merged is None else list(map(_merge_stats, merged, stats))
     return [_as_estimate(st) for st in merged]
+
+
+def whole_streams_commensurateness(market, mech_p, extras, cfg):
+    """`commensurateness_check`'s report from `whole_streams`, with M's
+    winner W from `allocate` of Myerson's auction over the bidders' laws."""
+    n = market.n
+    myerson = MyersonRegular(tuple(_column_laws(market, ())))
+
+    def virtual_of(phi, winner, rows):
+        return np.where(winner >= 0, phi[rows, np.maximum(winner, 0)], 0.0)
+
+    def measure(values, outcomes, phi):
+        ((w_p, price_p),) = outcomes
+        w_m, _ = allocate(myerson, values[:, :n])
+        d = np.flatnonzero(w_p != w_m)
+        holds = price_p[d] >= virtual_of(phi, w_m[d], d) - revenue_mod._EQ6_TOL
+        return virtual_of(phi, w_p[d], d), price_p[d][holds], price_p
+
+    eq5, eq6, estimate = whole_streams(market, extras, cfg, [mech_p], measure, virtual=True)
+    diverged = eq5.n_samples > 0
+    return CommensuratenessReport(
+        n_samples=cfg.n_samples,
+        divergence_count=eq5.n_samples,
+        eq5_mean=eq5.mean if diverged else None,
+        eq5_std_err=eq5.std_err if diverged else None,
+        eq6_pass_count=eq6.n_samples,
+        no_divergence=not diverged,
+        estimate=estimate,
+    )
 
 
 class TestBlocks:
@@ -1389,13 +1473,12 @@ class TestBlocks:
     PINNED_EXTRAS = (ComponentExtra(1), ComponentExtra(0))
 
     def results(self, cfg):
-        myerson = MyersonRegular(self.LAWS)
         # over the laws of every column, extras included, so it shares phi
         myerson_all = MyersonRegular(self.LAWS + (Uniform(0, 1), Uniform(0, 2)))
         return (
             estimate_mc(self.MIXED, SecondPrice(), self.MIXED_EXTRAS, cfg),
             virtual_surplus_gap(self.PINNED, [myerson_all, SecondPrice()], self.PINNED_EXTRAS, cfg),
-            commensurateness_check(self.PINNED, myerson, SecondPrice(), self.PINNED_EXTRAS, cfg),
+            commensurateness_check(self.PINNED, SecondPrice(), self.PINNED_EXTRAS, cfg),
         )
 
     @pytest.mark.parametrize("size", [1, 6, 7, 8, 15, 50])
@@ -1511,13 +1594,12 @@ def test_commensurateness_memory_stays_below_one_streams_values_and_phi(monkeypa
     monkeypatch.setattr(revenue_mod, "_cpu_count", lambda: 1)
     (market,) = hr_ordered_markets(DEFAULT_SEED, 1)
     plan = plan_hr_dominant(market)
-    myerson = MyersonRegular(tuple(_column_laws(market, ())))
     cfg = EstimatorConfig(seed=DEFAULT_SEED, n_samples=10**6, n_streams=8)
     matrix_bytes = cfg.n_samples // cfg.n_streams * (market.n + len(plan.extras)) * 8
     assert matrix_bytes == 5_000_000
     tracemalloc.start()
     try:
-        commensurateness_check(market, myerson, plan.mechanism, plan.extras, cfg)
+        commensurateness_check(market, plan.mechanism, plan.extras, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
